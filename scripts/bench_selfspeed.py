@@ -14,8 +14,8 @@ changes:
 * **aes** — T-table AES blocks/sec against the byte-level FIPS-197
   reference implementation;
 * **suite** — wall-clock for a Figure-3-style measurement campaign
-  under the current harness (single parse per workload, predecoded
-  dispatch, T-table AES, optional ``--jobs``) against an emulation of
+  under the current harness (single parse per workload, the default
+  JIT engine, T-table AES, optional ``--jobs``) against an emulation of
   the pre-fast-path harness (per-build re-parse, executor-table
   dispatch, byte-level AES, serial).
 
@@ -65,7 +65,8 @@ def bench_interpreter(workload_name: str) -> dict:
 
     start = time.perf_counter()
     fast = Machine(
-        module_fast, inputs=list(workload.inputs), fast_dispatch=True
+        module_fast, inputs=list(workload.inputs), fast_dispatch=True,
+        jit=False,
     ).run()
     fast_seconds = time.perf_counter() - start
 
@@ -124,6 +125,7 @@ def bench_jit(workload_name: str) -> dict:
         compile_source(workload.source, workload.name),
         inputs=list(workload.inputs),
         fast_dispatch=True,
+        jit=False,
     )
     start = time.perf_counter()
     fast_result = fast.run()
@@ -213,7 +215,8 @@ def bench_tracing(workload_name: str) -> dict:
 
     start = time.perf_counter()
     off = Machine(
-        module_off, inputs=list(workload.inputs), fast_dispatch=True
+        module_off, inputs=list(workload.inputs), fast_dispatch=True,
+        jit=False,
     ).run()
     off_seconds = time.perf_counter() - start
 
@@ -225,6 +228,7 @@ def bench_tracing(workload_name: str) -> dict:
         module_on,
         inputs=list(workload.inputs),
         fast_dispatch=True,
+        jit=False,
         tracer=tracer,
     ).run()
     on_seconds = time.perf_counter() - start

@@ -44,7 +44,7 @@ int main() { print_int(fib(10)); return 0; }
 
 ENGINES = (
     ("jit", {"jit": True}),
-    ("fast", {"fast_dispatch": True}),
+    ("fast", {"fast_dispatch": True, "jit": False}),
     ("slow", {"fast_dispatch": False}),
 )
 
@@ -106,7 +106,7 @@ def perf_smoke(workload_name: str) -> dict:
     jit_result = jit_machine.run()
     jit_seconds = time.perf_counter() - start
 
-    fast_machine = Machine(module, inputs=list(workload.inputs))
+    fast_machine = Machine(module, inputs=list(workload.inputs), jit=False)
     start = time.perf_counter()
     fast_result = fast_machine.run()
     fast_seconds = time.perf_counter() - start

@@ -13,6 +13,12 @@ randomness scheme.  Overhead is the cycle-count ratio; memory overhead is
 the max-RSS ratio (the P-BOX lands in rodata and is part of the image).
 Outputs are also compared: a hardened binary must behave identically.
 
+Guests run on the machine's default engine, the tiered IR→Python JIT;
+``jit=False`` selects the predecoded dispatcher and
+``fast_dispatch=False`` the executor-table interpreter.  All three give
+bit-identical cycles, steps, max RSS and outputs, so the engine changes
+only how long the harness takes, never what it measures.
+
 Harness performance (not to be confused with the *measured* cycle
 counts, which are deterministic and unaffected):
 
@@ -31,7 +37,6 @@ counts, which are deterministic and unaffected):
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
 
 from repro.core.config import SmokestackConfig
@@ -96,7 +101,7 @@ def run_baseline(
     opt_level: int = 0,
     module=None,
     fast_dispatch: bool = True,
-    jit: bool = False,
+    jit: Optional[bool] = None,
 ) -> RunMeasurement:
     """Execute the unhardened build (default stack protector on).
 
@@ -124,7 +129,7 @@ def run_hardened(
     entropy_seed: int = 0,
     scheduling_effects: bool = False,
     fast_dispatch: bool = True,
-    jit: bool = False,
+    jit: Optional[bool] = None,
 ) -> RunMeasurement:
     """Execute the hardened build under one randomness scheme."""
     source = make_source(scheme, DeterministicEntropy(entropy_seed))
@@ -164,7 +169,7 @@ def measure_workload(
     entropy_seed: int = 0,
     opt_level: int = 0,
     fast_dispatch: bool = True,
-    jit: bool = False,
+    jit: Optional[bool] = None,
 ) -> WorkloadMeasurement:
     """Baseline + hardened measurements for one workload.
 
@@ -281,7 +286,7 @@ def measure_suite(
     entropy_seed: int = 0,
     jobs: int = 1,
     fast_dispatch: bool = True,
-    jit: bool = False,
+    jit: Optional[bool] = None,
 ) -> SuiteResults:
     """Run the full Figure 3/4 measurement campaign.
 
@@ -302,6 +307,11 @@ def measure_suite(
     )
     if jobs > 1 and len(names) > 1:
         from repro.obs.metrics import get_registry
+
+        # Imported here, not at module level: the pool pulls in
+        # multiprocessing, socket and logging, which a serial run never
+        # needs but every ``repro bench`` start would otherwise compile.
+        from concurrent.futures import ProcessPoolExecutor
 
         registry = get_registry()
         with ProcessPoolExecutor(max_workers=jobs) as pool:

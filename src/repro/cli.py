@@ -67,12 +67,13 @@ def _inputs_from_args(raw: Optional[List[str]]) -> List[bytes]:
 
 def cmd_run(args) -> int:
     module = compile_source(_read_source(args.file), opt_level=args.opt)
-    engine = getattr(args, "engine", "fast")
+    engine = getattr(args, "engine", "jit")
     machine = Machine(
         module,
         inputs=_inputs_from_args(args.input),
         fast_dispatch=engine != "slow",
-        jit=engine == "jit",
+        # None: the machine's default, tiered JIT
+        jit=None if engine == "jit" else False,
     )
     return _print_result(machine.run())
 
@@ -474,10 +475,10 @@ def build_parser() -> argparse.ArgumentParser:
                            help="randomness scheme (default aes-10)")
 
     p = sub.add_parser("run", help="compile and execute")
-    p.add_argument("--engine", default="fast", choices=("jit", "fast", "slow"),
-                   help="execution engine: IR→Python JIT, predecoded "
-                        "dispatch (default), or the executor-table "
-                        "interpreter — all bit-identical")
+    p.add_argument("--engine", default="jit", choices=("jit", "fast", "slow"),
+                   help="execution engine: the tiered IR→Python JIT "
+                        "(default), predecoded dispatch, or the "
+                        "executor-table interpreter — all bit-identical")
     add_common(p)
     p.add_argument("--input", action="append",
                    help="input chunk (repeatable)")

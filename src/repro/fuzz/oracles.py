@@ -195,7 +195,9 @@ def check_program(
     def build(opt_level: int = 0):
         return lower_ast(tree, name, opt_level=opt_level)
 
-    # Reference run: O0, fast dispatch.  Shared by every program oracle.
+    # Reference run: O0, predecoded dispatch (``jit=False``: the default
+    # engine is the tiered JIT, and the ``jit`` oracle compares the
+    # eager JIT against this leg).  Shared by every program oracle.
     baseline_module = build()
     try:
         baseline_module.get_function("main")
@@ -204,7 +206,9 @@ def check_program(
         # candidate down past main), not a VM divergence.
         verdict.compile_error = f"{type(exc).__name__}: {exc}"
         return verdict
-    reference = _run_machine(Machine(baseline_module, max_steps=max_steps))
+    reference = _run_machine(
+        Machine(baseline_module, max_steps=max_steps, jit=False)
+    )
     if not isinstance(reference, _HostException):
         verdict.outcome = reference.outcome
     else:

@@ -37,18 +37,28 @@ class SystemEntropy(EntropySource):
 
 
 class DeterministicEntropy(EntropySource):
-    """Reproducible entropy for experiments: SHA-256 in counter mode."""
+    """Reproducible entropy for experiments: SHA-256 in counter mode.
+
+    ``seed`` is any non-negative integer.  Seeds below 2**64 hash as 8
+    little-endian bytes; larger ones (a 48-bit serve tenant seed shifted
+    by a per-build tag, say) use as many bytes as they need.  The hash
+    input length then differs, so no large seed replays a small seed's
+    stream.
+    """
 
     def __init__(self, seed: int = 0):
-        self._seed = seed
+        if seed < 0:
+            raise ValueError(f"entropy seed must be non-negative, got {seed}")
+        self._seed_bytes = seed.to_bytes(
+            max(8, (seed.bit_length() + 7) // 8), "little"
+        )
         self._counter = 0
         self._buffer = b""
 
     def read(self, count: int) -> bytes:
         while len(self._buffer) < count:
             block = hashlib.sha256(
-                self._seed.to_bytes(8, "little", signed=False)
-                + self._counter.to_bytes(8, "little")
+                self._seed_bytes + self._counter.to_bytes(8, "little")
             ).digest()
             self._counter += 1
             self._buffer += block

@@ -66,6 +66,17 @@ def _sentinel_step(frame):
     raise FellOffBlock
 
 
+class HotCall(Exception):
+    """Raised by a tiering call step once its site is hot, *after* the
+    callee's frame is pushed: the JIT runs the callee compiled."""
+
+
+class HotLoop(Exception):
+    """Raised by a tiering loop back-edge once it is hot, *after* the
+    frame entered the loop header: the JIT resumes the frame compiled
+    from that header."""
+
+
 def _traced_step(step: "Step", opname: str, units: int, tracer) -> "Step":
     """Wrap a decoded step to feed the tracer's opcode histogram.
 
@@ -275,6 +286,13 @@ class Decoder:
     def __init__(self, machine):
         self.machine = machine
         self._cache: Dict[object, List[Step]] = {}
+        #: (hot calls, hot back-edges) of a tiered JIT machine, else
+        #: None: then no step ever raises HotCall/HotLoop.
+        self._hot = machine._hot
+        #: functions the JIT engine has compiled: every interpreted
+        #: call to one of them raises HotCall, however cold its site.
+        self.compiled: set = set()
+        self._block_positions: Dict[object, Dict[int, int]] = {}
         self._decoders = {
             ir.Alloca: self._decode_alloca,
             ir.Load: self._decode_load,
@@ -874,6 +892,22 @@ class Decoder:
             target = machine.module.functions[callee]
         if target is not None:
             push_frame = machine._push_frame
+            if self._hot is not None:
+                hot_calls = self._hot[0]
+                compiled = self.compiled
+                calls = 0
+
+                def step(frame, inst=inst):
+                    nonlocal calls
+                    cost.cycle_units += units
+                    push_frame(
+                        target, [get(frame) for get in arg_gets], call_site=inst
+                    )
+                    calls += 1
+                    if calls >= hot_calls or target in compiled:
+                        raise HotCall
+
+                return step
 
             def step(frame, inst=inst):
                 cost.cycle_units += units
@@ -921,7 +955,38 @@ class Decoder:
         return step
 
     def _decode_edge(self, source, target, function):
-        """Pre-resolve the phi parallel copy for the edge source->target."""
+        """Pre-resolve the phi parallel copy for the edge source->target.
+
+        On a tiered JIT machine a backward edge (every loop has one)
+        also counts its trips and raises :class:`HotLoop` every
+        ``hot back-edges`` trips, once the frame stands at the target's
+        first non-phi instruction — the state a compiled body's deopt
+        leaves, so the JIT can resume the frame from there.
+        """
+        enter = self._decode_plain_edge(source, target, function)
+        if self._hot is None:
+            return enter
+        positions = self._block_positions.get(function)
+        if positions is None:
+            positions = self._block_positions[function] = {
+                id(block): index for index, block in enumerate(function.blocks)
+            }
+        if positions.get(id(target), -1) > positions.get(id(source), -1):
+            return enter
+        hot_trips = self._hot[1]
+        trips = 0
+
+        def enter_counted(frame):
+            nonlocal trips
+            enter(frame)
+            trips += 1
+            if trips >= hot_trips:
+                trips = 0
+                raise HotLoop
+
+        return enter_counted
+
+    def _decode_plain_edge(self, source, target, function):
         plans = []
         for inst in target.instructions:
             if not isinstance(inst, ir.Phi):

@@ -48,6 +48,7 @@ from repro.vm.costs import CostModel
 from repro.vm.decode import Decoder, FellOffBlock
 from repro.vm.floatmath import float_to_int_operand, round_f32
 from repro.vm.jit import (
+    HOT_THRESHOLDS,
     JitEngine,
     cache_lock,
     enter_jit_recursion,
@@ -234,7 +235,7 @@ class Machine:
         Enables the deterministic per-function cost perturbation that
         models the paper's instruction-scheduling speedups (§V-A).
     fast_dispatch:
-        Execute through the predecoded dispatch fast path
+        Interpret through the predecoded dispatch path
         (:mod:`repro.vm.decode`): basic blocks are compiled once, on
         first entry, into pre-bound step closures.  ``False`` falls back
         to the original executor-table interpreter; both paths produce
@@ -245,7 +246,15 @@ class Machine:
         with per-block fused step/cycle accounting.  Bit-identical to
         both interpreter paths; unsupported functions are interpreted
         in place, and attaching a tracer deopts the whole run to the
-        observed interpreter paths.
+        observed interpreter paths.  ``jit=True`` compiles every
+        function on its first call.  The default ``None`` means "JIT
+        unless ``fast_dispatch=False``", tiered: functions start on the
+        predecoded interpreter and are compiled once they run hot (a
+        call site or loop back-edge passing :data:`HOT_THRESHOLDS`), so
+        runs too short to repay a compile never pay for one.
+        ``jit=False`` selects the predecoded engine, and
+        ``fast_dispatch=False`` alone the executor table.  Resolved once
+        here: ``machine.jit`` is always a bool.
     tracer:
         Optional observability sink (duck-typed; see
         :class:`repro.obs.trace.Tracer`).  Receives call/return events
@@ -273,7 +282,7 @@ class Machine:
         shadow_stack: bool = False,
         record_frames: bool = False,
         fast_dispatch: bool = True,
-        jit: bool = False,
+        jit: Optional[bool] = None,
         tracer=None,
     ):
         if isinstance(image_or_module, Module):
@@ -340,10 +349,17 @@ class Machine:
             # write-performing builtins; all mechanics live in obs.
             tracer.attach(self)
         self.fast_dispatch = fast_dispatch
-        self.jit = jit
+        self.jit = fast_dispatch if jit is None else jit
+        #: tier-up thresholds of a tiered JIT run (read by the decoder
+        #: and the JIT engine); None for eager JIT and interpreted runs.
+        self._hot = (
+            HOT_THRESHOLDS
+            if jit is None and self.jit and tracer is None
+            else None
+        )
         # The JIT leans on the decoder for its deopt continuations, so a
         # jit machine always carries one even with fast_dispatch off.
-        self._decoder = Decoder(self) if (fast_dispatch or jit) else None
+        self._decoder = Decoder(self) if (fast_dispatch or self.jit) else None
         self._jit_engine: Optional[JitEngine] = None
 
     def _sync_module_version(self) -> None:

@@ -35,6 +35,18 @@ exception escapes.  The reference interpreter's charge-then-execute
 order is thereby reproduced exactly, including for faults inside
 callees several JIT frames deep.
 
+Tiering.  ``Machine(jit=True)`` compiles every function on its first
+call.  The default machine tiers up instead: each function starts on
+the predecoded interpreter, whose call steps and loop back-edges count
+their trips (:class:`~repro.vm.decode.HotCall`,
+:class:`~repro.vm.decode.HotLoop`), and is compiled once it passes
+:data:`HOT_THRESHOLDS`.  The running frame then moves to compiled code
+right away: a hot call runs the callee's body, a hot back-edge resumes
+the frame's body at the loop header, loading its SSA values from
+``frame.env``.  Both hand-overs happen where no instruction of the
+block has run, the same state a deopt leaves, so accounting stays
+exact.  Runs too short to repay a compile never pay for one.
+
 Deopt rules (JIT where it's safe, interpret where it's observed):
 
 * a machine with a tracer attached never enters the JIT loop
@@ -66,7 +78,14 @@ from repro.errors import IRError, VMError, VMFault, VMLimitExceeded, VMTrap
 from repro.ir import instructions as ir
 from repro.ir.values import Constant, GlobalVariable, Value
 from repro.vm.costs import DYNAMIC_ALLOCA_UNITS
-from repro.vm.decode import FellOffBlock, _binop_impl, _cast_impl, _int_wrap
+from repro.vm.decode import (
+    FellOffBlock,
+    HotCall,
+    HotLoop,
+    _binop_impl,
+    _cast_impl,
+    _int_wrap,
+)
 from repro.vm.floatmath import round_f32
 from repro.vm.memory import DATA_BASE, HEAP_BASE
 
@@ -80,6 +99,18 @@ _U64 = (1 << 64) - 1
 JIT_RECURSION_LIMIT = 15_000
 
 _MISSING = object()
+
+#: Tier-up thresholds of the default, tiered JIT: (calls, back-edge
+#: trips).  A function starts on the predecoded interpreter and is
+#: compiled once one interpreted call site has called it that many
+#: times, or one of its loop back-edges has been taken that many times
+#: since it last fired (the frame then continues compiled from that
+#: loop header).  Compiling a function costs about as much as
+#: interpreting ten thousand instructions, so code that runs less than
+#: that stays interpreted: most attack-campaign runs are a few hundred
+#: steps, while a Figure 3 program tiers up within its first
+#: milliseconds.
+HOT_THRESHOLDS = (200, 500)
 
 
 # -- the process-wide recursion-limit guard -----------------------------------------
@@ -174,7 +205,9 @@ class _FunctionMeta:
     """Machine-independent metadata shared by all bindings of one
     compiled function."""
 
-    __slots__ = ("function", "value_by_name", "value_items", "leading", "linemap")
+    __slots__ = (
+        "function", "value_by_name", "value_items", "values", "leading", "linemap"
+    )
 
     def __init__(self, function, value_by_name, leading, linemap):
         self.function = function
@@ -182,6 +215,9 @@ class _FunctionMeta:
         #: undefined-value diagnostics)
         self.value_by_name: Dict[str, Value] = value_by_name
         self.value_items = tuple(value_by_name.items())
+        #: the Values of local ``v0``, ``v1``, ... (loaded from
+        #: ``frame.env`` when a frame enters compiled code at a loop)
+        self.values = tuple(value_by_name.values())
         #: per-block leading phi count (the interpreter's resume index)
         self.leading: Tuple[int, ...] = leading
         #: source line -> (steps, cycle units) charged for instructions
@@ -356,6 +392,9 @@ class _FunctionCompiler:
         self.linemap_rel: Dict[int, Tuple[int, int]] = {}
         self.block_index: Dict[int, int] = {}
         self.leading: List[int] = []
+        #: an edge goes to a block at or before its source (a loop):
+        #: the body then needs the loop-header entry (see _assemble)
+        self.has_back_edge = False
         #: (steps, cycle units) pre-charged for the current block but not
         #: yet executed at the instruction being emitted.
         self._current_over: Tuple[int, int] = (0, 0)
@@ -795,6 +834,8 @@ class _FunctionCompiler:
         index = self.block_index.get(id(target_block))
         if index is None:
             raise _CompileUnsupported("foreign-block")
+        if index <= self.block_index[id(source_block)]:
+            self.has_back_edge = True
         statements.append(f"_b = {index}")
         return statements
 
@@ -836,18 +877,33 @@ class _FunctionCompiler:
         # Param loads may mint new const cells — build them before the
         # bind-name list so every referenced cell gets a NS line.
         param_lines = [
-            f"        {self.names[id(param)]} = _env[{self._const_cell(param)}]"
+            f"{self.names[id(param)]} = _env[{self._const_cell(param)}]"
             for param in function.params
         ]
         names = list(_STD_CELLS) + [binding[0] for binding in self.bindings]
         header = ["def _bind(NS):"]
         header.extend(f"    {name} = NS['{name}']" for name in names)
-        header.append("    def _body(frame):")
+        # ``_b`` is the block to start at: 0 for a call, a loop header
+        # for a frame the interpreter hands over mid-function
+        # (JitEngine._tier_up).  That frame's SSA values are all in
+        # frame.env; one it has not defined yet stays unbound, so a use
+        # still fails like the interpreter's undefined-value check.
+        header.append("    def _body(frame, _b=0):")
         header.append("        _env = frame.env")
         header.append("        _aa = frame.alloca_addresses")
         header.append("        _maxs = _M.max_steps")
-        header.extend(param_lines)
-        header.append("        _b = 0")
+        if self.has_back_edge:
+            header.append("        if _b:")
+            header.append("            _V = _META.values")
+            header.extend(
+                f"            if _V[{i}] in _env: {name} = _env[_V[{i}]]"
+                for i, name in enumerate(self.value_by_name)
+            )
+            header.append("        else:")
+            header.extend(f"            {line}" for line in param_lines)
+            header.append("            pass")
+        else:
+            header.extend(f"        {line}" for line in param_lines)
         header.append("        while 1:")
         offset = len(header)
         source_lines = header + self.lines + ["    return _body"]
@@ -961,17 +1017,21 @@ class JitEngine:
             exec(compiled.module_code, exec_globals)
             body = exec_globals["_bind"](namespace)
             self._meta_by_code[body.__code__] = compiled.meta
+            machine._decoder.compiled.add(function)
         bodies[function] = body
         return body
 
     # -- execution ------------------------------------------------------------------
 
     def execute(self):
-        """Run the already-pushed entry frame to completion."""
+        """Run the already-pushed entry frame to completion.
+
+        An eager machine (``jit=True``) compiles the entry function
+        now; a tiered one interprets it until it runs hot."""
         machine = self.machine
         try:
             frame = machine.frames[-1]
-            body = self.body_for(frame.function)
+            body = None if machine._hot else self.body_for(frame.function)
             if body is None:
                 self._interp_until(0)
             else:
@@ -1024,34 +1084,67 @@ class JitEngine:
 
     def _interp_until(self, depth: int) -> None:
         """Interpret (predecoded step lists) until the frame stack drops
-        back to ``depth`` — the deopt continuation.  A verbatim bounded
-        copy of ``Machine._execute_loop_fast``."""
+        back to ``depth``: the deopt continuation, and on a tiered
+        machine the cold path.  A bounded copy of
+        ``Machine._execute_loop_fast``, except that a hot call site or
+        loop back-edge hands its frame to compiled code
+        (:meth:`_tier_up`)."""
         machine = self.machine
         frames = machine.frames
         max_steps = machine.max_steps
-        steps = machine._steps
-        try:
-            while len(frames) > depth:
+        while len(frames) > depth:
+            steps = machine._steps
+            try:
+                while len(frames) > depth:
+                    frame = frames[-1]
+                    index = frame.inst_index
+                    frame.inst_index = index + 1
+                    steps += 1
+                    if steps > max_steps:
+                        raise VMLimitExceeded(
+                            f"step limit of {max_steps} exceeded "
+                            f"(runaway loop or corrupted counter)"
+                        )
+                    frame.code[index](frame)
+            except FellOffBlock:
+                # The sentinel fetch is not an executed instruction.
+                steps -= 1
                 frame = frames[-1]
-                index = frame.inst_index
-                frame.inst_index = index + 1
-                steps += 1
-                if steps > max_steps:
-                    raise VMLimitExceeded(
-                        f"step limit of {max_steps} exceeded "
-                        f"(runaway loop or corrupted counter)"
-                    )
-                frame.code[index](frame)
-        except FellOffBlock:
-            # The sentinel fetch is not an executed instruction.
-            steps -= 1
-            frame = frames[-1]
-            raise VMError(
-                f"fell off block '{frame.block.label}' in "
-                f"'{frame.function.name}'"
-            ) from None
-        finally:
-            machine._steps = steps
+                raise VMError(
+                    f"fell off block '{frame.block.label}' in "
+                    f"'{frame.function.name}'"
+                ) from None
+            except HotCall:
+                at_loop_header = False
+            except HotLoop:
+                at_loop_header = True
+            else:
+                return
+            finally:
+                machine._steps = steps
+            # Outside the try: compiled code keeps machine._steps exact
+            # itself, and an exception it raises must not be followed
+            # by a stale write-back of ``steps``.
+            self._tier_up(frames[-1], at_loop_header)
+
+    def _tier_up(self, frame, at_loop_header: bool) -> None:
+        """Run an interpreted frame on, compiled, until it returns.
+
+        ``frame`` was just pushed by a hot call site, or has just taken
+        a hot back-edge into a loop header.  Either way no instruction
+        of its current block has run, the state a deopt leaves, so the
+        compiled body starts at that block with exact accounting.  A
+        function the compiler cannot handle stays interpreted; a deopt
+        hands the frame back to the interpreter loop."""
+        function = frame.function
+        body = self.body_for(function)
+        if body is None:
+            return
+        start = function.blocks.index(frame.block) if at_loop_header else 0
+        try:
+            body(frame, start)
+        except _Deopt:
+            pass
 
     def _deopt_sync(self, meta: _FunctionMeta, frame, block_index: int, lvars) -> None:
         """Sync compiled-body locals back into ``frame.env`` and raise

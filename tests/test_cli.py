@@ -65,6 +65,34 @@ class TestRunCommand:
         assert "exit    : 3" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize(
+        "engine_args, expect",
+        [
+            ([], (True, True, True)),  # default: the tiered JIT
+            (["--engine", "jit"], (True, True, True)),
+            (["--engine", "fast"], (False, True, False)),
+            (["--engine", "slow"], (False, False, False)),
+        ],
+    )
+    def test_run_engine_selection(
+        self, hello_file, capsys, monkeypatch, engine_args, expect
+    ):
+        import repro.cli as cli
+
+        built = []
+
+        class Recording(cli.Machine):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(cli, "Machine", Recording)
+        assert main(["run", hello_file, *engine_args]) == 0
+        assert "exit    : 7" in capsys.readouterr().out
+        (machine,) = built
+        assert (machine.jit, machine.fast_dispatch, machine._hot is not None) == expect
+
+
 class TestHardenCommand:
     def test_harden_runs_and_reports_pbox(self, hello_file, capsys):
         status = main(["harden", hello_file])

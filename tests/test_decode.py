@@ -31,7 +31,7 @@ def assert_identical(fast, slow, label):
 def run_both(source_text, inputs=(), max_steps=None, **kwargs):
     results = []
     for fast_dispatch in (True, False):
-        machine_kwargs = dict(kwargs, fast_dispatch=fast_dispatch)
+        machine_kwargs = dict(kwargs, fast_dispatch=fast_dispatch, jit=False)
         if max_steps is not None:
             machine_kwargs["max_steps"] = max_steps
         machine = Machine(
@@ -52,6 +52,7 @@ class TestWorkloadEquivalence:
                 compile_source(workload.source, name),
                 inputs=list(workload.inputs),
                 fast_dispatch=fd,
+                jit=False,
             ).run()
             for fd in (True, False)
         )
@@ -68,6 +69,7 @@ class TestWorkloadEquivalence:
                 inputs=list(workload.inputs),
                 rng_source=make_source("aes-10", DeterministicEntropy(0)),
                 fast_dispatch=fast_dispatch,
+                jit=False,
             )
             results.append(machine.run())
         assert_identical(results[0], results[1], f"hardened {name}")
@@ -304,7 +306,7 @@ class TestDecoderStaleness:
         results = []
         for fast_dispatch in (True, False):
             module = compile_source(self.SOURCE)
-            machine = Machine(module, fast_dispatch=fast_dispatch)
+            machine = Machine(module, fast_dispatch=fast_dispatch, jit=False)
             machine.run()
             instrument_module(module)
             machine.rng_source = make_source(
@@ -370,7 +372,7 @@ class TestDecoderStaleness:
         results = []
         for kwargs in (
             {"jit": True},
-            {"fast_dispatch": True},
+            {"fast_dispatch": True, "jit": False},
             {"fast_dispatch": False},
         ):
             module = compile_source(self.SOURCE)

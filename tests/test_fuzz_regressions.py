@@ -126,6 +126,7 @@ class TestRegressionCorpus:
             result = Machine(
                 compile_source(NONFINITE_FLOAT_TO_INT),
                 fast_dispatch=fast_dispatch,
+                jit=False,
             ).run()
             results.append(result)
         fast, slow = results

@@ -10,8 +10,11 @@ interpreter, and traced machines must skip the JIT entirely while still
 producing identical runs and event streams.
 """
 
+import contextlib
+
 import pytest
 
+import repro.vm.interpreter as interpreter
 from repro.benchsuite.programs import WORKLOADS, get_workload
 from repro.core.pipeline import compile_source, harden_source
 from repro.rng.entropy import DeterministicEntropy
@@ -34,7 +37,7 @@ def run_engines(source_text, inputs=(), max_steps=None, **kwargs):
     results = []
     for engine_kwargs in (
         {"jit": True},
-        {"fast_dispatch": True},
+        {"fast_dispatch": True, "jit": False},
         {"fast_dispatch": False},
     ):
         machine_kwargs = dict(kwargs, **engine_kwargs)
@@ -49,12 +52,46 @@ def run_engines(source_text, inputs=(), max_steps=None, **kwargs):
     return results
 
 
+#: Tier-up thresholds that make a tiered machine's hand-overs fire on
+#: tiny programs: at every call and back-edge, and staggered.
+LOW_THRESHOLDS = ((1, 1), (2, 3))
+
+
+@contextlib.contextmanager
+def hot_thresholds(calls, trips):
+    """Machines built inside tier up after ``calls``/``trips``."""
+    saved = interpreter.HOT_THRESHOLDS
+    interpreter.HOT_THRESHOLDS = (calls, trips)
+    try:
+        yield
+    finally:
+        interpreter.HOT_THRESHOLDS = saved
+
+
+def run_tiered(source_text, thresholds, inputs=(), max_steps=None, **kwargs):
+    """One run on the default (tiered) engine at low thresholds."""
+    if max_steps is not None:
+        kwargs["max_steps"] = max_steps
+    with hot_thresholds(*thresholds):
+        machine = Machine(
+            compile_source(source_text), inputs=list(inputs), **kwargs
+        )
+    assert machine._hot == thresholds
+    return machine.run()
+
+
 def assert_all_agree(source_text, inputs=(), max_steps=None, label="", **kwargs):
     jit, fast, slow = run_engines(
         source_text, inputs=inputs, max_steps=max_steps, **kwargs
     )
     assert_identical(jit, fast, f"{label} (vs fast)")
     assert_identical(jit, slow, f"{label} (vs slow)")
+    for thresholds in LOW_THRESHOLDS:
+        tiered = run_tiered(
+            source_text, thresholds, inputs=inputs, max_steps=max_steps,
+            **kwargs,
+        )
+        assert_identical(tiered, fast, f"{label} (tiered {thresholds})")
     return jit
 
 
@@ -62,15 +99,16 @@ class TestWorkloadEquivalence:
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
     def test_baseline_bit_identical(self, name):
         workload = get_workload(name)
-        jit, fast = (
+        jit, fast, tiered = (
             Machine(
                 compile_source(workload.source, name),
                 inputs=list(workload.inputs),
-                jit=use_jit,
+                **engine_kwargs,
             ).run()
-            for use_jit in (True, False)
+            for engine_kwargs in ({"jit": True}, {"jit": False}, {})
         )
         assert_identical(jit, fast, name)
+        assert_identical(tiered, fast, f"{name} (tiered)")
 
     @pytest.mark.parametrize("name", ["libquantum", "sjeng", "lbm"])
     def test_hardened_bit_identical(self, name):
@@ -118,26 +156,26 @@ class TestCannedAttackEquivalence:
             "wireshark": WiresharkDopAttack,
         }[attack]
 
-        def jitted(use_jit):
+        def jitted(engine_kwargs):
             class Wrapped(scenario_cls):
                 def machine_kwargs(self):
-                    kwargs = super().machine_kwargs()
-                    if use_jit:
-                        kwargs["jit"] = True
-                    return kwargs
+                    return dict(super().machine_kwargs(), **engine_kwargs)
 
             return Wrapped()
 
         attempts = []
-        for use_jit in (True, False):
-            report = run_campaign(
-                jitted(use_jit), make_defense(defense_name),
-                restarts=3, seed=1,
-            )
-            attempts.append(
-                [(a.index, a.outcome, a.detail) for a in report.attempts]
-            )
+        # eager JIT, predecoded, and tiered with every hand-over firing
+        with hot_thresholds(1, 1):
+            for engine_kwargs in ({"jit": True}, {"jit": False}, {}):
+                report = run_campaign(
+                    jitted(engine_kwargs), make_defense(defense_name),
+                    restarts=3, seed=1,
+                )
+                attempts.append(
+                    [(a.index, a.outcome, a.detail) for a in report.attempts]
+                )
         assert attempts[0] == attempts[1], f"{attack} vs {defense_name}"
+        assert attempts[2] == attempts[1], f"{attack} vs {defense_name} tiered"
 
 
 class TestErrorPathEquivalence:
@@ -324,7 +362,7 @@ class TestEngineSelection:
 
         workload = get_workload("libquantum")
         jit = run_baseline(workload, jit=True)
-        fast = run_baseline(workload)
+        fast = run_baseline(workload, jit=False)
         assert jit == fast
 
 
@@ -473,3 +511,179 @@ class TestProcessGlobalState:
         stop.set()
         clearer.join()
         assert not errors, errors
+
+
+class TestDefaultEngine:
+    """The JIT is the default engine: ``jit=None`` resolves, once in
+    ``Machine.__init__``, to "tiered JIT unless ``fast_dispatch=False``"."""
+
+    SOURCE = (
+        "int add(int a, int b) { return a + b; }"
+        " int main() { int s = 0;"
+        " for (int i = 0; i < 30; i = i + 1) { s = add(s, i); }"
+        " print_int(s); return 0; }"
+    )
+
+    @pytest.mark.parametrize(
+        "fast_dispatch, jit, expect_jit, expect_tiered, expect_decoder",
+        [
+            (True, None, True, True, True),  # the default: tiered JIT
+            (False, None, False, False, False),  # executor table
+            (True, False, False, False, True),  # predecoded dispatch
+            (False, False, False, False, False),  # executor table
+            (True, True, True, False, True),  # eager JIT
+            (False, True, True, False, True),  # eager, executor-table fallback
+        ],
+    )
+    def test_engine_resolution(
+        self, fast_dispatch, jit, expect_jit, expect_tiered, expect_decoder
+    ):
+        # ``jit=None`` is exercised by omission: it is the default.
+        engine_kwargs = {} if jit is None else {"jit": jit}
+        machine = Machine(
+            compile_source(self.SOURCE),
+            fast_dispatch=fast_dispatch,
+            **engine_kwargs,
+        )
+        assert machine.jit is expect_jit
+        assert (machine._hot is not None) is expect_tiered
+        assert machine.fast_dispatch is fast_dispatch
+        assert (machine._decoder is not None) is expect_decoder
+        assert machine.run().int_outputs == [435]
+        # Only a JIT machine builds an engine, and only when it runs.
+        assert (machine._jit_engine is not None) is expect_jit
+
+    def test_traced_default_machine_deopts_like_predecoded(self):
+        from repro.obs import Tracer, validate_events
+        from repro.obs.metrics import get_registry
+
+        workload = get_workload("libquantum")
+        registry = get_registry()
+        runs = {}
+        for label, engine_kwargs in (("default", {}), ("fast", {"jit": False})):
+            registry.reset()
+            tracer = Tracer(record_writes="all")
+            machine = Machine(
+                compile_source(workload.source, "libquantum"),
+                inputs=list(workload.inputs),
+                tracer=tracer,
+                **engine_kwargs,
+            )
+            result = machine.run()
+            assert not validate_events(tracer.events)
+            counters = registry.snapshot()["counters"]
+            runs[label] = (result, tracer.events, counters)
+            assert machine._jit_engine is None
+        default_result, default_events, default_counters = runs["default"]
+        fast_result, fast_events, fast_counters = runs["fast"]
+        assert default_counters["jit_deopts_total{reason=tracer}"] == 1
+        assert "jit_deopts_total{reason=tracer}" not in fast_counters
+        assert_identical(default_result, fast_result, "traced default")
+        assert default_events == fast_events
+
+    @pytest.mark.parametrize("name", ["proftpd", "wireshark", "sjeng", "hmmer"])
+    def test_measure_workload_default_equals_predecoded(self, name):
+        from repro.benchsuite.runner import measure_workload
+
+        default = measure_workload(name)
+        fast = measure_workload(name, jit=False)
+        assert default.pbox_bytes == fast.pbox_bytes
+        assert list(default.hardened) == list(fast.hardened)
+        pairs = [("baseline", default.baseline, fast.baseline)] + [
+            (scheme, default.hardened[scheme], fast.hardened[scheme])
+            for scheme in default.hardened
+        ]
+        for label, got, want in pairs:
+            for field in ("cycles", "steps", "max_rss", "int_outputs"):
+                assert getattr(got, field) == getattr(want, field), (
+                    f"{name} [{label}] {field}"
+                )
+
+
+class TestTiering:
+    """The default engine interprets a function until it runs hot, then
+    hands the running frame to compiled code: at a hot call site (the
+    callee runs compiled) or a hot loop back-edge (the frame resumes
+    compiled at the loop header).  Every hand-over is bit-identical."""
+
+    LOOPS = """
+    int sq(int x) { return x * x; }
+    int main() { long s = 0; int i; int j;
+      for (i = 0; i < 40; i = i + 1) {
+        for (j = 0; j < i; j = j + 1) { s = s + sq(j) - i; }
+      }
+      print_int((int)s); return 0; }
+    """
+
+    @staticmethod
+    def compiled_names(machine):
+        return {function.name for function in machine._decoder.compiled}
+
+    def test_short_run_compiles_nothing(self):
+        source = TestDefaultEngine.SOURCE  # 30 calls, 30 loop trips
+        machine = Machine(compile_source(source))
+        result = machine.run()
+        assert self.compiled_names(machine) == set()
+        fast = Machine(compile_source(source), jit=False).run()
+        assert_identical(result, fast, "short run")
+
+    def test_hot_call_site_compiles_callee(self):
+        calls, trips = interpreter.HOT_THRESHOLDS
+        source = (
+            "int sq(int x) { return x * x; }"
+            " int main() { int s = 0;"
+            f" for (int i = 0; i < {calls + 10}; i = i + 1)"
+            " { s = s + sq(i); }"
+            " print_int(s); return 0; }"
+        )
+        assert calls + 10 < trips  # main's loop itself stays cold
+        machine = Machine(compile_source(source))
+        result = machine.run()
+        assert self.compiled_names(machine) == {"sq"}
+        fast = Machine(compile_source(source), jit=False).run()
+        assert_identical(result, fast, "hot call site")
+
+    def test_hot_loop_resumes_compiled(self):
+        # libquantum: one loop nest in main, no guest calls.
+        workload = get_workload("libquantum")
+        machine = Machine(
+            compile_source(workload.source, "libquantum"),
+            inputs=list(workload.inputs),
+        )
+        result = machine.run()
+        assert self.compiled_names(machine) == {"main"}
+        fast = Machine(
+            compile_source(workload.source, "libquantum"),
+            inputs=list(workload.inputs),
+            jit=False,
+        ).run()
+        assert_identical(result, fast, "hot loop")
+
+    @pytest.mark.parametrize("opt_level", [0, 2])
+    def test_every_limit_through_loop_hand_overs(self, opt_level):
+        # -O2 loop headers carry phis: the hand-over must pick up their
+        # values from frame.env.  Each step limit puts the deopt (and
+        # the next hand-over) at another instruction.
+        def run(max_steps, **engine_kwargs):
+            return Machine(
+                compile_source(self.LOOPS, opt_level=opt_level),
+                max_steps=max_steps,
+                **engine_kwargs,
+            ).run()
+
+        full = run(10**9, jit=False).steps
+        for limit in list(range(1, 400, 7)) + list(range(full - 3, full + 2)):
+            fast = run(limit, jit=False)
+            for thresholds in LOW_THRESHOLDS:
+                with hot_thresholds(*thresholds):
+                    machine = Machine(
+                        compile_source(self.LOOPS, opt_level=opt_level),
+                        max_steps=limit,
+                    )
+                assert_identical(
+                    machine.run(), fast, f"O{opt_level} limit {limit} {thresholds}"
+                )
+        with hot_thresholds(2, 3):
+            machine = Machine(compile_source(self.LOOPS, opt_level=opt_level))
+        assert_identical(machine.run(), run(10**9, jit=False), "full run")
+        assert self.compiled_names(machine) == {"main", "sq"}

@@ -1,6 +1,8 @@
 """Odds-and-ends unit coverage: errors, entropy sources, defense internals,
 report rendering, and small helpers not covered elsewhere."""
 
+import hashlib
+
 import pytest
 
 from repro.errors import SecurityViolation, SourceLocation, VMFault
@@ -44,6 +46,28 @@ class TestEntropySources:
         second = entropy.read(10)
         combined = DeterministicEntropy(4).read(20)
         assert first + second == combined
+
+    def test_small_seeds_keep_eight_byte_encoding(self):
+        # Every recorded result was drawn from this exact stream.
+        for seed in (0, 7, 2**64 - 1):
+            expected = hashlib.sha256(
+                seed.to_bytes(8, "little") + (0).to_bytes(8, "little")
+            ).digest()
+            assert DeterministicEntropy(seed).read(32) == expected
+
+    def test_seeds_past_64_bits_accepted(self):
+        # A 48-bit serve tenant seed shifted by the smokestack defense.
+        big = ((2**48 - 1) << 20) ^ 1
+        stream = DeterministicEntropy(big).read(16)
+        assert stream == DeterministicEntropy(big).read(16)
+        assert stream != DeterministicEntropy(big & (2**64 - 1)).read(16)
+        assert DeterministicEntropy(2**64).read(16) != (
+            DeterministicEntropy(0).read(16)
+        )
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError):
+            DeterministicEntropy(-1)
 
     def test_system_entropy_length(self):
         assert len(SystemEntropy().read(32)) == 32

@@ -307,6 +307,7 @@ class TestTracingEquivalence:
                 compile_source(workload.source, name),
                 inputs=list(workload.inputs),
                 fast_dispatch=fast,
+                jit=False,
                 tracer=tracer,
             )
             result = machine.run()

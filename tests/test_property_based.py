@@ -214,7 +214,7 @@ def test_gep_constant_and_dynamic_index_agree(spec, index):
     results = []
     for fast_dispatch in (True, False):
         result = Machine(
-            compile_source(source), fast_dispatch=fast_dispatch
+            compile_source(source), fast_dispatch=fast_dispatch, jit=False
         ).run()
         assert result.finished_cleanly()
         results.append(result)
@@ -240,7 +240,7 @@ def test_gep_negative_pointer_index_wraps_identically(offset):
     expected = (8 + offset) * 5
     for fast_dispatch in (True, False):
         result = Machine(
-            compile_source(source), fast_dispatch=fast_dispatch
+            compile_source(source), fast_dispatch=fast_dispatch, jit=False
         ).run()
         assert result.finished_cleanly()
         assert result.exit_code == expected
@@ -265,7 +265,7 @@ def test_gep_struct_array_field_chain(i, j):
     }}"""
     for fast_dispatch in (True, False):
         result = Machine(
-            compile_source(source), fast_dispatch=fast_dispatch
+            compile_source(source), fast_dispatch=fast_dispatch, jit=False
         ).run()
         assert result.finished_cleanly()
         assert result.exit_code == i * 7 + j * 7 + 100

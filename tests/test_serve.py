@@ -57,6 +57,13 @@ VICTIM_SRC = (
     "input_read(b, 16); return t; }"
 )
 
+#: ``t`` sits above ``b`` in the baseline frame, so the planner finds an
+#: overflow plan and every defense actually builds and runs the victim.
+PLANNED_VICTIM_SRC = (
+    "int main() { int t; char b[8]; t = 0; "
+    "input_read(b, 16); return t; }"
+)
+
 
 # -- protocol unit tests (no server) -------------------------------------------------
 
@@ -290,6 +297,24 @@ class TestServeStreaming:
         counts = env["result"]["counts"]
         assert counts["victims"] == 1
         assert counts["errors"] == 0
+
+    def test_synth_smokestack_for_real_tenant(self, client):
+        # A tenant's 48-bit seed, shifted per build by the smokestack
+        # defense, outgrows 64 bits; the entropy stream must take it.
+        envelope = client.request_raw({
+            "op": "synth",
+            "source": PLANNED_VICTIM_SRC,
+            "goal": "corrupt:main.t=7",
+            "defenses": ["none", "smokestack"],
+            "restarts": 2,
+            "tenant": "acme",
+        })
+        assert envelope["ok"] is True, envelope.get("error")
+        result = envelope["result"]
+        assert result["counts"] == {
+            "victims": 1, "planned": 1, "no_plan": 0, "errors": 0
+        }
+        assert set(result["per_defense"]) == {"none", "smokestack"}
 
 
 class TestServeMetrics:
