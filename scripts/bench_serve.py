@@ -10,7 +10,7 @@ service fed the same programs by many tenants, which is what exercises
 the content-hash cache.
 
 Measures p50/p90/p99 latency, cache hit rate, rejection/retry counts,
-and verifies three contracts, any failure of which exits non-zero:
+and verifies four contracts, any failure of which exits non-zero:
 
 * zero protocol errors (every response is an ``ok`` envelope or an
   ``overloaded`` rejection that succeeds on retry);
@@ -18,7 +18,10 @@ and verifies three contracts, any failure of which exits non-zero:
   bit-identical canonical result of its first answer);
 * metrics consistency: the ``serve_worker_jobs_total`` counters merged
   across the process boundary equal the parent's own count of
-  completed worker jobs, and the hit rate clears its floor.
+  completed worker jobs, and the hit rate clears its floor;
+* only ``trace`` jobs run traced: the merged ``vm_traced_machines_total``
+  equals the merged ``serve_worker_jobs_total{op=trace}`` (``harden``
+  fingerprints its run from the RNG draws and stays on the JIT).
 """
 
 import argparse
@@ -191,6 +194,8 @@ def main(argv=None):
         for name, value in metrics["counters"].items()
         if name.startswith("serve_worker_jobs_total")
     )
+    traced_machines = metrics["counters"].get("vm_traced_machines_total", 0)
+    trace_jobs = metrics["counters"].get("serve_worker_jobs_total{op=trace}", 0)
     latencies = sorted(stats.latencies)
     hit_rate = stats.cached / stats.ok if stats.ok else 0.0
     hit_floor = 0.0 if args.smoke else 0.5
@@ -202,6 +207,7 @@ def main(argv=None):
         "metrics_match_completed_jobs": (
             worker_jobs_merged == server_stats["worker_jobs_completed"]
         ),
+        "only_trace_jobs_traced": traced_machines == trace_jobs,
     }
     report = {
         "requests": total,
@@ -224,6 +230,8 @@ def main(argv=None):
         },
         "worker_jobs_merged": worker_jobs_merged,
         "worker_jobs_completed": server_stats["worker_jobs_completed"],
+        "traced_machines": traced_machines,
+        "trace_jobs": trace_jobs,
         "server_rejections": server_stats["rejections_total"],
         "gates": gates,
     }

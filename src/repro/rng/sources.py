@@ -22,7 +22,7 @@ bandwidth limit of the on-chip generator the paper observed.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import VMError
 from repro.rng.ctr import DEFAULT_RESEED_INTERVAL, AesCtrGenerator
@@ -59,6 +59,32 @@ class RandomSource:
 
     def reset(self) -> None:
         """Forget per-process state (called between runs if reused)."""
+
+
+class RecordingSource(RandomSource):
+    """Forwards every draw to ``inner`` and reports it as
+    ``on_draw(fn, value)``, ``fn`` being the guest function whose
+    prologue (or VLA pad) called ``__ss_rand``.
+
+    Unlike an attached tracer this keeps the run on the JIT, and it
+    forwards ``cycles_per_call`` unchanged, so a recorded run's steps
+    and cycles are those of an unrecorded one.
+    """
+
+    def __init__(self, inner: RandomSource, on_draw: Callable[[str, int], None]):
+        self.inner = inner
+        self.on_draw = on_draw
+        self.name = inner.name
+        self.security = inner.security
+        self.cycles_per_call = inner.cycles_per_call
+
+    def generate(self, machine) -> int:
+        value = self.inner.generate(machine) & _U64
+        self.on_draw(machine.frames[-1].function.name, value)
+        return value
+
+    def reset(self) -> None:
+        self.inner.reset()
 
 
 def xorshift64_step(state: int) -> int:

@@ -3,9 +3,8 @@
 Each pool worker is a persistent, stateless-by-contract process: a job
 dict goes in, a plain result dict comes out, and **everything a job
 increments in the process-global metrics registry is shipped back** as
-a delta for the parent to merge (the worker-metrics bugfix this PR's
-server depends on — without it every counter below would silently
-vanish into the worker).
+a delta for the parent to merge (without it every counter below would
+silently vanish into the worker).
 
 The only state a worker keeps between jobs is a *derived* cache:
 
@@ -17,18 +16,29 @@ The only state a worker keeps between jobs is a *derived* cache:
   staleness contract the VM's decoder uses.  Hardening therefore always
   lowers a *fresh* module from the cached AST: the mutation lands on a
   throwaway, never on the shared cache entry.
+
+Only ``trace`` attaches a :class:`~repro.obs.Tracer`, because emitting
+events is its job; an attached tracer deopts the whole run off the
+JIT.  ``harden`` fingerprints the layouts its run used from the P-BOX
+tables and the ``__ss_rand`` draws (see :class:`LayoutFingerprint`),
+recorded by a :class:`~repro.rng.sources.RecordingSource`, so it runs
+untraced on the default JIT.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.config import SmokestackConfig
-from repro.core.pipeline import harden_module, lower_ast
+from repro.core.pipeline import HardenedProgram, harden_module, lower_ast
 from repro.minic import compile_to_ast
+from repro.obs import Tracer
 from repro.obs.metrics import worker_job_metrics
 from repro.rng.entropy import DeterministicEntropy
+from repro.rng.sources import RecordingSource
 from repro.serve.protocol import source_digest
 from repro.vm.interpreter import Machine
 
@@ -105,52 +115,95 @@ def _handle_compile(job: dict) -> dict:
     return result
 
 
-def _handle_harden(job: dict) -> dict:
-    import hashlib
-    import json
+class LayoutFingerprint:
+    """The ``layout_digest`` of one hardened run, streamed.
 
-    from repro.obs import Tracer
+    Smokestack randomizes exactly one thing per invocation: the P-BOX
+    row its prologue selects with an ``__ss_rand`` draw.  The layout a
+    run used is therefore fixed by the P-BOX tables plus the sequence
+    of draws, so the digest hashes the tables' contents and then each
+    draw's ``(fn, value)``.  Feed it draws with :meth:`add`; only the
+    first :data:`SHOWN` are kept, as ``{fn, row}`` for the reply.
+    """
 
+    #: draws echoed in the reply's ``layouts``
+    SHOWN = 8
+
+    def __init__(self, hardened: HardenedProgram):
+        self._entries = hardened.pbox.entries
+        self._hash = hashlib.sha256()
+        for table in hardened.pbox.tables:
+            self._hash.update(
+                f"{table.global_name} {table.row_count}x{table.slot_count}\n"
+                .encode("ascii")
+            )
+            # the table's bytes as the image holds them, serialized once
+            # by the hardening pass
+            self._hash.update(
+                hardened.module.globals[table.global_name].initializer
+            )
+        self.draws = 0
+        self.layouts: List[dict] = []
+
+    def add(self, fn: str, value: int) -> None:
+        self._hash.update(f"{fn} {value}\n".encode("utf-8"))
+        self.draws += 1
+        if len(self.layouts) < self.SHOWN:
+            # the row the prologue selects (with fnid checks on, every
+            # function that draws owns a table)
+            rows = self._entries[fn].table.row_count
+            self.layouts.append({"fn": fn, "row": value % rows})
+
+    def hexdigest(self) -> str:
+        return self._hash.hexdigest()
+
+
+def _harden(job: dict) -> HardenedProgram:
     # Fresh lowering: instrument_module mutates its module in place, so
     # the shared compile cache must never see a hardened build.
     module = lower_ast(_ast_for(job), job["digest"][:12], opt_level=job["opt"])
-    seed = job["tenant_seed"]
-    config = SmokestackConfig(scheme=job["scheme"], compile_seed=seed)
-    hardened = harden_module(module, config)
-    # The permuted slots are dynamic (prologue-selected P-BOX row), so
-    # the observable layout fingerprint is the write-address trace: the
-    # same tenant seed replays it bit-identically, a different seed
-    # lands the same stores on different slots.
-    tracer = Tracer(record_writes="all")
-    machine = hardened.make_machine(
-        entropy=DeterministicEntropy(seed),
-        inputs=_inputs(job),
-        tracer=tracer,
-        max_steps=SERVE_MAX_STEPS,
+    config = SmokestackConfig(
+        scheme=job["scheme"], compile_seed=job["tenant_seed"]
     )
-    run = machine.run()
-    writes = [
-        (event.get("fn"), event["addr"], event["size"])
-        for event in tracer.events
-        if event.get("ev") == "write"
-    ]
-    layout_digest = hashlib.sha256(
-        json.dumps(writes, sort_keys=True).encode("utf-8")
-    ).hexdigest()
+    return harden_module(module, config)
+
+
+def _hardened_machine(hardened: HardenedProgram, job: dict, **machine_kwargs):
+    return hardened.make_machine(
+        entropy=DeterministicEntropy(job["tenant_seed"]),
+        inputs=_inputs(job),
+        max_steps=SERVE_MAX_STEPS,
+        **machine_kwargs,
+    )
+
+
+def fingerprint_run(job: dict, **machine_kwargs):
+    """Harden ``job``'s program and run it, recording its draws.
+
+    Returns ``(hardened, run, fingerprint)``.  ``machine_kwargs`` reach
+    the :class:`Machine` (an engine choice, a tracer); the serve op
+    passes none, so the run takes the default JIT.
+    """
+    hardened = _harden(job)
+    fingerprint = LayoutFingerprint(hardened)
+    machine = _hardened_machine(hardened, job, **machine_kwargs)
+    machine.rng_source = RecordingSource(machine.rng_source, fingerprint.add)
+    return hardened, machine.run(), fingerprint
+
+
+def _handle_harden(job: dict) -> dict:
+    hardened, run, fingerprint = fingerprint_run(job)
     return {
         "digest": job["digest"],
         "scheme": job["scheme"],
-        "tenant_seed": seed,
+        "tenant_seed": job["tenant_seed"],
         "pbox_bytes": hardened.pbox_bytes(),
         "outcome": run.outcome,
         "exit_code": run.exit_code,
         "steps": run.steps,
-        "writes_traced": len(writes),
-        "layout_digest": layout_digest,
-        "layouts": [
-            {"fn": fn, "addr": addr, "size": size}
-            for fn, addr, size in writes[:8]
-        ],
+        "draws": fingerprint.draws,
+        "layout_digest": fingerprint.hexdigest(),
+        "layouts": fingerprint.layouts,
     }
 
 
@@ -168,26 +221,9 @@ def _handle_analyze(job: dict, prove: bool) -> dict:
 
 
 def _handle_trace(job: dict) -> Tuple[dict, List[str]]:
-    import json
-
-    from repro.core.pipeline import harden_module as _harden
-    from repro.obs import Tracer
-
     tracer = Tracer(record_writes=job["writes"])
     if job["harden"]:
-        module = lower_ast(
-            _ast_for(job), job["digest"][:12], opt_level=job["opt"]
-        )
-        seed = job["tenant_seed"]
-        hardened = _harden(
-            module, SmokestackConfig(scheme=job["scheme"], compile_seed=seed)
-        )
-        machine = hardened.make_machine(
-            entropy=DeterministicEntropy(seed),
-            inputs=_inputs(job),
-            tracer=tracer,
-            max_steps=SERVE_MAX_STEPS,
-        )
+        machine = _hardened_machine(_harden(job), job, tracer=tracer)
     else:
         machine = Machine(
             _module_for(job),

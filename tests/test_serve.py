@@ -9,7 +9,11 @@ The load-bearing properties:
   (malformed JSON, unknown ops, oversized lines, disconnect mid-stream);
 * a cache hit replays the *bit-identical* result payload;
 * distinct tenants get distinct layouts, the same tenant always gets
-  the same one;
+  the same one, and the layout fingerprint (P-BOX tables plus the
+  run's ``__ss_rand`` draws) is engine-independent and matches a
+  traced run's ``rand`` events;
+* ``harden`` runs untraced, on the JIT, and hostile guests on it come
+  back as ``limit`` outcomes rather than wedging a worker;
 * deadlines and back-pressure are enforced (timeout error, overloaded
   rejection with ``retry_after``);
 * worker-side metrics cross the process boundary and land in the
@@ -23,6 +27,8 @@ import time
 
 import pytest
 
+from repro.obs.metrics import get_registry
+from repro.serve import worker
 from repro.serve.cache import CachedResponse, ResultCache
 from repro.serve.client import ServeError, connect
 from repro.serve.protocol import (
@@ -157,6 +163,111 @@ class TestResultCache:
         cache.put(None, CachedResponse("x", None))
         assert cache.get(None) is None
         assert len(cache) == 0
+
+
+# -- harden fingerprint (no server) ----------------------------------------------------
+
+
+def _harden_job(source, inputs=(), tenant="acme"):
+    job = validate_request(
+        {"op": "harden", "source": source, "tenant": tenant, "inputs": list(inputs)}
+    )
+    job["tenant_seed"] = tenant_seed(tenant, ServeConfig().tenant_salt)
+    return job
+
+
+def _case_job(case):
+    if case == "fuzz-victim":
+        from repro.fuzz.victims import generate_victim
+
+        return _harden_job(generate_victim(7).source)
+    from repro.benchsuite.programs import get_workload
+
+    workload = get_workload(case)
+    return _harden_job(
+        workload.source, [chunk.decode("latin-1") for chunk in workload.inputs]
+    )
+
+
+def _counter_keys(out):
+    return {
+        (name, tuple(tuple(label) for label in labels))
+        for name, labels, _ in out["metrics"]["counters"]
+    }
+
+
+TRACER_DEOPT = ("jit_deopts_total", (("reason", "tracer"),))
+TRACED_MACHINES = ("vm_traced_machines_total", ())
+
+
+class TestHardenFingerprint:
+    @pytest.fixture(autouse=True)
+    def keep_registry(self):
+        """``handle_job`` resets the process-global metrics registry,
+        which a live server in this process also counts into: put this
+        process's series back afterwards."""
+        registry = get_registry()
+        saved = registry.dump()
+        yield
+        registry.reset()
+        registry.merge(saved)
+
+    @pytest.mark.parametrize("case", ["proftpd", "wireshark", "fuzz-victim"])
+    def test_fingerprint_engine_independent_and_matches_trace(self, case):
+        from repro.obs import Tracer
+
+        job = _case_job(case)
+        runs = {
+            engine: worker.fingerprint_run(job, **kwargs)
+            for engine, kwargs in (
+                ("jit", {}),
+                ("fast", {"jit": False}),
+                ("slow", {"fast_dispatch": False}),
+            )
+        }
+        observed = {
+            engine: (fp.hexdigest(), fp.draws, fp.layouts, run.steps, run.cycles)
+            for engine, (_, run, fp) in runs.items()
+        }
+        assert observed["jit"] == observed["fast"] == observed["slow"]
+        assert runs["jit"][2].draws > 0
+
+        # rebuilt from a traced run's rand events, it is the same digest
+        tracer = Tracer()
+        hardened, run, _ = worker.fingerprint_run(job, tracer=tracer)
+        rebuilt = worker.LayoutFingerprint(hardened)
+        for event in tracer.events:
+            if event["ev"] == "rand":
+                rebuilt.add(event["fn"], event["value"])
+        assert rebuilt.hexdigest() == observed["jit"][0]
+        assert rebuilt.draws == observed["jit"][1]
+        assert (run.steps, run.cycles) == observed["jit"][3:]
+
+    def test_reply_reports_draws_and_rows(self):
+        out = worker.handle_job(_harden_job(LOCALS_SRC))
+        result = out["result"]
+        assert result["outcome"] == "exit"
+        # one prologue draw, by work: main has no locals to permute
+        assert result["draws"] == 1
+        assert [layout["fn"] for layout in result["layouts"]] == ["work"]
+        hardened, _, _ = worker.fingerprint_run(_harden_job(LOCALS_SRC))
+        for layout in result["layouts"]:
+            rows = hardened.pbox.entry_for(layout["fn"]).table.row_count
+            assert 0 <= layout["row"] < rows
+
+    def test_harden_runs_untraced_trace_stays_traced(self):
+        harden = worker.handle_job(_harden_job(LOCALS_SRC))
+        assert harden["result"]["outcome"] == "exit"
+        keys = _counter_keys(harden)
+        assert TRACER_DEOPT not in keys
+        assert TRACED_MACHINES not in keys
+
+        trace_job = validate_request({"op": "trace", "source": LOCALS_SRC})
+        trace = worker.handle_job(trace_job)
+        assert trace["result"]["outcome"] == "exit"
+        keys = _counter_keys(trace)
+        assert TRACER_DEOPT in keys
+        assert TRACED_MACHINES in keys
 
 
 # -- live-server tests ---------------------------------------------------------------
@@ -388,3 +499,34 @@ class TestServeLimits:
             # rejected clients can retry successfully once drained
             retried = spare.request_raw({"op": "sleep", "seconds": 0.05})
             assert retried["ok"] is True
+
+
+#: Recurses until the VM's 4096-deep guest call cap stops it.
+DEEP_RECURSION_SRC = (
+    "int down(int n) { char pad[8]; pad[0] = n; return down(n + 1) + pad[0]; } "
+    "int main() { return down(0); }"
+)
+
+SPIN_SRC = (
+    "int main() { long i; char b[4]; i = 0; "
+    "while (1) { i = i + 1; b[0] = i; } return b[0]; }"
+)
+
+
+class TestServeHostileHarden:
+    """Hostile guests on the jitted harden path, over a live server."""
+
+    def test_runaway_guests_come_back_as_limit(self, monkeypatch):
+        # workers fork after the patch, so they inherit the low budget
+        monkeypatch.setattr(worker, "SERVE_MAX_STEPS", 1_000_000)
+        config = ServeConfig(workers=1, max_inflight=4, request_timeout=60.0)
+        with ServerThread(config) as thread, connect(*thread.address) as c:
+            for source in (DEEP_RECURSION_SRC, SPIN_SRC):
+                envelope = c.request_raw(
+                    {"op": "harden", "source": source, "tenant": "acme"}
+                )
+                assert envelope["ok"] is True, envelope.get("error")
+                assert envelope["result"]["outcome"] == "limit"
+            # the same single-worker pool still serves the next request
+            after = c.request("harden", source=LOCALS_SRC, tenant="acme")
+            assert after["result"]["outcome"] == "exit"
