@@ -44,7 +44,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.synth import (  # noqa: E402
+from repro.synth.campaign import (  # noqa: E402
     SoundnessError,
     SynthConfig,
     canned_cases,

@@ -51,7 +51,7 @@ from repro.analysis.assign import (  # noqa: E402
 from repro.analysis.crosscheck import crosscheck_dualstack  # noqa: E402
 from repro.core.pipeline import compile_source  # noqa: E402
 from repro.defenses import defense_names, make_defense  # noqa: E402
-from repro.synth import (  # noqa: E402
+from repro.synth.campaign import (  # noqa: E402
     SoundnessError,
     SynthConfig,
     canned_cases,

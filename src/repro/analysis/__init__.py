@@ -6,6 +6,8 @@ interval bounds-safety proofs, lint, and DOP-exposure analyses on top,
 cross-checked against the VM.
 """
 
+import importlib
+
 from repro.analysis.crosscheck import (
     CrosscheckResult,
     SafetyProbe,
@@ -21,13 +23,6 @@ from repro.analysis.dataflow import (
     Lattice,
     UnionLattice,
     solve_forward,
-)
-from repro.analysis.driver import (
-    Finding,
-    ProgramReport,
-    analyze_program,
-    exit_status,
-    reports_to_json,
 )
 from repro.analysis.entropy import (
     FunctionEntropy,
@@ -51,14 +46,11 @@ from repro.analysis.gadgets import (
 )
 from repro.analysis.lint import Diagnostic, lint_function, lint_module
 from repro.analysis.reach import (
-    MODELED_DEFENSES,
     BufferReach,
     FrameLayout,
     Slot,
-    analyze_module_reach,
     baseline_layout,
     buffer_names,
-    defense_layouts,
     frame_height,
     overflow_reach,
     reach_under_defense,
@@ -69,14 +61,6 @@ from repro.analysis.intervals import (
     IntervalAnalysis,
     IntervalEnvLattice,
 )
-from repro.analysis.safety import (
-    PROVEN_SAFE,
-    UNKNOWN,
-    UNSAFE,
-    SafetyReport,
-    analyze_module_safety,
-    proven_reach_conflicts,
-)
 from repro.analysis.taintflow import (
     SinkHit,
     TaintAnalysis,
@@ -85,39 +69,35 @@ from repro.analysis.taintflow import (
     attacker_param_indices,
 )
 
-# exploit.py closes the analysis <-> synth cycle (it builds on
-# repro.synth.planner, which itself imports repro.analysis submodules),
-# so its exports resolve lazily: importing them eagerly here would
-# re-enter repro.synth while that package is still initializing.
-_EXPLOIT_EXPORTS = frozenset(
-    {
-        "DETERMINISTIC_DEFENSES",
-        "EXPLOITABLE",
-        "ROBUST",
-        "UNDECIDED",
-        "ExploitProver",
-        "ExploitVerdict",
-        "GadgetGraph",
-        "WitnessChain",
-        "build_gadget_graph",
-        "default_goals",
-        "prove_program",
-    }
-)
+# driver.py, safety.py and exploit.py read the defense registry, whose
+# schemes are built from this package's geometry (reach.py), so their
+# exports resolve lazily: importing them eagerly here would re-enter
+# repro.defenses while it is still initializing.
+_LAZY_EXPORTS = {
+    name: module
+    for module, names in (
+        ("driver", "Finding ProgramReport analyze_program exit_status "
+                   "reports_to_json"),
+        ("safety", "PROVEN_SAFE UNKNOWN UNSAFE SafetyReport "
+                   "analyze_module_safety proven_reach_conflicts"),
+        ("exploit", "EXPLOITABLE ROBUST UNDECIDED ExploitProver "
+                    "ExploitVerdict GadgetGraph WitnessChain "
+                    "build_gadget_graph default_goals prove_program"),
+    )
+    for name in names.split()
+}
 
 
 def __getattr__(name):
-    if name in _EXPLOIT_EXPORTS:
-        from repro.analysis import exploit
-
-        value = getattr(exploit, name)
+    if name in _LAZY_EXPORTS:
+        module = importlib.import_module(f"repro.analysis.{_LAZY_EXPORTS[name]}")
+        value = getattr(module, name)
         globals()[name] = value
         return value
     raise AttributeError(f"module 'repro.analysis' has no attribute '{name}'")
 
 
 __all__ = [
-    "DETERMINISTIC_DEFENSES",
     "EXPLOITABLE",
     "ExploitProver",
     "ExploitVerdict",
@@ -146,7 +126,6 @@ __all__ = [
     "IntervalAnalysis",
     "IntervalEnvLattice",
     "Lattice",
-    "MODELED_DEFENSES",
     "PROVEN_SAFE",
     "ProgramReport",
     "SafetyProbe",
@@ -159,7 +138,6 @@ __all__ = [
     "UNSAFE",
     "UnionLattice",
     "analyze_module",
-    "analyze_module_reach",
     "analyze_module_safety",
     "analyze_program",
     "analyze_taint_flow",
@@ -170,7 +148,6 @@ __all__ = [
     "crosscheck_function",
     "crosscheck_module",
     "crosscheck_safety",
-    "defense_layouts",
     "entropy_report",
     "exit_status",
     "find_dispatchers",

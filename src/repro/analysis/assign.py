@@ -8,7 +8,8 @@ PROVABLY_ROBUST?*  The exploit prover (:mod:`repro.analysis.exploit`)
 supplies the verdicts; this module only orders defenses by cost and
 walks the ladder.
 
-The cost order is the deployment story, cheapest first:
+The cost order is the deployment story, cheapest first; each
+registered defense declares its own ``cost_rank``:
 
 ==============  ====================================================
 defense         runtime cost intuition
@@ -26,14 +27,15 @@ smokestack      per-invocation permutation draw (the paper's price)
 Soundness contract: a function is assigned a defense only when **all**
 its goals are PROVABLY_ROBUST under it.  UNKNOWN is treated exactly
 like PROVABLY_EXPLOITABLE — the ladder keeps climbing — and a function
-whose goals never all turn ROBUST falls back to ``smokestack``, the
-strongest scheme in the registry.  The fallback is recorded as such:
+whose goals never all turn ROBUST falls back to the highest-ranked
+scheme, ``smokestack``, the strongest in the registry.  The fallback is recorded as such:
 its verdicts may still be UNKNOWN (brute-force-ably exploitable), which
 is the honest residue the tournament's dynamic campaign measures.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.analysis.exploit import (
@@ -42,27 +44,11 @@ from repro.analysis.exploit import (
     ExploitVerdict,
     default_goals,
 )
-from repro.analysis.reach import MODELED_DEFENSES
+from repro.defenses.registry import SCHEMES, defense_class
 from repro.synth.facts import ProgramFacts
 from repro.synth.goals import Goal
 
-#: Registry defenses ordered by deployment cost, cheapest first.  Only
-#: entries that are also prover-modeled participate in assignment; the
-#: filter keeps this table valid even if the registry grows a defense
-#: before its layout family lands.
-DEFENSE_COST_RANK: Tuple[str, ...] = (
-    "none",
-    "shadowstack",
-    "canary",
-    "aslr",
-    "padding",
-    "cleanstack",
-    "static-permute",
-    "smokestack",
-)
-
-#: The ladder's terminal fallback when no rung proves every goal ROBUST.
-FALLBACK_DEFENSE = "smokestack"
+_by_cost = attrgetter("cost_rank")
 
 
 class DefenseAssignment(NamedTuple):
@@ -91,7 +77,6 @@ def assign_defenses(
     *,
     samples: int = 16,
     seed: int = 0,
-    rank: Sequence[str] = DEFENSE_COST_RANK,
     goal_limit: int = 12,
     prover: Optional[ExploitProver] = None,
 ) -> List[DefenseAssignment]:
@@ -101,9 +86,8 @@ def assign_defenses(
     they corrupt; a function with no goals (no word slots near any
     channel) needs no defense and is assigned ``none`` outright.
     """
-    ladder = [name for name in rank if name in MODELED_DEFENSES]
-    if not ladder:
-        raise ValueError("cost rank contains no modeled defense")
+    # Cheapest first; the costliest rung doubles as the fallback.
+    ladder = [scheme.name for scheme in sorted(SCHEMES, key=_by_cost)]
     if prover is None:
         prover = ExploitProver(facts, samples=samples, seed=seed)
     by_function: Dict[str, List[Goal]] = {}
@@ -136,14 +120,14 @@ def assign_defenses(
                 break
         if chosen is None:
             verdicts = tuple(
-                prover.prove(goal, FALLBACK_DEFENSE) for goal in goals
+                prover.prove(goal, ladder[-1]) for goal in goals
             )
             residue = sum(
                 1 for verdict in verdicts if verdict.verdict != ROBUST
             )
             chosen = DefenseAssignment(
                 function.name,
-                FALLBACK_DEFENSE,
+                ladder[-1],
                 verdicts,
                 f"fallback: {residue} goal(s) not proven ROBUST under any "
                 "cheaper defense",
@@ -165,10 +149,10 @@ def assignment_summary(
         }
         for assignment in assignments
     }
-    cheapest_rank = {name: index for index, name in enumerate(DEFENSE_COST_RANK)}
+    fallback = max(SCHEMES, key=_by_cost).name
     costliest = max(
         (assignment.defense for assignment in assignments),
-        key=lambda name: cheapest_rank.get(name, len(cheapest_rank)),
+        key=lambda name: defense_class(name).cost_rank,
         default="none",
     )
     return {
@@ -179,7 +163,7 @@ def assignment_summary(
             for assignment in assignments
         ),
         "cheaper_than_smokestack": all(
-            assignment.defense != FALLBACK_DEFENSE
+            assignment.defense != fallback
             for assignment in assignments
         ),
     }

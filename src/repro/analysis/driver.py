@@ -40,13 +40,15 @@ import json
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.analysis.crosscheck import CrosscheckResult, crosscheck_module
+from repro.analysis.exploit import EXPLOITABLE, ExploitProver, default_goals
 from repro.analysis.exposure import ExposureScore, score_function
 from repro.analysis.lint import Diagnostic, lint_function
-from repro.analysis.reach import (
-    MODELED_DEFENSES,
-    BufferReach,
-    buffer_names,
-    reach_under_defense,
+from repro.analysis.reach import BufferReach, buffer_names, reach_under_defense
+from repro.analysis.safety import (
+    PROVEN_SAFE,
+    UNSAFE,
+    analyze_module_safety,
+    proven_reach_conflicts,
 )
 from repro.analysis.taintflow import (
     SinkHit,
@@ -54,9 +56,12 @@ from repro.analysis.taintflow import (
     attacker_param_indices,
 )
 from repro.core.pipeline import compile_source
+from repro.defenses.registry import DEFENSE_ORDER, defense_class
 from repro.ir.module import Module
 from repro.ir.printer import format_instruction
 from repro.obs.metrics import get_registry
+from repro.synth.facts import ProgramFacts
+from repro.synth.goals import parse_goal
 
 SEVERITY_RANK = {"info": 0, "warning": 1, "error": 2}
 
@@ -274,7 +279,7 @@ def analyze_program(
     name: str = "<source>",
     *,
     opt_level: int = 0,
-    defenses: Sequence[str] = MODELED_DEFENSES,
+    defenses: Sequence[str] = DEFENSE_ORDER,
     samples: int = 64,
     crosscheck: bool = False,
     prove: bool = False,
@@ -334,7 +339,7 @@ def analyze_program(
         for buffer in buffer_names(function):
             per_defense = [
                 reach_under_defense(
-                    function, buffer, defense, samples=samples
+                    function, buffer, defense_class(defense), samples=samples
                 )
                 for defense in defenses
             ]
@@ -384,13 +389,6 @@ def analyze_program(
                 )
 
     if prove:
-        from repro.analysis.safety import (
-            PROVEN_SAFE,
-            UNSAFE,
-            analyze_module_safety,
-            proven_reach_conflicts,
-        )
-
         report.safety = analyze_module_safety(module)
         for safety in report.safety.functions.values():
             for record in safety.slots:
@@ -428,18 +426,6 @@ def analyze_program(
             )
 
     if exploit:
-        # Lazy: exploit.py builds on repro.synth, which imports back into
-        # repro.analysis submodules (same cycle the package __getattr__
-        # breaks).
-        from repro.analysis.exploit import (
-            DETERMINISTIC_DEFENSES,
-            EXPLOITABLE,
-            ExploitProver,
-            default_goals,
-        )
-        from repro.synth.facts import ProgramFacts
-        from repro.synth.goals import parse_goal
-
         facts = ProgramFacts(source, name)
         prover = ExploitProver(facts)
         goals = (
@@ -447,9 +433,7 @@ def analyze_program(
             if exploit_goal is not None
             else default_goals(facts)
         )
-        chosen = tuple(
-            exploit_defenses if exploit_defenses else MODELED_DEFENSES
-        )
+        chosen = tuple(exploit_defenses or DEFENSE_ORDER)
         by_function: Dict[str, List] = {}
         for goal in goals:
             for defense in chosen:
@@ -458,7 +442,7 @@ def analyze_program(
                 if entry.verdict == EXPLOITABLE:
                     severity = (
                         "warning"
-                        if defense in DETERMINISTIC_DEFENSES
+                        if defense_class(defense).family == "fixed"
                         else "info"
                     )
                     message = (

@@ -23,11 +23,7 @@ from __future__ import annotations
 from typing import Dict, List, NamedTuple, Optional
 
 from repro.analysis.lint import Diagnostic, lint_function
-from repro.analysis.reach import (
-    BufferReach,
-    buffer_names,
-    reach_under_defense,
-)
+from repro.analysis.reach import baseline_layout, buffer_names, intra_frame_reach
 from repro.analysis.taintflow import SinkHit, TaintFlowAnalysis
 from repro.ir.module import Function, Module
 
@@ -113,12 +109,13 @@ def score_function(
     underlying analyses when the driver already has them.
     """
     buffers = buffer_names(function)
+    layout = baseline_layout(function)
     certain_slots = 0
     cookie_hits = 0
     for buffer in buffers:
-        reach: BufferReach = reach_under_defense(function, buffer, "none")
-        certain_slots += len(reach.certain)
-        if reach.cookie_certain:
+        reach = intra_frame_reach(layout, buffer)
+        certain_slots += len(reach.corrupted)
+        if reach.cookie:
             cookie_hits += 1
 
     if taint is None:

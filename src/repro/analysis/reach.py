@@ -13,7 +13,9 @@ addresses*: ``length`` bytes from the buffer's base corrupt every slot
 overlapping ``[buffer.lo, buffer.lo + length)``, then the cookie, then
 the caller's frame.
 
-Defenses are modelled by the *set of layouts* they can deploy:
+Defenses are modelled by the *set of layouts* they can deploy; each
+registered defense's ``layouts`` method assembles its family from the
+geometry here:
 
 ====================  ===========================================
 ``none`` / ``aslr``   one layout (ASLR shifts the base, not the
@@ -46,20 +48,7 @@ from repro.core.allocations import StackAllocation, discover_function
 from repro.core.config import SmokestackConfig
 from repro.core.instrument import FNID_SLOT_NAME
 from repro.core.permutation import generate_table
-from repro.defenses.padding import MIN_FRAME_SIZE, PAD_CHOICES, PAD_SLOT_NAME
 from repro.ir.module import Function, Module
-
-#: Defense families the symbolic model understands.
-MODELED_DEFENSES = (
-    "none",
-    "canary",
-    "aslr",
-    "padding",
-    "static-permute",
-    "cleanstack",
-    "shadowstack",
-    "smokestack",
-)
 
 COOKIE = "<return-cookie>"
 CANARY = "<canary>"
@@ -274,72 +263,6 @@ def buffer_names(function: Function) -> List[str]:
     return out
 
 
-def defense_layouts(
-    function: Function,
-    defense: str,
-    *,
-    samples: int = 64,
-    seed: int = 0,
-    module: Optional[Module] = None,
-) -> List[FrameLayout]:
-    """The family of concrete layouts ``defense`` can deploy for ``function``.
-
-    For randomized schemes the family is sampled (seeded, deterministic);
-    ``certain`` facts computed from a sample are conservative in the safe
-    direction — a slot must survive every sampled layout to stay certain.
-    ``module`` feeds the interprocedural taint seeding of the cleanstack
-    partition; other families ignore it.
-    """
-    descriptor = discover_function(function)
-    allocations = list(descriptor.allocations)
-    if defense in ("none", "aslr", "shadowstack"):
-        # Shadow stacks isolate the metadata band, not the data slots:
-        # the attacker-visible data layout is exactly the baseline.
-        return [baseline_layout(function)]
-    if defense == "canary":
-        return [baseline_layout(function, canary=True)]
-    if defense == "padding":
-        if descriptor.total_unpermuted_size() <= MIN_FRAME_SIZE:
-            return [baseline_layout(function)]
-        layouts = []
-        for pad in PAD_CHOICES:
-            padded = [StackAllocation(PAD_SLOT_NAME, pad, 8)] + allocations
-            layouts.append(
-                FrameLayout(
-                    function.name,
-                    allocation_slots(padded, canary=False),
-                    has_canary=False,
-                )
-            )
-        return layouts
-    if defense == "static-permute":
-        if len(allocations) < 2:
-            return [baseline_layout(function)]
-        names = unique_slot_names(allocations)
-        table = generate_table(allocations, max_rows=samples, seed=seed)
-        layouts = []
-        for row in table.rows:
-            order = sorted(range(len(allocations)), key=row.__getitem__)
-            ordered = [allocations[i] for i in reversed(order)]
-            layouts.append(
-                FrameLayout(
-                    function.name,
-                    allocation_slots(ordered, canary=False, names=names),
-                    has_canary=False,
-                )
-            )
-        return layouts
-    if defense == "cleanstack":
-        return cleanstack_layouts(
-            function, module, samples=samples, seed=seed
-        )
-    if defense == "smokestack":
-        return smokestack_layouts(function, samples=samples, seed=seed)
-    raise ValueError(
-        f"unknown defense '{defense}'; modeled: {MODELED_DEFENSES}"
-    )
-
-
 def cleanstack_region_slots(
     function: Function,
     module: Optional[Module] = None,
@@ -473,15 +396,17 @@ def smokestack_layouts(
 def reach_under_defense(
     function: Function,
     buffer: str,
-    defense: str,
+    defense,
     *,
     samples: int = 64,
     seed: int = 0,
     module: Optional[Module] = None,
 ) -> BufferReach:
-    """certain/possible intra-frame reach of ``buffer`` under ``defense``."""
-    layouts = defense_layouts(
-        function, defense, samples=samples, seed=seed, module=module
+    """certain/possible intra-frame reach of ``buffer`` under ``defense``,
+    a registered :class:`~repro.defenses.base.Defense` (its ``name`` and
+    ``layouts`` are all this reads)."""
+    layouts = defense.layouts(
+        function, samples=samples, seed=seed, module=module
     )
     certain: Optional[FrozenSet[str]] = None
     possible: FrozenSet[str] = frozenset()
@@ -496,34 +421,9 @@ def reach_under_defense(
     return BufferReach(
         function=function.name,
         buffer=buffer,
-        defense=defense,
+        defense=defense.name,
         certain=certain or frozenset(),
         possible=possible,
         cookie_certain=cookie_certain,
         layouts=len(layouts),
     )
-
-
-def analyze_module_reach(
-    module: Module,
-    defenses: Sequence[str] = MODELED_DEFENSES,
-    *,
-    samples: int = 64,
-    seed: int = 0,
-) -> List[BufferReach]:
-    """Reach summaries for every buffer × defense in the module."""
-    out: List[BufferReach] = []
-    for function in module.functions.values():
-        for buffer in buffer_names(function):
-            for defense in defenses:
-                out.append(
-                    reach_under_defense(
-                        function,
-                        buffer,
-                        defense,
-                        samples=samples,
-                        seed=seed,
-                        module=module,
-                    )
-                )
-    return out

@@ -53,12 +53,7 @@ from repro.analysis.intervals import (
     builtin_write_extent,
     resolve_pointer,
 )
-from repro.analysis.reach import (
-    MODELED_DEFENSES,
-    defense_layouts,
-    overflow_reach,
-    unique_slot_names,
-)
+from repro.analysis.reach import overflow_reach, unique_slot_names
 from repro.analysis.taintflow import (
     TaintFlowAnalysis,
     UNKNOWN_MEMORY,
@@ -67,6 +62,7 @@ from repro.analysis.taintflow import (
     pointer_root,
 )
 from repro.core.allocations import discover_function
+from repro.defenses.registry import SCHEMES
 from repro.ir.instructions import Alloca, Call, Cast, Instruction, Store
 from repro.ir.module import Function, Module
 from repro.ir.values import Argument, GlobalVariable, Value
@@ -648,7 +644,7 @@ def proven_reach_conflicts(
     """PROVEN_SAFE slots that a statically-feasible overflow could reach.
 
     For every slot whose feasible write bound exceeds its size, replay
-    the breach through the byte-exact reach model under *every* modeled
+    the breach through the byte-exact reach model under *every* registered
     defense and collect any PROVEN_SAFE slot inside a possible-reach
     set; unbounded breaches additionally indict proven slots in any
     transitive caller.  An empty return is the soundness gate.
@@ -664,9 +660,9 @@ def proven_reach_conflicts(
         for slot in safety.slots:
             if slot.write_bound is not None and slot.write_bound <= slot.size:
                 continue
-            for defense in MODELED_DEFENSES:
-                for layout in defense_layouts(
-                    function, defense, samples=samples, module=module
+            for scheme in SCHEMES:
+                for layout in scheme.layouts(
+                    function, samples=samples, module=module
                 ):
                     try:
                         base = layout.slot(slot.slot)
@@ -685,7 +681,7 @@ def proven_reach_conflicts(
                         conflicts.append(
                             f"{name}: PROVEN_SAFE slot '{victim}' inside "
                             f"possible reach of '{slot.slot}' under "
-                            f"'{defense}'"
+                            f"'{scheme.name}'"
                         )
             if slot.write_bound is None:
                 for caller in report.transitive_callers.get(

@@ -24,7 +24,7 @@ from typing import List, Optional
 
 from repro.analysis import analyze_module, render_entropy_report
 from repro.core import SmokestackConfig, compile_source, harden_source
-from repro.defenses import defense_names, make_defense
+from repro.defenses.registry import DEFENSE_ORDER, defense_names, make_defense
 from repro.ir import print_module
 from repro.rng import DeterministicEntropy
 from repro.rng.sources import SCHEME_NAMES
@@ -153,17 +153,15 @@ def cmd_analyze(args) -> int:
         print("nothing to analyze: pass source files and/or --benchsuite")
         return 2
     if args.exploit_defenses:
-        from repro.analysis.reach import MODELED_DEFENSES
-
         unknown = [
             d
             for d in args.exploit_defenses.split(",")
-            if d not in MODELED_DEFENSES
+            if d not in DEFENSE_ORDER
         ]
         if unknown:
             print(
                 f"unknown --exploit-defenses {unknown}: "
-                f"choose from {', '.join(MODELED_DEFENSES)}"
+                f"choose from {', '.join(DEFENSE_ORDER)}"
             )
             return 2
 
@@ -577,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", help="a Mini-C victim file (needs --goal)")
     p.add_argument("--goal", help="goal predicate for --file")
     p.add_argument(
-        "--defenses", nargs="*", choices=sorted(defense_names()), default=None
+        "--defenses", nargs="*", choices=defense_names(), default=None
     )
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--seed", type=int, default=11)

@@ -7,7 +7,7 @@ from repro.defenses.aslr import StackBaseASLR
 from repro.defenses.base import Defense, NoDefense, ProgramBuild, StackCanary
 from repro.defenses.cleanstack import CleanStackDefense
 from repro.defenses.padding import PAD_CHOICES, ForrestPadding, apply_module_padding
-from repro.defenses.registry import defense_names, make_defense, prior_defense_names
+from repro.defenses.registry import defense_names, make_defense
 from repro.defenses.shadowstack import ShadowStackDefense
 from repro.defenses.smokestack_defense import SmokestackDefense
 from repro.defenses.static_permute import StaticPermutation, permute_module
@@ -28,5 +28,4 @@ __all__ = [
     "defense_names",
     "make_defense",
     "permute_module",
-    "prior_defense_names",
 ]

@@ -26,6 +26,9 @@ class StackBaseASLR(Defense):
 
     name = "aslr"
     randomization_time = "load"
+    # The base shifts, not the intra-frame distances: one layout.
+    family = "fixed"
+    cost_rank = 3
 
     def __init__(self, entropy_span: int = DEFAULT_ENTROPY_SPAN):
         self.entropy_span = entropy_span

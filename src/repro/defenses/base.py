@@ -18,14 +18,23 @@ reference binary* reveals about a function's frame: the paper's threat
 model grants the attacker the binary or sources, but not the deployed
 instance's compile-time random seed (Forrest-style diversity) — and for
 Smokestack there simply is no per-variable layout to recover.
+
+Each :class:`Defense` class is also the one description of its scheme
+the analyses read: its layout family (:meth:`Defense.layouts`), the
+attacker's payload-coordinate hypotheses (:meth:`Defense.gap_models`),
+its deployment cost rank and the exploit prover's carve-outs.  The
+geometry those methods assemble lives in :mod:`repro.analysis.reach`
+and :mod:`repro.synth.layouts`, which know no defense by name.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
+from repro.analysis.reach import FrameLayout, baseline_layout
 from repro.core.pipeline import compile_source
-from repro.ir.module import Module
+from repro.ir.module import Function, Module
+from repro.synth.layouts import GapModel, gap_model
 from repro.vm.interpreter import Machine
 
 
@@ -67,9 +76,69 @@ class Defense:
     #: where the scheme's randomness is drawn ("none", "compile", "load",
     #: "invocation")
     randomization_time = "none"
+    #: the layout family the analyses model:
+    #: ``"fixed"`` — one layout, VM-checkable as modeled;
+    #: ``"enumerated"`` — every deployable layout is listed;
+    #: ``"sampled"`` — drawn once per build or process, and the model
+    #: samples the draws, so it may miss deployable members;
+    #: ``"redealt"`` — drawn again at every invocation (and sampled).
+    family = "fixed"
+    #: position on the deployment-cost ladder, cheapest first; the
+    #: highest rank is the assignment fallback
+    cost_rank = 0
+    #: frames carry a canary word below the return cookie.  The VM's
+    #: canary holds a NUL byte, so a strcpy-style payload can never
+    #: replay it on its way into the caller's frame.
+    canary = False
+    #: a caller-frame gap that is fixed across the modeled family is
+    #: fixed in deployment too (cleanstack's sampled region deltas can
+    #: cancel out of cross-frame gaps where the real one does not)
+    certain_caller_writes = True
 
     def build(self, source: str, instance_seed: int = 0) -> ProgramBuild:
         raise NotImplementedError
+
+    @classmethod
+    def layouts(
+        cls,
+        function: Function,
+        *,
+        samples: int = 64,
+        seed: int = 0,
+        module: Optional[Module] = None,
+    ) -> List[FrameLayout]:
+        """The family of concrete layouts the scheme can deploy.
+
+        Randomized families are sampled (seeded, deterministic), so
+        ``certain`` facts computed from them are conservative in the
+        safe direction.  ``module`` feeds the cleanstack partition's
+        interprocedural taint seeding; other families ignore it.
+        """
+        return [baseline_layout(function, canary=cls.canary)]
+
+    @classmethod
+    def gap_models(
+        cls,
+        victim: Function,
+        caller: Optional[Function],
+        buffer: str,
+        module: Optional[Module] = None,
+    ) -> List[GapModel]:
+        """The attacker's payload-coordinate hypotheses, cycled by attempt.
+
+        By default the reference declaration-order layout: for the
+        randomizing schemes this is the attacker's blind best guess,
+        which is exactly what makes their success rates diverge.
+        """
+        return [
+            gap_model(
+                baseline_layout(victim, canary=cls.canary),
+                None
+                if caller is None
+                else baseline_layout(caller, canary=cls.canary),
+                buffer,
+            )
+        ]
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -89,6 +158,8 @@ class NoDefense(Defense):
 
     name = "none"
     randomization_time = "none"
+    family = "fixed"
+    cost_rank = 0
 
     def build(self, source: str, instance_seed: int = 0) -> ProgramBuild:
         module = compile_source(source)
@@ -111,6 +182,9 @@ class StackCanary(Defense):
 
     name = "canary"
     randomization_time = "load"
+    family = "fixed"
+    cost_rank = 2
+    canary = True
 
     def build(self, source: str, instance_seed: int = 0) -> ProgramBuild:
         module = compile_source(source)

@@ -26,10 +26,14 @@ call = one process start = one fresh unclean-stack displacement.
 from __future__ import annotations
 
 import random
+from typing import List, Optional
 
 from repro.analysis.partition import machine_partition, partition_module
+from repro.analysis.reach import FrameLayout, cleanstack_layouts
 from repro.core.pipeline import compile_source
 from repro.defenses.base import Defense, ProgramBuild, reference_layouts_of
+from repro.ir.module import Function, Module
+from repro.synth.layouts import GapModel, cleanstack_gap_model
 from repro.vm.interpreter import Machine
 
 #: Span of the unclean stack's load-time displacement (bytes), matching
@@ -42,6 +46,9 @@ class CleanStackDefense(Defense):
 
     name = "cleanstack"
     randomization_time = "load"
+    family = "sampled"
+    cost_rank = 5
+    certain_caller_writes = False
 
     def __init__(self, entropy_span: int = DEFAULT_UNSAFE_SPAN):
         self.entropy_span = entropy_span
@@ -64,3 +71,27 @@ class CleanStackDefense(Defense):
             return Machine(module, **kwargs)
 
         return ProgramBuild(self.name, module, factory, layouts)
+
+    @classmethod
+    def layouts(
+        cls,
+        function: Function,
+        *,
+        samples: int = 64,
+        seed: int = 0,
+        module: Optional[Module] = None,
+    ) -> List[FrameLayout]:
+        """Clean slots fixed, unclean ones at sampled region deltas."""
+        return cleanstack_layouts(function, module, samples=samples, seed=seed)
+
+    @classmethod
+    def gap_models(
+        cls,
+        victim: Function,
+        caller: Optional[Function],
+        buffer: str,
+        module: Optional[Module] = None,
+    ) -> List[GapModel]:
+        """The attacker's region-local view (cross-region targets have
+        no payload coordinate)."""
+        return [cleanstack_gap_model(victim, caller, buffer, module)]

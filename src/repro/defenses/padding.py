@@ -17,14 +17,20 @@ brute-force over the 8 possibilities (§II-C).
 from __future__ import annotations
 
 import random
-from typing import Dict
+from typing import Dict, List, Optional
 
-from repro.core.allocations import discover_function
+from repro.analysis.reach import FrameLayout, allocation_slots, baseline_layout
+from repro.core.allocations import (
+    FrameDescriptor,
+    StackAllocation,
+    discover_function,
+)
 from repro.core.pipeline import compile_source
 from repro.defenses.base import Defense, ProgramBuild, reference_layouts_of
 from repro.ir.instructions import Alloca
 from repro.ir.module import Function, Module
 from repro.minic import types as ct
+from repro.synth.layouts import GapModel, gap_model
 from repro.vm.interpreter import Machine
 
 #: The 8 possible paddings of the original scheme.
@@ -35,6 +41,11 @@ MIN_FRAME_SIZE = 16
 PAD_SLOT_NAME = "__forrest_pad"
 
 
+def pads_frame(descriptor: FrameDescriptor) -> bool:
+    """Whether the scheme pads this frame (it exceeds 16 bytes)."""
+    return descriptor.total_unpermuted_size() > MIN_FRAME_SIZE
+
+
 def apply_function_padding(function: Function, pad_bytes: int) -> bool:
     """Insert a ``pad_bytes`` dummy allocation at the top of the frame.
 
@@ -42,8 +53,7 @@ def apply_function_padding(function: Function, pad_bytes: int) -> bool:
     the *first* allocation, i.e. the highest-addressed local, displacing
     every local (and the buffer-to-caller distance) by the pad size.
     """
-    descriptor = discover_function(function)
-    if descriptor.total_unpermuted_size() <= MIN_FRAME_SIZE:
+    if not pads_frame(discover_function(function)):
         return False
     pad = Alloca(
         ct.ArrayType(ct.CHAR, pad_bytes),
@@ -73,6 +83,8 @@ class ForrestPadding(Defense):
 
     name = "padding"
     randomization_time = "compile"
+    family = "enumerated"
+    cost_rank = 4
 
     def build(self, source: str, instance_seed: int = 0) -> ProgramBuild:
         # The attacker's reference layout comes from the unpadded build.
@@ -86,3 +98,69 @@ class ForrestPadding(Defense):
             return Machine(module, **kwargs)
 
         return ProgramBuild(self.name, module, factory, layouts)
+
+    @classmethod
+    def layouts(
+        cls,
+        function: Function,
+        *,
+        samples: int = 64,
+        seed: int = 0,
+        module: Optional[Module] = None,
+    ) -> List[FrameLayout]:
+        """One layout per pad choice; unpadded frames keep the baseline."""
+        if not pads_frame(discover_function(function)):
+            return [baseline_layout(function)]
+        return padded_layouts(function)
+
+    @classmethod
+    def gap_models(
+        cls,
+        victim: Function,
+        caller: Optional[Function],
+        buffer: str,
+        module: Optional[Module] = None,
+    ) -> List[GapModel]:
+        """One hypothesis per distinct gap signature (§II-C brute force).
+
+        The caller's pad mostly cancels (its frame grows as its slots
+        sink) but 16-byte frame alignment leaves a residue, so enumerate
+        both pads and deduplicate on the positions that matter.
+        """
+        callers = [None] if caller is None else padded_layouts(caller)
+        models: List[GapModel] = []
+        seen = set()
+        for victim_layout in padded_layouts(victim):
+            for caller_layout in callers:
+                model = gap_model(victim_layout, caller_layout, buffer)
+                signature = [model.cookie_gap]
+                if model.caller is not None:
+                    signature.extend(
+                        slot.lo + model.caller_height - model.buffer_lo
+                        for slot in model.caller.slots
+                    )
+                key = tuple(signature)
+                if key not in seen:
+                    seen.add(key)
+                    models.append(model)
+        return models
+
+
+def padded_layouts(function: Function) -> List[FrameLayout]:
+    """The reference layout under each pad choice (``PAD_CHOICES``
+    order), the pad as the first allocation; a frame the scheme leaves
+    unpadded keeps its baseline layout under every choice."""
+    descriptor = discover_function(function)
+    allocations = list(descriptor.allocations)
+    padded = pads_frame(descriptor)
+    layouts = []
+    for pad in PAD_CHOICES:
+        pad_slot = [StackAllocation(PAD_SLOT_NAME, pad, 8)] if padded else []
+        layouts.append(
+            FrameLayout(
+                function.name,
+                allocation_slots(pad_slot + allocations, canary=False),
+                has_canary=False,
+            )
+        )
+    return layouts

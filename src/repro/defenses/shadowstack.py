@@ -29,6 +29,10 @@ class ShadowStackDefense(Defense):
 
     name = "shadowstack"
     randomization_time = "none"
+    # The metadata band moves, not the data slots: the attacker-visible
+    # data layout is exactly the baseline.
+    family = "fixed"
+    cost_rank = 1
 
     def build(self, source: str, instance_seed: int = 0) -> ProgramBuild:
         module = compile_source(source)

@@ -9,11 +9,13 @@ every function invocation at run time.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
+from repro.analysis.reach import FrameLayout, smokestack_layouts
 from repro.core.config import SmokestackConfig
 from repro.core.pipeline import harden_source
 from repro.defenses.base import Defense, ProgramBuild
+from repro.ir.module import Function, Module
 from repro.rng.entropy import DeterministicEntropy, EntropySource
 from repro.vm.interpreter import Machine
 
@@ -23,6 +25,8 @@ class SmokestackDefense(Defense):
 
     name = "smokestack"
     randomization_time = "invocation"
+    family = "redealt"
+    cost_rank = 7
 
     def __init__(
         self,
@@ -56,3 +60,15 @@ class SmokestackDefense(Defense):
         # Static analysis of a hardened binary finds one unified frame per
         # function and no per-variable slots: the oracle is empty.
         return ProgramBuild(self.name, hardened.module, factory, {})
+
+    @classmethod
+    def layouts(
+        cls,
+        function: Function,
+        *,
+        samples: int = 64,
+        seed: int = 0,
+        module: Optional[Module] = None,
+    ) -> List[FrameLayout]:
+        """Sampled rows of the function's own permutation table."""
+        return smokestack_layouts(function, samples=samples, seed=seed)

@@ -11,8 +11,16 @@ layout, which is the weakness §II-C exploits: a single memory disclosure
 from __future__ import annotations
 
 import random
-from typing import Dict, List
+from typing import Dict, List, Optional
 
+from repro.analysis.reach import (
+    FrameLayout,
+    allocation_slots,
+    baseline_layout,
+    unique_slot_names,
+)
+from repro.core.allocations import discover_function
+from repro.core.permutation import generate_table
 from repro.core.pipeline import compile_source
 from repro.defenses.base import Defense, ProgramBuild, reference_layouts_of
 from repro.ir.instructions import Alloca, Instruction
@@ -63,6 +71,8 @@ class StaticPermutation(Defense):
 
     name = "static-permute"
     randomization_time = "compile"
+    family = "sampled"
+    cost_rank = 6
 
     def build(self, source: str, instance_seed: int = 0) -> ProgramBuild:
         reference_module = compile_source(source)
@@ -76,3 +86,31 @@ class StaticPermutation(Defense):
             return Machine(module, **kwargs)
 
         return ProgramBuild(self.name, module, factory, layouts)
+
+    @classmethod
+    def layouts(
+        cls,
+        function: Function,
+        *,
+        samples: int = 64,
+        seed: int = 0,
+        module: Optional[Module] = None,
+    ) -> List[FrameLayout]:
+        """Sampled permutations of the declaration order."""
+        allocations = list(discover_function(function).allocations)
+        if len(allocations) < 2:
+            return [baseline_layout(function)]
+        names = unique_slot_names(allocations)
+        table = generate_table(allocations, max_rows=samples, seed=seed)
+        layouts = []
+        for row in table.rows:
+            order = sorted(range(len(allocations)), key=row.__getitem__)
+            ordered = [allocations[i] for i in reversed(order)]
+            layouts.append(
+                FrameLayout(
+                    function.name,
+                    allocation_slots(ordered, canary=False, names=names),
+                    has_canary=False,
+                )
+            )
+        return layouts

@@ -38,6 +38,8 @@ import hashlib
 import json
 from typing import Optional, Tuple
 
+from repro.defenses.registry import defense_names
+
 #: Every op the front door accepts.  ``ping``/``metrics``/``stats`` are
 #: answered in the event loop; the rest are worker jobs.
 LOCAL_OPS = ("ping", "metrics", "stats")
@@ -169,7 +171,14 @@ def validate_request(obj: dict, *, debug_ops: bool = False) -> dict:
             raise ProtocolError(
                 "bad-request", "field 'defenses' must be a list of strings"
             )
-        job["defenses"] = sorted(defenses)
+        known = defense_names()
+        unknown = sorted(set(defenses) - set(known))
+        if unknown:
+            raise ProtocolError(
+                "bad-request",
+                f"unknown defense(s) {unknown}; known: {', '.join(known)}",
+            )
+        job["defenses"] = sorted(set(defenses))
         job["restarts"] = _optional_int(obj, "restarts", 4, 1, 64)
     return job
 

@@ -7,59 +7,16 @@ input bytes per deployed defense, and confirms the predicate by running
 the hardened build in the VM.  Success rates over many victims become
 the security metric reported in ``BENCH_synth.json``.
 
-Layering (each module only looks down):
+Layering (each module only looks down; the package itself imports
+nothing, so the defense registry can build on ``layouts`` without
+pulling in the campaign that drives it):
 
 ``goals``        goal-predicate grammar and checkers
 ``facts``        per-program fact base over the shared gadget census
 ``channels``     overflow-channel discovery (how bytes get in)
-``layouts``      defense-aware payload-coordinate models
+``layouts``      payload-coordinate geometry under a defense's hypotheses
 ``planner``      symbolic chain search -> :class:`AttackPlan`
 ``concretize``   plan -> input-hook bytes per defense hypothesis
 ``scenario``     harness adapter + ``SlotProbe`` ground-truth tracer
 ``campaign``     per-defense success-rate campaigns and metrics
 """
-
-from repro.synth.goals import CorruptGoal, ExfilGoal, Goal, parse_goal
-from repro.synth.facts import ProgramFacts
-from repro.synth.channels import OverflowChannel, discover_channels
-from repro.synth.planner import AttackPlan, Planner, Strike, SlotWrite, synthesize
-from repro.synth.campaign import (
-    SoundnessError,
-    SynthConfig,
-    SynthSummary,
-    VictimCase,
-    canned_cases,
-    example_cases,
-    fuzz_cases,
-    run_synth_campaign,
-    run_victim,
-    write_bench,
-)
-from repro.synth.scenario import SlotProbe, SynthScenario
-
-__all__ = [
-    "AttackPlan",
-    "CorruptGoal",
-    "SlotProbe",
-    "SoundnessError",
-    "SynthConfig",
-    "SynthScenario",
-    "SynthSummary",
-    "VictimCase",
-    "canned_cases",
-    "example_cases",
-    "fuzz_cases",
-    "run_synth_campaign",
-    "run_victim",
-    "write_bench",
-    "ExfilGoal",
-    "Goal",
-    "OverflowChannel",
-    "Planner",
-    "ProgramFacts",
-    "SlotWrite",
-    "Strike",
-    "discover_channels",
-    "parse_goal",
-    "synthesize",
-]

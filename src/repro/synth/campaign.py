@@ -33,9 +33,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.exploit import EXPLOITABLE, ROBUST, ExploitProver
 from repro.analysis.safety import PROVEN_SAFE
 from repro.attacks.harness import ATTACK_MAX_STEPS, run_campaign
-from repro.defenses.registry import defense_names, make_defense
+from repro.defenses.registry import defense_class, defense_names, make_defense
 from repro.obs.metrics import get_registry, worker_job_metrics
 from repro.synth.facts import ProgramFacts
 from repro.synth.goals import parse_goal
@@ -146,19 +147,11 @@ def check_exploit_soundness(
     must come back ``PROVABLY_ROBUST`` under every modeled defense.
     """
     try:
-        from repro.analysis.exploit import (
-            DETERMINISTIC_DEFENSES,
-            EXPLOITABLE,
-            ROBUST,
-            ExploitProver,
-        )
-        from repro.analysis.reach import MODELED_DEFENSES
-
         prover = ExploitProver(facts)
         violations: List[str] = []
-        checked = {o.defense for o in outcomes if o.defense in MODELED_DEFENSES}
+        checked = {o.defense for o in outcomes}
         if case.expect_plan is False:
-            checked |= set(MODELED_DEFENSES)
+            checked |= set(defense_names())
         for defense in sorted(checked):
             verdict = prover.prove(goal, defense).verdict
             if verdicts_out is not None:
@@ -171,8 +164,6 @@ def check_exploit_soundness(
         for outcome in outcomes:
             verdict = (verdicts_out or {}).get(outcome.defense)
             if verdict is None:
-                if outcome.defense not in MODELED_DEFENSES:
-                    continue
                 verdict = prover.prove(goal, outcome.defense).verdict
             if outcome.successes > 0 and verdict == ROBUST:
                 violations.append(
@@ -181,7 +172,7 @@ def check_exploit_soundness(
                 )
             if (
                 verdict == EXPLOITABLE
-                and outcome.defense in DETERMINISTIC_DEFENSES
+                and defense_class(outcome.defense).family == "fixed"
                 and outcome.successes == 0
             ):
                 violations.append(

@@ -1,24 +1,11 @@
-"""Defense-aware payload-coordinate models for the concretizer.
+"""Payload-coordinate geometry for the concretizer.
 
 The planner emits *symbolic* writes ("caller slot ``gate``"); turning
 them into payload byte offsets requires a concrete two-frame layout,
-which depends on the deployed defense:
-
-``none`` / ``aslr`` / ``static-permute`` / ``smokestack``
-    the reference declaration-order layout (for the randomizing schemes
-    this is the attacker's blind best guess — exactly what makes their
-    success rates diverge);
-``canary``
-    the same layout with the canary slot below each frame's cookie;
-``padding``
-    the reference layout shifted by the Forrest pad — one hypothesis
-    per distinct ``(victim pad, caller pad)`` gap signature, cycled by
-    attempt index (the paper's §II-C brute-force bypass);
-``cleanstack``
-    the attacker's region-local view: the buffer's own stack region
-    (unclean if the buffer is relocated, the thinned main stack
-    otherwise) with exact intra-region distances — cross-region targets
-    simply do not exist in the hypothesis, which is the defense working.
+which depends on the deployed defense.  Each registered defense's
+``gap_models`` method picks the hypotheses (the reference layout, the
+canary variant, one per Forrest pad signature, or the cleanstack
+region-local view); this module only turns layouts into positions.
 
 All positions are *payload coordinates*: byte 0 is the overflow
 buffer's first byte, increasing toward the frame top and onward into
@@ -27,11 +14,9 @@ the caller's frame.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from repro.analysis import reach
-from repro.core.allocations import StackAllocation, discover_function
-from repro.defenses.padding import MIN_FRAME_SIZE, PAD_CHOICES, PAD_SLOT_NAME
 from repro.ir.module import Function
 
 
@@ -75,46 +60,19 @@ class GapModel(NamedTuple):
         return out
 
 
-def _padded_layout(
-    function: Function, pad: int, *, canary: bool
-) -> reach.FrameLayout:
-    """Reference layout with a Forrest pad as the first allocation."""
-    descriptor = discover_function(function)
-    allocations = list(descriptor.allocations)
-    if pad and descriptor.total_unpermuted_size() > MIN_FRAME_SIZE:
-        allocations = [StackAllocation(PAD_SLOT_NAME, pad, 8)] + allocations
-    return reach.FrameLayout(
-        function.name,
-        reach.allocation_slots(allocations, canary=canary),
-        has_canary=canary,
-    )
-
-
-def _model(
-    victim: Function,
-    caller: Optional[Function],
+def gap_model(
+    victim: reach.FrameLayout,
+    caller: Optional[reach.FrameLayout],
     buffer: str,
-    *,
-    canary: bool,
-    victim_pad: int = 0,
-    caller_pad: int = 0,
 ) -> GapModel:
-    victim_layout = _padded_layout(victim, victim_pad, canary=canary)
-    caller_layout = None
-    height = 0
-    if caller is not None:
-        caller_layout = _padded_layout(caller, caller_pad, canary=canary)
-        height = reach.frame_height(caller_layout)
+    """Positions for ``victim``'s frame stacked below ``caller``'s."""
+    height = 0 if caller is None else reach.frame_height(caller)
     return GapModel(
-        victim_layout,
-        caller_layout,
-        height,
-        victim_layout.slot(buffer).lo,
-        canary,
+        victim, caller, height, victim.slot(buffer).lo, victim.has_canary
     )
 
 
-def _cleanstack_model(
+def cleanstack_gap_model(
     victim: Function,
     caller: Optional[Function],
     buffer: str,
@@ -158,46 +116,3 @@ def _cleanstack_model(
         victim_layout.slot(buffer).lo,
         False,
     )
-
-
-def gap_models(
-    victim: Function,
-    caller: Optional[Function],
-    buffer: str,
-    defense_name: str,
-    module=None,
-) -> List[GapModel]:
-    """Hypothesis list for one deployed defense (cycled by attempt)."""
-    canary = defense_name == "canary"
-    if defense_name == "cleanstack":
-        return [_cleanstack_model(victim, caller, buffer, module)]
-    if defense_name != "padding":
-        return [_model(victim, caller, buffer, canary=canary)]
-    # Padding: one hypothesis per distinct gap signature.  The caller's
-    # pad mostly cancels (its frame grows as its slots sink) but 16-byte
-    # frame alignment leaves a residue, so enumerate both pads and
-    # deduplicate on the positions that matter.
-    models: List[GapModel] = []
-    seen: Dict[Tuple[int, ...], bool] = {}
-    caller_pads: Tuple[int, ...] = PAD_CHOICES if caller is not None else (0,)
-    for victim_pad in PAD_CHOICES:
-        for caller_pad in caller_pads:
-            model = _model(
-                victim,
-                caller,
-                buffer,
-                canary=canary,
-                victim_pad=victim_pad,
-                caller_pad=caller_pad,
-            )
-            signature = [model.cookie_gap]
-            if model.caller is not None:
-                signature.extend(
-                    slot.lo + model.caller_height - model.buffer_lo
-                    for slot in model.caller.slots
-                )
-            key = tuple(signature)
-            if key not in seen:
-                seen[key] = True
-                models.append(model)
-    return models

@@ -23,10 +23,11 @@ from repro.analysis import reach
 from repro.attacks.harness import ATTACK_MAX_STEPS, AttackScenario
 from repro.core.allocations import discover_function
 from repro.defenses.base import ProgramBuild
+from repro.defenses.registry import defense_class
 from repro.synth.concretize import AttackScript, BuildError, concretize
 from repro.synth.facts import ProgramFacts
 from repro.synth.goals import Goal
-from repro.synth.layouts import GapModel, gap_models
+from repro.synth.layouts import GapModel
 from repro.synth.planner import AttackPlan
 from repro.vm.interpreter import ExecutionResult, Machine
 
@@ -144,11 +145,10 @@ class SynthScenario(AttackScenario):
         self.name = name or f"synth-{self.victim_function}"
         self.description = f"synthesized: {plan.goal.describe()}"
         self.max_steps = max_steps
-        self.models: List[GapModel] = gap_models(
+        self.models: List[GapModel] = defense_class(defense_name).gap_models(
             plan.channel.function,
             plan.channel.caller.function if plan.channel.caller else None,
             plan.channel.buffer,
-            defense_name,
             module=facts.module,
         )
         self.last_probe: Optional[SlotProbe] = None

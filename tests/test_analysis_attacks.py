@@ -19,6 +19,7 @@ from repro.analysis import (
 from repro.analysis.reach import intra_frame_reach
 from repro.attacks import librelp, proftpd, ripe, wireshark
 from repro.core import compile_source
+from repro.defenses import NoDefense, SmokestackDefense
 
 
 class TestLibrelp:
@@ -77,8 +78,8 @@ class TestWireshark:
         assert reach.cookie
 
     def test_smokestack_removes_the_certainty(self):
-        base = reach_under_defense(self.victim, "pd", "none")
-        ss = reach_under_defense(self.victim, "pd", "smokestack", samples=64)
+        base = reach_under_defense(self.victim, "pd", NoDefense)
+        ss = reach_under_defense(self.victim, "pd", SmokestackDefense, samples=64)
         assert {"col", "cinfo"} <= base.certain
         # Re-randomized layouts: no sibling is deterministically reachable.
         assert ss.certain < base.certain
@@ -132,8 +133,8 @@ class TestRipe:
         assert reach.cookie
 
     def test_static_permute_leaves_residual_certainty_smokestack_none(self):
-        base = reach_under_defense(self.victim, "buff", "none")
-        ss = reach_under_defense(self.victim, "buff", "smokestack",
+        base = reach_under_defense(self.victim, "buff", NoDefense)
+        ss = reach_under_defense(self.victim, "buff", SmokestackDefense,
                                  samples=64)
         assert base.certain  # deterministic target under baseline
         assert ss.certain < base.certain
@@ -155,8 +156,8 @@ class TestDefenseOrdering:
     def test_smokestack_certain_strictly_smaller(self, source, function,
                                                  buffer):
         fn = compile_source(source).get_function(function)
-        base = reach_under_defense(fn, buffer, "none")
-        ss = reach_under_defense(fn, buffer, "smokestack", samples=64)
+        base = reach_under_defense(fn, buffer, NoDefense)
+        ss = reach_under_defense(fn, buffer, SmokestackDefense, samples=64)
         if base.certain:
             assert ss.certain < base.certain
         # Baseline's certain set always survives somewhere in the union.

@@ -5,11 +5,9 @@ import json
 import pytest
 
 from repro.analysis import (
-    MODELED_DEFENSES,
     analyze_program,
     baseline_layout,
     crosscheck_module,
-    defense_layouts,
     exit_status,
     lint_function,
     overflow_reach,
@@ -20,6 +18,7 @@ from repro.analysis.crosscheck import failing, probe_lengths
 from repro.analysis.reach import intra_frame_reach, unique_slot_names
 from repro.core import compile_source
 from repro.core.allocations import discover_function
+from repro.defenses.registry import SCHEMES, defense_class
 from repro.vm.interpreter import Machine
 
 VICTIM = """
@@ -105,24 +104,25 @@ class TestLayoutModel:
 class TestDefenseLayouts:
     def test_every_defense_has_layouts(self):
         fn = compile_source(VICTIM).get_function("main")
-        for defense in MODELED_DEFENSES:
-            layouts = defense_layouts(fn, defense, samples=16)
-            assert layouts, defense
+        for scheme in SCHEMES:
+            layouts = scheme.layouts(fn, samples=16)
+            assert layouts, scheme.name
 
     def test_randomizing_defenses_shrink_certainty(self):
         fn = compile_source(VICTIM).get_function("main")
-        base = reach_under_defense(fn, "line", "none")
+        base = reach_under_defense(fn, "line", defense_class("none"))
         assert base.certain == frozenset({"level", "quota"})
         for defense in ("static-permute", "smokestack"):
-            randomized = reach_under_defense(fn, "line", defense, samples=64)
+            randomized = reach_under_defense(
+                fn, "line", defense_class(defense), samples=64
+            )
             assert randomized.certain < base.certain, defense
             # but nothing certain under baseline escapes 'possible'.
             assert base.certain <= randomized.possible
 
     def test_unknown_defense_rejected(self):
-        fn = compile_source(VICTIM).get_function("main")
-        with pytest.raises(Exception):
-            defense_layouts(fn, "no-such-defense")
+        with pytest.raises(ValueError):
+            defense_class("no-such-defense")
 
 
 class TestCrosscheck:

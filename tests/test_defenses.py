@@ -1,7 +1,13 @@
 """Defense-layer tests: the prior schemes and the common interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.defenses import (
     PAD_CHOICES,
     ForrestPadding,
@@ -12,8 +18,8 @@ from repro.defenses import (
     StaticPermutation,
     defense_names,
     make_defense,
-    prior_defense_names,
 )
+from repro.defenses.registry import DEFENSE_ORDER, SCHEMES
 
 PROBE = """
 int probe() {
@@ -40,16 +46,97 @@ class TestRegistry:
         with pytest.raises(ValueError):
             make_defense("magic")
 
-    def test_prior_defenses_exclude_smokestack(self):
-        assert "smokestack" not in prior_defense_names()
-        assert "static-permute" in prior_defense_names()
-
     def test_randomization_times(self):
         assert make_defense("none").randomization_time == "none"
         assert make_defense("padding").randomization_time == "compile"
         assert make_defense("static-permute").randomization_time == "compile"
         assert make_defense("aslr").randomization_time == "load"
         assert make_defense("smokestack").randomization_time == "invocation"
+
+    def test_fact_table(self):
+        """Every registered scheme's declared facts, and the name sets the
+        analyses derive from them."""
+        facts = {
+            scheme.name: (scheme.randomization_time, scheme.family, scheme.cost_rank)
+            for scheme in SCHEMES
+        }
+        assert facts == {
+            "none": ("none", "fixed", 0),
+            "shadowstack": ("none", "fixed", 1),
+            "canary": ("load", "fixed", 2),
+            "aslr": ("load", "fixed", 3),
+            "padding": ("compile", "enumerated", 4),
+            "cleanstack": ("load", "sampled", 5),
+            "static-permute": ("compile", "sampled", 6),
+            "smokestack": ("invocation", "redealt", 7),
+        }
+        assert DEFENSE_ORDER == (
+            "none",
+            "canary",
+            "aslr",
+            "padding",
+            "static-permute",
+            "cleanstack",
+            "shadowstack",
+            "smokestack",
+        )
+        assert sorted(DEFENSE_ORDER) == defense_names()
+
+        def named(predicate):
+            return {s.name for s in SCHEMES if predicate(s)}
+
+        # Single-layout (deterministic) schemes: VM-checkable as modeled.
+        assert named(lambda s: s.family == "fixed") == {
+            "none", "aslr", "canary", "shadowstack"
+        }
+        # Drawn at most once per process: a disclosure stays valid.
+        assert named(lambda s: s.family != "redealt") == set(DEFENSE_ORDER) - {
+            "smokestack"
+        }
+        # Sampled families: the prover's possible mode over-approximates.
+        assert named(lambda s: s.family in ("sampled", "redealt")) == {
+            "static-permute", "cleanstack", "smokestack"
+        }
+        # The prover's carve-outs.
+        assert named(lambda s: s.canary) == {"canary"}
+        assert named(lambda s: not s.certain_caller_writes) == {"cleanstack"}
+        # Cheapest first; the costliest rung is the assignment fallback.
+        ladder = [s.name for s in sorted(SCHEMES, key=lambda s: s.cost_rank)]
+        assert ladder == [
+            "none",
+            "shadowstack",
+            "canary",
+            "aslr",
+            "padding",
+            "cleanstack",
+            "static-permute",
+            "smokestack",
+        ]
+
+
+@pytest.mark.parametrize(
+    "module",
+    [
+        "repro.defenses",
+        "repro.analysis.exploit",
+        "repro.analysis.assign",
+        "repro.synth.layouts",
+        "repro.serve.worker",
+    ],
+)
+def test_imports_first_in_fresh_interpreter(module):
+    """The registry builds on the layout geometry (reach, synth.layouts)
+    and the analyses build on the registry; whichever of them a process
+    imports first, no import cycle trips."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", f"import {module}"],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 class TestNoDefense:

@@ -2,17 +2,14 @@
 
 import unittest
 
-from repro.analysis.assign import (
-    DEFENSE_COST_RANK,
-    assign_defenses,
-    assignment_summary,
-)
+from repro.analysis.assign import assign_defenses, assignment_summary
 from repro.analysis.crosscheck import crosscheck_dualstack
 from repro.analysis.lint import lint_module
 from repro.analysis.partition import machine_partition, partition_module
-from repro.analysis.reach import MODELED_DEFENSES, cleanstack_layouts
+from repro.analysis.reach import cleanstack_layouts
 from repro.core.pipeline import compile_source
 from repro.defenses import defense_names, make_defense
+from repro.defenses.registry import DEFENSE_ORDER, SCHEMES
 from repro.fuzz.victims import generate_victim
 from repro.synth.facts import ProgramFacts
 from repro.vm.interpreter import Machine
@@ -135,7 +132,7 @@ class RegistryTest(unittest.TestCase):
         names = defense_names()
         for name in ("cleanstack", "shadowstack"):
             self.assertIn(name, names)
-            self.assertIn(name, MODELED_DEFENSES)
+            self.assertIn(name, DEFENSE_ORDER)
 
     def test_unknown_defense_error_lists_registry(self):
         with self.assertRaises(Exception) as caught:
@@ -152,8 +149,10 @@ class RegistryTest(unittest.TestCase):
 
 class AssignmentTest(unittest.TestCase):
     def test_rank_covers_registry_and_ends_at_smokestack(self):
-        self.assertEqual(set(DEFENSE_COST_RANK), set(defense_names()))
-        self.assertEqual(DEFENSE_COST_RANK[-1], "smokestack")
+        ladder = [s.name for s in sorted(SCHEMES, key=lambda s: s.cost_rank)]
+        self.assertEqual(set(ladder), set(defense_names()))
+        self.assertEqual(len(ladder), len(set(s.cost_rank for s in SCHEMES)))
+        self.assertEqual(ladder[-1], "smokestack")
 
     def test_channel_free_program_assigns_none_proven(self):
         facts = ProgramFacts(

@@ -366,7 +366,7 @@ def test_signed_roundtrip_matches_two_complement(value, size):
 # -- defense layout families ---------------------------------------------------------
 
 from repro.analysis import reach  # noqa: E402
-from repro.defenses import defense_names  # noqa: E402
+from repro.defenses.registry import SCHEMES  # noqa: E402
 
 
 @st.composite
@@ -416,9 +416,10 @@ def test_defense_layout_families_satisfy_frame_invariants(program, seed):
     source, names = program
     module = compile_source(source, "prop-frames")
     function = module.functions["work"]
-    for defense in sorted(defense_names()):
-        layouts = reach.defense_layouts(
-            function, defense, samples=6, seed=seed, module=module
+    for scheme in SCHEMES:
+        defense = scheme.name
+        layouts = scheme.layouts(
+            function, samples=6, seed=seed, module=module
         )
         assert layouts, f"{defense}: empty layout family"
         for layout in layouts:

@@ -27,6 +27,7 @@ import time
 
 import pytest
 
+from repro.defenses import defense_names
 from repro.obs.metrics import get_registry
 from repro.serve import worker
 from repro.serve.cache import CachedResponse, ResultCache
@@ -104,6 +105,29 @@ class TestProtocol:
         ):
             with pytest.raises(ProtocolError):
                 validate_request(bad)
+
+    def test_synth_rejects_unknown_defense(self):
+        with pytest.raises(ProtocolError) as err:
+            validate_request(
+                {"op": "synth", "source": ADD_SRC, "goal": "exfil:41",
+                 "defenses": ["none", "nosuch"]}
+            )
+        assert err.value.code == "bad-request"
+        assert "nosuch" in err.value.message
+        for name in defense_names():
+            assert name in err.value.message
+
+    def test_synth_deduplicates_defenses(self):
+        once = validate_request(
+            {"op": "synth", "source": ADD_SRC, "goal": "exfil:41",
+             "defenses": ["none"]}
+        )
+        twice = validate_request(
+            {"op": "synth", "source": ADD_SRC, "goal": "exfil:41",
+             "defenses": ["none", "none"]}
+        )
+        assert twice["defenses"] == ["none"]
+        assert cache_key(once) == cache_key(twice)
 
     def test_split_validate_malformed_json(self):
         with pytest.raises(ProtocolError) as err:
@@ -402,7 +426,7 @@ class TestServeStreaming:
             "synth",
             source=VICTIM_SRC,
             goal="corrupt:main.t=7",
-            defenses=["baseline"],
+            defenses=["none"],
             restarts=2,
         )
         counts = env["result"]["counts"]

@@ -24,21 +24,19 @@ from repro.analysis.taintflow import TaintAnalysis
 from repro.attacks.harness import run_campaign
 from repro.defenses.registry import make_defense
 from repro.fuzz.victims import generate_victim, generate_victims
-from repro.synth import (
-    CorruptGoal,
-    ExfilGoal,
-    ProgramFacts,
+from repro.synth.campaign import (
     SynthConfig,
-    SynthScenario,
     VictimCase,
     canned_cases,
+    check_plan_soundness,
     example_cases,
-    parse_goal,
     run_synth_campaign,
     run_victim,
-    synthesize,
 )
-from repro.synth.campaign import check_plan_soundness
+from repro.synth.facts import ProgramFacts
+from repro.synth.goals import CorruptGoal, ExfilGoal, parse_goal
+from repro.synth.planner import synthesize
+from repro.synth.scenario import SynthScenario
 
 LOGGER_SOURCE = open("examples/minic/vulnerable_logger.c").read()
 CLEAN_SOURCE = open("examples/minic/checksum_clean.c").read()

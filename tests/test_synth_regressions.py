@@ -11,7 +11,10 @@ import unittest
 
 from repro.attacks.harness import run_campaign
 from repro.defenses.registry import make_defense
-from repro.synth import ExfilGoal, ProgramFacts, SynthScenario, synthesize
+from repro.synth.facts import ProgramFacts
+from repro.synth.goals import ExfilGoal
+from repro.synth.planner import synthesize
+from repro.synth.scenario import SynthScenario
 
 #: Reduced from an early victim-generator cohort member (669 -> 489
 #: bytes; the generator has since grown more noise slots, so the seed no
@@ -204,10 +207,10 @@ class SynthRegressionTest(unittest.TestCase):
         self.assertIsNone(synthesize(facts, goal))
 
         from repro.analysis.exploit import ROBUST, ExploitProver
-        from repro.analysis.reach import MODELED_DEFENSES
+        from repro.defenses.registry import DEFENSE_ORDER
 
         prover = ExploitProver(facts)
-        for defense_name in MODELED_DEFENSES:
+        for defense_name in DEFENSE_ORDER:
             verdict = prover.prove(goal, defense_name)
             self.assertEqual(verdict.verdict, ROBUST, defense_name)
 
