@@ -44,7 +44,7 @@ from __future__ import annotations
 import random
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.core.allocations import StackAllocation, discover_function
+from repro.core.allocations import FrameDescriptor, StackAllocation, discover_function
 from repro.core.config import SmokestackConfig
 from repro.core.instrument import FNID_SLOT_NAME
 from repro.core.permutation import generate_table
@@ -268,6 +268,7 @@ def cleanstack_region_slots(
     module: Optional[Module] = None,
     *,
     partition=None,
+    descriptor: Optional[FrameDescriptor] = None,
 ) -> Tuple[Tuple[Slot, ...], Tuple[Slot, ...]]:
     """The two halves of a cleanstack frame, each in its own coordinates.
 
@@ -275,8 +276,9 @@ def cleanstack_region_slots(
     (frame top = 0, first slot below the return cookie, unclean indices
     skipped); unclean slots are laid out by the unclean-stack cursor
     relative to *its* region top (= 0, no cookie/canary band — metadata
-    never moves to the unclean stack).  ``partition`` may be supplied to
-    reuse a computed :class:`~repro.analysis.partition.FramePartition`.
+    never moves to the unclean stack).  ``partition`` and ``descriptor``
+    may be supplied to reuse a computed
+    :class:`~repro.analysis.partition.FramePartition` and frame descriptor.
     """
     from repro.analysis.partition import partition_function
 
@@ -288,7 +290,7 @@ def cleanstack_region_slots(
         for index in partition.unclean_indices
         if index < len(statics)
     }
-    descriptor = discover_function(function)
+    descriptor = descriptor or discover_function(function)
     allocations = list(descriptor.allocations)
     names = unique_slot_names(allocations)
     main_slots: List[Slot] = []
@@ -323,6 +325,7 @@ def cleanstack_layouts(
     seed: int = 0,
     partition=None,
     deltas: Optional[Sequence[int]] = None,
+    descriptor: Optional[FrameDescriptor] = None,
 ) -> List[FrameLayout]:
     """Taint-partitioned dual-stack layouts.
 
@@ -336,7 +339,7 @@ def cleanstack_layouts(
     from a VM probe) to anchor the family for byte-exact cross-checking.
     """
     main_slots, unsafe_slots = cleanstack_region_slots(
-        function, module, partition=partition
+        function, module, partition=partition, descriptor=descriptor
     )
     if not unsafe_slots:
         # Fully clean frame: single exact layout, nothing relocated.
@@ -361,7 +364,11 @@ def cleanstack_layouts(
 
 
 def smokestack_layouts(
-    function: Function, *, samples: int = 64, seed: int = 0
+    function: Function,
+    *,
+    samples: int = 64,
+    seed: int = 0,
+    descriptor: Optional[FrameDescriptor] = None,
 ) -> List[FrameLayout]:
     """Per-invocation layouts: permutation-table rows in the unified frame.
 
@@ -370,7 +377,7 @@ def smokestack_layouts(
     higher address.  The fnid slot participates in the permutation just
     as the real pass arranges (it replaces the stack protector).
     """
-    descriptor = discover_function(function)
+    descriptor = descriptor or discover_function(function)
     allocations = list(descriptor.allocations)
     if not allocations:
         return [baseline_layout(function)]

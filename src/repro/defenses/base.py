@@ -34,6 +34,7 @@ from typing import Callable, Dict, List, Optional
 from repro.analysis.reach import FrameLayout, baseline_layout
 from repro.core.pipeline import compile_source
 from repro.ir.module import Function, Module
+from repro.synth.facts import FunctionFacts
 from repro.synth.layouts import GapModel, gap_model
 from repro.vm.interpreter import Machine
 
@@ -106,6 +107,7 @@ class Defense:
         samples: int = 64,
         seed: int = 0,
         module: Optional[Module] = None,
+        facts: Optional[FunctionFacts] = None,
     ) -> List[FrameLayout]:
         """The family of concrete layouts the scheme can deploy.
 
@@ -113,8 +115,12 @@ class Defense:
         ``certain`` facts computed from them are conservative in the
         safe direction.  ``module`` feeds the cleanstack partition's
         interprocedural taint seeding; other families ignore it.
+        ``facts`` (over ``function`` and ``module``) shares the frame
+        facts every family starts from; without it they are computed
+        here.
         """
-        return [baseline_layout(function, canary=cls.canary)]
+        facts = facts or FunctionFacts(function, module)
+        return [facts.layout(cls.canary)]
 
     @classmethod
     def gap_models(

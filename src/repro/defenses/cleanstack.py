@@ -33,6 +33,7 @@ from repro.analysis.reach import FrameLayout, cleanstack_layouts
 from repro.core.pipeline import compile_source
 from repro.defenses.base import Defense, ProgramBuild, reference_layouts_of
 from repro.ir.module import Function, Module
+from repro.synth.facts import FunctionFacts
 from repro.synth.layouts import GapModel, cleanstack_gap_model
 from repro.vm.interpreter import Machine
 
@@ -80,9 +81,18 @@ class CleanStackDefense(Defense):
         samples: int = 64,
         seed: int = 0,
         module: Optional[Module] = None,
+        facts: Optional[FunctionFacts] = None,
     ) -> List[FrameLayout]:
         """Clean slots fixed, unclean ones at sampled region deltas."""
-        return cleanstack_layouts(function, module, samples=samples, seed=seed)
+        facts = facts or FunctionFacts(function, module)
+        return cleanstack_layouts(
+            function,
+            facts.module,
+            samples=samples,
+            seed=seed,
+            partition=facts.partition,
+            descriptor=facts.descriptor,
+        )
 
     @classmethod
     def gap_models(

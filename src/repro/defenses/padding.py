@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional
 
-from repro.analysis.reach import FrameLayout, allocation_slots, baseline_layout
+from repro.analysis.reach import FrameLayout, allocation_slots
 from repro.core.allocations import (
     FrameDescriptor,
     StackAllocation,
@@ -30,6 +30,7 @@ from repro.defenses.base import Defense, ProgramBuild, reference_layouts_of
 from repro.ir.instructions import Alloca
 from repro.ir.module import Function, Module
 from repro.minic import types as ct
+from repro.synth.facts import FunctionFacts
 from repro.synth.layouts import GapModel, gap_model
 from repro.vm.interpreter import Machine
 
@@ -107,11 +108,13 @@ class ForrestPadding(Defense):
         samples: int = 64,
         seed: int = 0,
         module: Optional[Module] = None,
+        facts: Optional[FunctionFacts] = None,
     ) -> List[FrameLayout]:
         """One layout per pad choice; unpadded frames keep the baseline."""
-        if not pads_frame(discover_function(function)):
-            return [baseline_layout(function)]
-        return padded_layouts(function)
+        facts = facts or FunctionFacts(function, module)
+        if not pads_frame(facts.descriptor):
+            return [facts.layout()]
+        return padded_layouts(function, facts.descriptor)
 
     @classmethod
     def gap_models(
@@ -146,11 +149,13 @@ class ForrestPadding(Defense):
         return models
 
 
-def padded_layouts(function: Function) -> List[FrameLayout]:
+def padded_layouts(
+    function: Function, descriptor: Optional[FrameDescriptor] = None
+) -> List[FrameLayout]:
     """The reference layout under each pad choice (``PAD_CHOICES``
     order), the pad as the first allocation; a frame the scheme leaves
     unpadded keeps its baseline layout under every choice."""
-    descriptor = discover_function(function)
+    descriptor = descriptor or discover_function(function)
     allocations = list(descriptor.allocations)
     padded = pads_frame(descriptor)
     layouts = []

@@ -17,6 +17,7 @@ from repro.core.pipeline import harden_source
 from repro.defenses.base import Defense, ProgramBuild
 from repro.ir.module import Function, Module
 from repro.rng.entropy import DeterministicEntropy, EntropySource
+from repro.synth.facts import FunctionFacts
 from repro.vm.interpreter import Machine
 
 
@@ -69,6 +70,10 @@ class SmokestackDefense(Defense):
         samples: int = 64,
         seed: int = 0,
         module: Optional[Module] = None,
+        facts: Optional[FunctionFacts] = None,
     ) -> List[FrameLayout]:
         """Sampled rows of the function's own permutation table."""
-        return smokestack_layouts(function, samples=samples, seed=seed)
+        facts = facts or FunctionFacts(function, module)
+        return smokestack_layouts(
+            function, samples=samples, seed=seed, descriptor=facts.descriptor
+        )

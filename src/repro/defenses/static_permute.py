@@ -13,18 +13,13 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional
 
-from repro.analysis.reach import (
-    FrameLayout,
-    allocation_slots,
-    baseline_layout,
-    unique_slot_names,
-)
-from repro.core.allocations import discover_function
+from repro.analysis.reach import FrameLayout, allocation_slots
 from repro.core.permutation import generate_table
 from repro.core.pipeline import compile_source
 from repro.defenses.base import Defense, ProgramBuild, reference_layouts_of
 from repro.ir.instructions import Alloca, Instruction
 from repro.ir.module import Function, Module
+from repro.synth.facts import FunctionFacts
 from repro.vm.interpreter import Machine
 
 
@@ -95,12 +90,14 @@ class StaticPermutation(Defense):
         samples: int = 64,
         seed: int = 0,
         module: Optional[Module] = None,
+        facts: Optional[FunctionFacts] = None,
     ) -> List[FrameLayout]:
         """Sampled permutations of the declaration order."""
-        allocations = list(discover_function(function).allocations)
+        facts = facts or FunctionFacts(function, module)
+        allocations = list(facts.descriptor.allocations)
         if len(allocations) < 2:
-            return [baseline_layout(function)]
-        names = unique_slot_names(allocations)
+            return [facts.layout()]
+        names = facts.allocation_names
         table = generate_table(allocations, max_rows=samples, seed=seed)
         layouts = []
         for row in table.rows:

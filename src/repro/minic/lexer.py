@@ -9,11 +9,19 @@ The lexer is a straightforward maximal-munch scanner.  It handles:
 * character literals with the common C escapes,
 * string literals, decoded to ``bytes`` (Mini-C strings are byte strings,
   as in C).
+
+The scan is linear in the source length.  One compiled pattern, matched
+in place at the current offset (``re`` never copies the rest of the
+source), skips whitespace and comments and takes the next identifier or
+operator; literals and errors fall through to small helpers.  The
+position is one index plus the line number and the index where the
+current line starts, so a column is a subtraction.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List
+import re
+from typing import List, Optional, Tuple
 
 from repro.errors import LexError, SourceLocation
 from repro.minic.tokens import (
@@ -38,6 +46,28 @@ _ESCAPES = {
     "v": 11,
 }
 
+#: Skips whitespace and terminated comments, then matches the next token
+#: if it is an ASCII identifier (group 1) or an operator (group 2), the
+#: two shapes that need no decoding.  ``\w`` on a str pattern is exactly
+#: ``ch.isalnum() or ch == "_"``, the identifier-tail rule.  Multi-char
+#: operators come first, longest first, as maximal munch needs; a ``/``
+#: before ``*`` here opens an unterminated comment, not a division.
+_NEXT = re.compile(
+    r"(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*(?:([A-Za-z_]\w*)|("
+    + "|".join(re.escape(spelling) for spelling, _ in MULTI_CHAR_OPERATORS)
+    + "|/(?!\\*)|["
+    + re.escape("".join(ch for ch in SINGLE_CHAR_OPERATORS if ch != "/"))
+    + "]))?",
+    re.S,
+)
+_OPERATORS = {**SINGLE_CHAR_OPERATORS, **dict(MULTI_CHAR_OPERATORS)}
+_IDENT_TAIL = re.compile(r"\w*")
+_HEX_DIGITS = re.compile(r"[0-9a-fA-F]*")
+#: the characters a string literal's body holds without special handling
+_STRING_RUN = re.compile(r'[^"\\\n]*')
+
+_IDENT = TokenKind.IDENT
+
 
 class Lexer:
     """Tokenizes one Mini-C source text."""
@@ -45,204 +75,161 @@ class Lexer:
     def __init__(self, source: str, filename: str = "<input>"):
         self._source = source
         self._filename = filename
-        self._pos = 0
-        self._line = 1
-        self._column = 1
 
     def tokenize(self) -> List[Token]:
         """Scan the whole input and return the token list (ending in EOF)."""
-        tokens = list(self._iter_tokens())
-        return tokens
-
-    def _iter_tokens(self) -> Iterator[Token]:
+        source = self._source
+        filename = self._filename
+        end = len(source)
+        tokens: List[Token] = []
+        append = tokens.append
+        pos = 0
+        line = 1
+        line_start = 0  # index of the current line's first character
         while True:
-            self._skip_whitespace_and_comments()
-            if self._at_end():
-                yield Token(TokenKind.EOF, "", self._location())
-                return
-            yield self._scan_token()
-
-    # -- low-level cursor helpers -------------------------------------------------
-
-    def _at_end(self) -> bool:
-        return self._pos >= len(self._source)
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        if index >= len(self._source):
-            return ""
-        return self._source[index]
-
-    def _advance(self) -> str:
-        ch = self._source[self._pos]
-        self._pos += 1
-        if ch == "\n":
-            self._line += 1
-            self._column = 1
-        else:
-            self._column += 1
-        return ch
-
-    def _location(self) -> SourceLocation:
-        return SourceLocation(self._filename, self._line, self._column)
-
-    def _error(self, message: str) -> LexError:
-        return LexError(message, self._location())
-
-    # -- scanning -----------------------------------------------------------------
-
-    def _skip_whitespace_and_comments(self) -> None:
-        while not self._at_end():
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while not self._at_end() and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                self._skip_block_comment()
+            match = _NEXT.match(source, pos)
+            stop = match.end()
+            ident, operator = match.groups()
+            text = ident or operator
+            start = stop - len(text) if text else stop
+            # only skipped whitespace and comments hold newlines here
+            newline = source.rfind("\n", pos, start)
+            if newline >= 0:
+                line += source.count("\n", pos, newline + 1)
+                line_start = newline + 1
+            location = SourceLocation(filename, line, start - line_start + 1)
+            if ident:
+                kind = KEYWORDS.get(ident, _IDENT)
+                append(Token(kind, ident, location, ident if kind is _IDENT else None))
+                pos = stop
+                continue
+            if operator:
+                append(Token(_OPERATORS[operator], operator, location))
+                pos = stop
+                continue
+            if start >= end:
+                append(Token(TokenKind.EOF, "", location))
+                return tokens
+            ch = source[start]
+            if ch.isalpha() or ch == "_":  # a non-ASCII identifier
+                pos = _IDENT_TAIL.match(source, start + 1).end()
+                text = source[start:pos]
+                kind = KEYWORDS.get(text, _IDENT)
+                append(Token(kind, text, location, text if kind is _IDENT else None))
+            elif ch.isdigit():
+                pos, value, error = _scan_number(source, start)
+                if error is not None:
+                    raise LexError(
+                        error, SourceLocation(filename, line, pos - line_start + 1)
+                    )
+                append(Token(TokenKind.INT_LITERAL, source[start:pos], location, value))
+            elif ch == "'":
+                pos, value = _scan_char(source, start, location)
+                text = source[start:pos]
+                append(Token(TokenKind.CHAR_LITERAL, text, location, value))
+                if text[1] == "\n":  # a raw newline between the quotes
+                    line += 1
+                    line_start = start + 2
+            elif ch == '"':
+                pos, data = _scan_string(source, start, location)
+                append(
+                    Token(TokenKind.STRING_LITERAL, source[start:pos], location, data)
+                )
+            elif source.startswith("/*", start):
+                raise LexError("unterminated block comment", location)
             else:
-                return
+                raise LexError(f"unexpected character {ch!r}", location)
 
-    def _skip_block_comment(self) -> None:
-        start = self._location()
-        self._advance()  # '/'
-        self._advance()  # '*'
-        while True:
-            if self._at_end():
-                raise LexError("unterminated block comment", start)
-            if self._peek() == "*" and self._peek(1) == "/":
-                self._advance()
-                self._advance()
-                return
-            self._advance()
 
-    def _scan_token(self) -> Token:
-        location = self._location()
-        ch = self._peek()
-        if ch.isalpha() or ch == "_":
-            return self._scan_identifier(location)
-        if ch.isdigit():
-            return self._scan_number(location)
-        if ch == "'":
-            return self._scan_char(location)
+def _scan_number(source: str, pos: int) -> Tuple[int, int, Optional[str]]:
+    """``(end, value, error)`` for the literal at ``pos``.  On an error the
+    lexer reports it where it stopped, at ``end``."""
+    start = pos
+    end = len(source)
+    if source[pos] == "0" and source[pos + 1 : pos + 2] in ("x", "X"):
+        pos = _HEX_DIGITS.match(source, pos + 2).end()
+        if pos == start + 2:
+            return pos, 0, "expected hexadecimal digits after '0x'"
+        base = 16
+    else:
+        while pos < end and source[pos].isdigit():
+            pos += 1
+        base = 8 if pos - start > 1 and source[start] == "0" else 10
+    text = source[start:pos]
+    # Consume (and ignore) integer suffixes.
+    while pos < end and source[pos] in "uUlL":
+        pos += 1
+    try:
+        return pos, int(text, base), None
+    except ValueError:
+        return pos, 0, f"invalid integer literal {text!r}"
+
+
+def _scan_char(source: str, pos: int, location: SourceLocation) -> Tuple[int, int]:
+    pos += 1  # opening quote
+    if pos >= len(source):
+        raise LexError("unterminated character literal", location)
+    ch = source[pos]
+    pos += 1
+    if ch == "\\":
+        pos, value = _decode_escape(source, pos, location)
+    elif ch == "'":
+        raise LexError("empty character literal", location)
+    else:
+        value = ord(ch)
+        if value > 255:
+            raise LexError("non-byte character literal", location)
+    if pos >= len(source) or source[pos] != "'":
+        raise LexError("unterminated character literal", location)
+    return pos + 1, value
+
+
+def _scan_string(source: str, pos: int, location: SourceLocation) -> Tuple[int, bytes]:
+    pos += 1  # opening quote
+    end = len(source)
+    data = bytearray()
+    while True:
+        run = _STRING_RUN.match(source, pos)
+        if run.end() > pos:
+            data += _encode(run.group())
+            pos = run.end()
+        if pos >= end or source[pos] == "\n":
+            raise LexError("unterminated string literal", location)
+        ch = source[pos]
+        pos += 1
         if ch == '"':
-            return self._scan_string(location)
-        return self._scan_operator(location)
-
-    def _scan_identifier(self, location: SourceLocation) -> Token:
-        start = self._pos
-        while not self._at_end() and (self._peek().isalnum() or self._peek() == "_"):
-            self._advance()
-        text = self._source[start : self._pos]
-        kind = KEYWORDS.get(text, TokenKind.IDENT)
-        value = text if kind is TokenKind.IDENT else None
-        return Token(kind, text, location, value)
-
-    def _scan_number(self, location: SourceLocation) -> Token:
-        start = self._pos
-        if self._peek() == "0" and self._peek(1) in ("x", "X"):
-            self._advance()
-            self._advance()
-            if not _is_hex_digit(self._peek()):
-                raise self._error("expected hexadecimal digits after '0x'")
-            while _is_hex_digit(self._peek()):
-                self._advance()
-            base = 16
-        else:
-            while self._peek().isdigit():
-                self._advance()
-            digits = self._source[start : self._pos]
-            base = 8 if len(digits) > 1 and digits[0] == "0" else 10
-        text = self._source[start : self._pos]
-        # Consume (and ignore) integer suffixes.  The empty string returned
-        # by _peek at EOF must not match (`"" in "uUlL"` is True).
-        while self._peek() and self._peek() in "uUlL":
-            self._advance()
-        try:
-            value = int(text, base)
-        except ValueError:
-            raise self._error(f"invalid integer literal {text!r}") from None
-        full_text = self._source[start : self._pos]
-        return Token(TokenKind.INT_LITERAL, full_text, location, value)
-
-    def _scan_char(self, location: SourceLocation) -> Token:
-        start = self._pos
-        self._advance()  # opening quote
-        if self._at_end():
-            raise LexError("unterminated character literal", location)
-        ch = self._advance()
-        if ch == "\\":
-            value = self._decode_escape(location)
-        elif ch == "'":
-            raise LexError("empty character literal", location)
-        else:
-            value = ord(ch)
-            if value > 255:
-                raise LexError("non-byte character literal", location)
-        if self._at_end() or self._advance() != "'":
-            raise LexError("unterminated character literal", location)
-        return Token(
-            TokenKind.CHAR_LITERAL, self._source[start : self._pos], location, value
-        )
-
-    def _scan_string(self, location: SourceLocation) -> Token:
-        start = self._pos
-        self._advance()  # opening quote
-        data = bytearray()
-        while True:
-            if self._at_end() or self._peek() == "\n":
-                raise LexError("unterminated string literal", location)
-            ch = self._advance()
-            if ch == '"':
-                break
-            if ch == "\\":
-                data.append(self._decode_escape(location))
-            else:
-                encoded = ch.encode("utf-8")
-                data.extend(encoded)
-        return Token(
-            TokenKind.STRING_LITERAL,
-            self._source[start : self._pos],
-            location,
-            bytes(data),
-        )
-
-    def _decode_escape(self, location: SourceLocation) -> int:
-        if self._at_end():
-            raise LexError("unterminated escape sequence", location)
-        ch = self._advance()
-        if ch == "x":
-            digits = ""
-            while _is_hex_digit(self._peek()):
-                digits += self._advance()
-            if not digits:
-                raise LexError("\\x used with no following hex digits", location)
-            value = int(digits, 16)
-            if value > 255:
-                raise LexError("hex escape out of byte range", location)
-            return value
-        if ch in _ESCAPES:
-            return _ESCAPES[ch]
-        raise LexError(f"unknown escape sequence '\\{ch}'", location)
-
-    def _scan_operator(self, location: SourceLocation) -> Token:
-        remaining = self._source[self._pos :]
-        for spelling, kind in MULTI_CHAR_OPERATORS:
-            if remaining.startswith(spelling):
-                for _ in spelling:
-                    self._advance()
-                return Token(kind, spelling, location)
-        ch = self._peek()
-        kind = SINGLE_CHAR_OPERATORS.get(ch)
-        if kind is None:
-            raise self._error(f"unexpected character {ch!r}")
-        self._advance()
-        return Token(kind, ch, location)
+            return pos, bytes(data)
+        pos, value = _decode_escape(source, pos, location)  # ch is '\\'
+        data.append(value)
 
 
-def _is_hex_digit(ch: str) -> bool:
-    return bool(ch) and ch in "0123456789abcdefABCDEF"
+def _encode(text: str) -> bytes:
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError:
+        # Raise the error a character-at-a-time encode raises, naming
+        # only the offending character.
+        return b"".join(ch.encode("utf-8") for ch in text)
+
+
+def _decode_escape(
+    source: str, pos: int, location: SourceLocation
+) -> Tuple[int, int]:
+    if pos >= len(source):
+        raise LexError("unterminated escape sequence", location)
+    ch = source[pos]
+    pos += 1
+    if ch == "x":
+        stop = _HEX_DIGITS.match(source, pos).end()
+        if stop == pos:
+            raise LexError("\\x used with no following hex digits", location)
+        value = int(source[pos:stop], 16)
+        if value > 255:
+            raise LexError("hex escape out of byte range", location)
+        return stop, value
+    if ch in _ESCAPES:
+        return pos, _ESCAPES[ch]
+    raise LexError(f"unknown escape sequence '\\{ch}'", location)
 
 
 def tokenize(source: str, filename: str = "<input>") -> List[Token]:

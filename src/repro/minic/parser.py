@@ -40,6 +40,29 @@ _BINARY_PRECEDENCE: Dict[TokenKind, Tuple[int, str]] = {
     TokenKind.PERCENT: (10, "%"),
 }
 
+#: Prefix operators that wrap their operand in a ``UnaryOp``.
+_PREFIX_OPS: Dict[TokenKind, str] = {
+    TokenKind.MINUS: "-",
+    TokenKind.BANG: "!",
+    TokenKind.TILDE: "~",
+    TokenKind.STAR: "*",
+    TokenKind.AMP: "&",
+    TokenKind.PLUSPLUS: "++",
+    TokenKind.MINUSMINUS: "--",
+}
+
+#: Tokens that continue a postfix expression.
+_POSTFIX_STARTS = frozenset(
+    {
+        TokenKind.LPAREN,
+        TokenKind.LBRACKET,
+        TokenKind.DOT,
+        TokenKind.ARROW,
+        TokenKind.PLUSPLUS,
+        TokenKind.MINUSMINUS,
+    }
+)
+
 _COMPOUND_ASSIGN: Dict[TokenKind, str] = {
     TokenKind.PLUS_ASSIGN: "+",
     TokenKind.MINUS_ASSIGN: "-",
@@ -65,8 +88,12 @@ class Parser:
     # -- token stream helpers -----------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+        # The cursor never passes the final token, so only a lookahead
+        # past the end needs clamping.
+        try:
+            return self._tokens[self._pos + offset]
+        except IndexError:
+            return self._tokens[-1]
 
     def _advance(self) -> Token:
         token = self._tokens[self._pos]
@@ -524,30 +551,13 @@ class Parser:
 
     def _parse_unary(self) -> ast.Expr:
         token = self._peek()
-        if token.kind is TokenKind.MINUS:
+        op = _PREFIX_OPS.get(token.kind)
+        if op is not None:
             self._advance()
-            return ast.UnaryOp("-", self._parse_unary(), token.location)
+            return ast.UnaryOp(op, self._parse_unary(), token.location)
         if token.kind is TokenKind.PLUS:
             self._advance()
             return self._parse_unary()
-        if token.kind is TokenKind.BANG:
-            self._advance()
-            return ast.UnaryOp("!", self._parse_unary(), token.location)
-        if token.kind is TokenKind.TILDE:
-            self._advance()
-            return ast.UnaryOp("~", self._parse_unary(), token.location)
-        if token.kind is TokenKind.STAR:
-            self._advance()
-            return ast.UnaryOp("*", self._parse_unary(), token.location)
-        if token.kind is TokenKind.AMP:
-            self._advance()
-            return ast.UnaryOp("&", self._parse_unary(), token.location)
-        if token.kind is TokenKind.PLUSPLUS:
-            self._advance()
-            return ast.UnaryOp("++", self._parse_unary(), token.location)
-        if token.kind is TokenKind.MINUSMINUS:
-            self._advance()
-            return ast.UnaryOp("--", self._parse_unary(), token.location)
         if token.kind is TokenKind.KW_SIZEOF:
             return self._parse_sizeof()
         if token.kind is TokenKind.LPAREN and self._peek(1).is_type_start():
@@ -591,6 +601,8 @@ class Parser:
         expr = self._parse_primary()
         while True:
             token = self._peek()
+            if token.kind not in _POSTFIX_STARTS:
+                return expr
             if token.kind is TokenKind.LPAREN:
                 self._advance()
                 args: List[ast.Expr] = []
@@ -617,14 +629,15 @@ class Parser:
             elif token.kind is TokenKind.PLUSPLUS:
                 self._advance()
                 expr = ast.PostfixOp("++", expr, token.location)
-            elif token.kind is TokenKind.MINUSMINUS:
+            else:  # MINUSMINUS
                 self._advance()
                 expr = ast.PostfixOp("--", expr, token.location)
-            else:
-                return expr
 
     def _parse_primary(self) -> ast.Expr:
         token = self._peek()
+        if token.kind is TokenKind.IDENT:
+            self._advance()
+            return ast.Identifier(str(token.value), token.location)
         if token.kind is TokenKind.INT_LITERAL:
             self._advance()
             return ast.IntLiteral(int(token.value), token.location)
@@ -635,9 +648,6 @@ class Parser:
             self._advance()
             assert isinstance(token.value, bytes)
             return ast.StringLiteral(token.value, token.location)
-        if token.kind is TokenKind.IDENT:
-            self._advance()
-            return ast.Identifier(str(token.value), token.location)
         if token.kind is TokenKind.LPAREN:
             self._advance()
             expr = self.parse_expression()

@@ -6,9 +6,10 @@ increments in the process-global metrics registry is shipped back** as
 a delta for the parent to merge (without it every counter below would
 silently vanish into the worker).
 
-The only state a worker keeps between jobs is a *derived* cache:
+The only state a worker keeps between jobs is derived:
 
-* parsed ASTs keyed by source digest (parsing is pure), and
+* parsed ASTs, in the pipeline's front-end cache
+  (:func:`repro.core.pipeline.frontend`; parsing is pure), and
 * compiled modules keyed by ``(digest, opt)`` together with the
   ``Module.version`` observed at compile time.  A cached module is
   reused only while its version still matches — any in-place transform
@@ -33,8 +34,7 @@ import time
 from typing import Dict, List, Tuple
 
 from repro.core.config import SmokestackConfig
-from repro.core.pipeline import HardenedProgram, harden_module, lower_ast
-from repro.minic import compile_to_ast
+from repro.core.pipeline import HardenedProgram, frontend, harden_module, lower_ast
 from repro.obs import Tracer
 from repro.obs.metrics import worker_job_metrics
 from repro.rng.entropy import DeterministicEntropy
@@ -42,30 +42,20 @@ from repro.rng.sources import RecordingSource
 from repro.serve.protocol import source_digest
 from repro.vm.interpreter import Machine
 
-#: Per-worker derived-state budget (ASTs + modules each).
+#: Per-worker compiled-module budget.
 WORKER_CACHE_ENTRIES = 64
 
 #: Serve requests run untrusted source; keep runaway guests bounded.
 SERVE_MAX_STEPS = 30_000_000
 
-_AST_CACHE: "Dict[str, object]" = {}
 #: (digest, opt) -> (module, version-at-compile)
 _MODULE_CACHE: "Dict[Tuple[str, int], Tuple[object, int]]" = {}
 
 
-def _evict(cache: dict) -> None:
-    while len(cache) > WORKER_CACHE_ENTRIES:
-        cache.pop(next(iter(cache)))
-
-
-def _ast_for(job: dict):
-    digest = job["digest"]
-    ast = _AST_CACHE.get(digest)
-    if ast is None:
-        ast = compile_to_ast(job["source"], digest[:12])
-        _AST_CACHE[digest] = ast
-        _evict(_AST_CACHE)
-    return ast
+def _lower(job: dict):
+    """A fresh module, lowered from the cached front-end AST."""
+    name = job["digest"][:12]
+    return lower_ast(frontend(job["source"], name), name, opt_level=job["opt"])
 
 
 def _module_for(job: dict):
@@ -83,9 +73,10 @@ def _module_for(job: dict):
         if getattr(module, "version", 0) == version:
             return module
         del _MODULE_CACHE[key]
-    module = lower_ast(_ast_for(job), job["digest"][:12], opt_level=job["opt"])
+    module = _lower(job)
     _MODULE_CACHE[key] = (module, getattr(module, "version", 0))
-    _evict(_MODULE_CACHE)
+    while len(_MODULE_CACHE) > WORKER_CACHE_ENTRIES:
+        _MODULE_CACHE.pop(next(iter(_MODULE_CACHE)))
     return module
 
 
@@ -161,7 +152,7 @@ class LayoutFingerprint:
 def _harden(job: dict) -> HardenedProgram:
     # Fresh lowering: instrument_module mutates its module in place, so
     # the shared compile cache must never see a hardened build.
-    module = lower_ast(_ast_for(job), job["digest"][:12], opt_level=job["opt"])
+    module = _lower(job)
     config = SmokestackConfig(
         scheme=job["scheme"], compile_seed=job["tenant_seed"]
     )

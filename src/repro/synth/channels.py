@@ -46,7 +46,6 @@ from repro.ir.instructions import (
 )
 from repro.ir.module import BasicBlock, Function
 from repro.ir.values import Argument, Constant, Value
-from repro.opt.cfg import DominatorTree, predecessors, reachable_blocks, successors
 from repro.synth.facts import CallerSite, ProgramFacts
 
 #: Cap for "unbounded" primitives: far past any frame this repo builds.
@@ -98,31 +97,6 @@ class OverflowChannel:
             f"dispatcher {self.dispatcher}"
             + (f" via {self.caller.function.name}" if self.caller else "")
         )
-
-
-def _loop_blocks(function: Function) -> Set[BasicBlock]:
-    """Blocks inside any natural loop of ``function``."""
-    reachable = reachable_blocks(function)
-    tree = DominatorTree(function)
-    preds = predecessors(function)
-    inside: Set[BasicBlock] = set()
-    for block in function.blocks:
-        if block not in reachable:
-            continue
-        for successor in successors(block):
-            if not tree.dominates(successor, block):
-                continue
-            body = {successor, block}
-            work = [block]
-            while work:
-                node = work.pop()
-                for pred in preds.get(node, ()):
-                    if pred not in body:
-                        body.add(pred)
-                        if pred is not successor:
-                            work.append(pred)
-            inside |= body
-    return inside
 
 
 def _buffer_slot(
@@ -208,7 +182,7 @@ def _caller_loop_site(
 ) -> Optional[CallerSite]:
     """A call site of ``function`` sitting inside a loop of its caller."""
     for site in facts.callers(function.name):
-        if site.call.block in _loop_blocks(site.function):
+        if site.call.block in facts.of(site.function).loop_blocks:
             return site
     return None
 
@@ -216,7 +190,7 @@ def _caller_loop_site(
 def _dispatcher_of(
     facts: ProgramFacts, function: Function, site: Instruction
 ) -> Tuple[str, Optional[CallerSite]]:
-    if site.block in _loop_blocks(function):
+    if site.block in facts.of(function).loop_blocks:
         return "internal", None
     caller = _caller_loop_site(facts, function)
     if caller is not None:
@@ -418,7 +392,7 @@ def _function_channels(
             )
 
     # copy loops: buf[i] = src[i] with an attacker-controlled bound
-    loops = _loop_blocks(function)
+    loops = facts.of(function).loop_blocks
     seen_buffers = {c.buffer for c in channels}
     for inst in function.instructions():
         if not isinstance(inst, Store) or inst.block not in loops:

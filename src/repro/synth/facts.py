@@ -16,21 +16,26 @@ gadgets the analyses would miss (or vice versa).
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from functools import cached_property
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Set
 
 from repro.analysis import reach
+from repro.analysis.intervals import IntervalAnalysis
 from repro.analysis.taintflow import (
     INPUT_BUILTINS,
     SinkHit,
     TaintAnalysis,
     collect_gadget_sinks,
 )
-from repro.core.allocations import discover_function
+from repro.core.allocations import FrameDescriptor, discover_function
 from repro.core.pipeline import compile_source
-from repro.ir.instructions import Alloca, Call, Cast, Store
-from repro.ir.module import Function, Module
+from repro.ir.instructions import Alloca, Call, Cast, ElemPtr, FieldPtr, Store
+from repro.ir.module import BasicBlock, Function, Module
 from repro.ir.values import Constant, GlobalVariable
-from repro.opt.cfg import DominatorTree, reachable_blocks
+from repro.opt.cfg import DominatorTree, predecessors, reachable_blocks, successors
+
+if TYPE_CHECKING:  # channels imports this module
+    from repro.synth.channels import OverflowChannel
 
 
 class NeedleLocation(NamedTuple):
@@ -57,19 +62,209 @@ class CallerSite(NamedTuple):
     call: Call
 
 
+class FunctionFacts:
+    """IR-derived facts about one function, each built on first use.
+
+    Every fact depends on the function's IR alone (the cleanstack
+    partition also reads the module's call graph), so one instance
+    serves the synth planner, every (defense, mode) planner of the
+    exploit prover and every defense's layout family.
+    :meth:`ProgramFacts.of` hands them out for the reference module and
+    drops them all when ``Module.version`` moves; a bare instance over
+    any function is a one-shot cache.
+    """
+
+    def __init__(self, function: Function, module: Optional[Module] = None):
+        self.function = function
+        self.module = module
+        self._layouts: Dict[bool, reach.FrameLayout] = {}
+        self._guards: Dict[BasicBlock, object] = {}
+        #: (id(value), id(site)) -> planner expression (see ProgramFacts.expr)
+        self.exprs: Dict[tuple, object] = {}
+
+    # ---------------------------------------------------------------- CFG
+
+    @cached_property
+    def dominators(self) -> DominatorTree:
+        return DominatorTree(self.function)
+
+    @cached_property
+    def reachable(self) -> Set[BasicBlock]:
+        return reachable_blocks(self.function)
+
+    @cached_property
+    def loop_blocks(self) -> Set[BasicBlock]:
+        """Blocks inside any natural loop."""
+        reachable = self.reachable
+        tree = self.dominators
+        preds = predecessors(self.function)
+        inside: Set[BasicBlock] = set()
+        for block in self.function.blocks:
+            if block not in reachable:
+                continue
+            for successor in successors(block):
+                if not tree.dominates(successor, block):
+                    continue
+                body = {successor, block}
+                work = [block]
+                while work:
+                    node = work.pop()
+                    for pred in preds.get(node, ()):
+                        if pred not in body:
+                            body.add(pred)
+                            if pred is not successor:
+                                work.append(pred)
+                inside |= body
+        return inside
+
+    def guards(self, site_block: BasicBlock):
+        """:func:`repro.synth.planner.guards_for` of ``site_block``."""
+        if site_block not in self._guards:
+            from repro.synth.planner import guards_for
+
+            self._guards[site_block] = guards_for(self.function, site_block, self)
+        return self._guards[site_block]
+
+    @cached_property
+    def calls(self) -> List[Call]:
+        """The call instructions, in program order."""
+        return [inst for inst in self.function.instructions() if isinstance(inst, Call)]
+
+    @cached_property
+    def intervals(self) -> IntervalAnalysis:
+        return IntervalAnalysis(self.function)
+
+    # ------------------------------------------------------------- frame
+
+    @cached_property
+    def descriptor(self) -> FrameDescriptor:
+        return discover_function(self.function)
+
+    @cached_property
+    def allocation_names(self) -> Dict[int, str]:
+        """id(StackAllocation) -> unique slot name (reach's discipline)."""
+        return reach.unique_slot_names(self.descriptor.allocations)
+
+    @cached_property
+    def slot_names(self) -> Dict[int, str]:
+        """id(Alloca) -> unique slot name."""
+        names = self.allocation_names
+        return {
+            id(allocation.alloca): names[id(allocation)]
+            for allocation in self.descriptor.allocations
+            if allocation.alloca is not None
+        }
+
+    def layout(self, canary: bool = False) -> reach.FrameLayout:
+        """The declaration-order layout (:func:`reach.baseline_layout`)."""
+        layout = self._layouts.get(canary)
+        if layout is None:
+            layout = reach.FrameLayout(
+                self.function.name,
+                reach.allocation_slots(
+                    self.descriptor.allocations,
+                    canary=canary,
+                    names=self.allocation_names,
+                ),
+                has_canary=canary,
+            )
+            self._layouts[canary] = layout
+        return layout
+
+    @cached_property
+    def partition(self):
+        """The cleanstack taint partition of the frame."""
+        from repro.analysis.partition import partition_function
+
+        return partition_function(self.function, self.module)
+
+    # ------------------------------------------------------------- taint
+
+    @cached_property
+    def taint(self) -> TaintAnalysis:
+        return TaintAnalysis(self.function)
+
+    @cached_property
+    def sinks(self) -> List[SinkHit]:
+        """Corruption-model gadget census (the shared walk)."""
+        taint = self.taint
+        return collect_gadget_sinks(
+            self.function, lambda value, _inst: taint.is_controlled(value)
+        )
+
+    @cached_property
+    def initial_values(self) -> Dict[str, InitValue]:
+        """See :meth:`ProgramFacts.initial_values`."""
+        function = self.function
+        values: Dict[str, InitValue] = {}
+        input_blocks = [
+            inst.block for inst in self.calls if inst.callee_name() in INPUT_BUILTINS
+        ]
+        reachable = self.reachable
+        tree = self.dominators
+        names = self.slot_names
+        for block in function.blocks:
+            if block not in reachable:
+                continue
+            if input_blocks and not all(
+                tree.dominates(block, target) for target in input_blocks
+            ):
+                continue
+            for inst in block.instructions:
+                if not isinstance(inst, Store):
+                    continue
+                if not isinstance(inst.pointer, Alloca):
+                    continue
+                slot = names.get(id(inst.pointer))
+                if slot is None:
+                    continue
+                value = inst.value
+                while isinstance(value, Cast):
+                    value = value.value
+                if isinstance(value, Constant) and isinstance(value.value, int):
+                    values[slot] = InitValue("const", value.value)
+                elif isinstance(value, GlobalVariable):
+                    values[slot] = InitValue("global-addr", value.name)
+                else:
+                    # An unknown value kills any earlier claim.
+                    values.pop(slot, None)
+        return values
+
+    @cached_property
+    def escaped_slots(self) -> Set[str]:
+        """See :meth:`ProgramFacts.escaped_slots`."""
+        names = self.slot_names
+        escaped: Set[str] = set()
+
+        def walk(value, depth=0):
+            if depth > 16:
+                return
+            if isinstance(value, Alloca):
+                slot = names.get(id(value))
+                if slot is not None:
+                    escaped.add(slot)
+            elif isinstance(value, Cast):
+                walk(value.value, depth + 1)
+            elif isinstance(value, (ElemPtr, FieldPtr)):
+                walk(value.base, depth + 1)
+
+        for inst in self.calls:
+            for arg in inst.args:
+                walk(arg)
+        return escaped
+
+
 class ProgramFacts:
     """Static facts about one victim program."""
 
     def __init__(self, source: str, name: str = "victim"):
         self.source = source
         self.module: Module = compile_source(source, name)
-        self._taints: Dict[str, TaintAnalysis] = {}
-        self._sinks: Dict[str, List[SinkHit]] = {}
-        self._layouts: Dict[Tuple[str, bool], reach.FrameLayout] = {}
-        self._slot_names: Dict[str, Dict[int, str]] = {}
+        self._functions: Dict[str, FunctionFacts] = {}
+        self._functions_version = self.module.version
         self._callers: Optional[Dict[str, List[CallerSite]]] = None
-        self._init_values: Dict[str, Dict[str, InitValue]] = {}
-        self._escaped: Dict[str, set] = {}
+        self._channels: "Optional[List[OverflowChannel]]" = None
+        self._guard_env: Optional[tuple] = None
         self._safety = None
 
     # ---------------------------------------------------------------- IR
@@ -80,47 +275,32 @@ class ProgramFacts:
     def functions(self) -> List[Function]:
         return list(self.module.functions.values())
 
+    def of(self, function: Function) -> FunctionFacts:
+        """The per-function fact cache, valid for this module version."""
+        if self._functions_version != self.module.version:
+            self._functions.clear()
+            self._functions_version = self.module.version
+        facts = self._functions.get(function.name)
+        if facts is None or facts.function is not function:
+            facts = FunctionFacts(function, self.module)
+            self._functions[function.name] = facts
+        return facts
+
     def taint(self, function: Function) -> TaintAnalysis:
-        analysis = self._taints.get(function.name)
-        if analysis is None:
-            analysis = TaintAnalysis(function)
-            self._taints[function.name] = analysis
-        return analysis
+        return self.of(function).taint
 
     def sinks(self, function: Function) -> List[SinkHit]:
         """Corruption-model gadget census of ``function`` (shared walk)."""
-        hits = self._sinks.get(function.name)
-        if hits is None:
-            taint = self.taint(function)
-            hits = collect_gadget_sinks(
-                function, lambda value, _inst: taint.is_controlled(value)
-            )
-            self._sinks[function.name] = hits
-        return hits
+        return self.of(function).sinks
 
     # ------------------------------------------------------------ frames
 
     def layout(self, function: Function, *, canary: bool = False) -> reach.FrameLayout:
-        key = (function.name, canary)
-        layout = self._layouts.get(key)
-        if layout is None:
-            layout = reach.baseline_layout(function, canary=canary)
-            self._layouts[key] = layout
-        return layout
+        return self.of(function).layout(canary)
 
     def slot_names(self, function: Function) -> Dict[int, str]:
         """id(Alloca) -> unique slot name (reach's naming discipline)."""
-        names = self._slot_names.get(function.name)
-        if names is None:
-            descriptor = discover_function(function)
-            by_allocation = reach.unique_slot_names(descriptor.allocations)
-            names = {
-                id(allocation.alloca): by_allocation[id(allocation)]
-                for allocation in descriptor.allocations
-                if allocation.alloca is not None
-            }
-            self._slot_names[function.name] = names
-        return names
+        return self.of(function).slot_names
 
     def slot_of(self, function: Function, alloca: Alloca) -> Optional[str]:
         return self.slot_names(function).get(id(alloca))
@@ -175,13 +355,12 @@ class ProgramFacts:
         if self._callers is None:
             table: Dict[str, List[CallerSite]] = {}
             for function in self.module.functions.values():
-                for inst in function.instructions():
-                    if isinstance(inst, Call):
-                        callee = inst.callee_name()
-                        if callee in self.module.functions:
-                            table.setdefault(callee, []).append(
-                                CallerSite(function, inst)
-                            )
+                for inst in self.of(function).calls:
+                    callee = inst.callee_name()
+                    if callee in self.module.functions:
+                        table.setdefault(callee, []).append(
+                            CallerSite(function, inst)
+                        )
             self._callers = table
         return self._callers.get(name, [])
 
@@ -202,45 +381,7 @@ class ProgramFacts:
         straight-line prologues, which is the shape the extractor
         targets.
         """
-        cached = self._init_values.get(function.name)
-        if cached is not None:
-            return cached
-        values: Dict[str, InitValue] = {}
-        input_blocks = [
-            inst.block
-            for inst in function.instructions()
-            if isinstance(inst, Call) and inst.callee_name() in INPUT_BUILTINS
-        ]
-        reachable = reachable_blocks(function)
-        tree = DominatorTree(function)
-        names = self.slot_names(function)
-        for block in function.blocks:
-            if block not in reachable:
-                continue
-            if input_blocks and not all(
-                tree.dominates(block, target) for target in input_blocks
-            ):
-                continue
-            for inst in block.instructions:
-                if not isinstance(inst, Store):
-                    continue
-                if not isinstance(inst.pointer, Alloca):
-                    continue
-                slot = names.get(id(inst.pointer))
-                if slot is None:
-                    continue
-                value = inst.value
-                while isinstance(value, Cast):
-                    value = value.value
-                if isinstance(value, Constant) and isinstance(value.value, int):
-                    values[slot] = InitValue("const", value.value)
-                elif isinstance(value, GlobalVariable):
-                    values[slot] = InitValue("global-addr", value.name)
-                else:
-                    # An unknown value kills any earlier claim.
-                    values.pop(slot, None)
-        self._init_values[function.name] = values
-        return values
+        return self.of(function).initial_values
 
     def escaped_slots(self, function: Function) -> set:
         """Slot names whose address reaches a call argument.
@@ -249,32 +390,53 @@ class ProgramFacts:
         (``input_read(&frame_len, 8)``), so its initial value must not
         feed guard evaluation.
         """
-        cached = self._escaped.get(function.name)
-        if cached is not None:
-            return cached
-        names = self.slot_names(function)
-        escaped = set()
+        return self.of(function).escaped_slots
 
-        def walk(value, depth=0):
-            if depth > 16:
-                return
-            from repro.ir.instructions import Cast as _Cast, ElemPtr, FieldPtr
+    def expr(self, function: Function, value, site):
+        """:func:`repro.synth.planner.build_expr` of ``value`` at ``site``,
+        built once: every planner and search mode reads the same tree."""
+        exprs = self.of(function).exprs
+        key = (id(value), id(site))
+        expr = exprs.get(key)
+        if expr is None:
+            from repro.synth.planner import build_expr
 
-            if isinstance(value, Alloca):
-                slot = names.get(id(value))
-                if slot is not None:
-                    escaped.add(slot)
-            elif isinstance(value, _Cast):
-                walk(value.value, depth + 1)
-            elif isinstance(value, (ElemPtr, FieldPtr)):
-                walk(value.base, depth + 1)
+            expr = exprs[key] = build_expr(self, function, value, site)
+        return expr
 
-        for inst in function.instructions():
-            if isinstance(inst, Call):
-                for arg in inst.args:
-                    walk(arg)
-        self._escaped[function.name] = escaped
-        return escaped
+    def guard_env(self) -> tuple:
+        """``(slot values, global words)`` the guard solver starts from.
+
+        Slot values are the constant :meth:`initial_values` of every
+        frame, keyed ``(function, slot)``, minus escaped slots (a call
+        may rewrite them, so the init is stale); global words are each
+        global's :meth:`global_init_word`.  Built once; read-only.
+        """
+        if self._guard_env is None:
+            slots: Dict[tuple, int] = {}
+            for function in self.module.functions.values():
+                escaped = self.escaped_slots(function)
+                for slot, init in self.initial_values(function).items():
+                    if init.kind == "const" and slot not in escaped:
+                        slots[(function.name, slot)] = init.value
+            words = {
+                name: word
+                for name in self.module.globals
+                if (word := self.global_init_word(name)) is not None
+            }
+            self._guard_env = (slots, words)
+        return self._guard_env
+
+    # ---------------------------------------------------------- channels
+
+    def channels(self) -> "List[OverflowChannel]":
+        """Every overflow channel, best first (discovered once; see
+        :func:`repro.synth.channels.discover_channels`)."""
+        if self._channels is None:
+            from repro.synth.channels import discover_channels
+
+            self._channels = discover_channels(self)
+        return list(self._channels)
 
     # ------------------------------------------------------------ safety
 

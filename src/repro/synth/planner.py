@@ -39,9 +39,9 @@ from repro.ir.instructions import (
 )
 from repro.ir.module import BasicBlock, Function
 from repro.ir.values import Argument, Constant, GlobalVariable, Value
-from repro.opt.cfg import DominatorTree, reachable_blocks
-from repro.synth.channels import OverflowChannel, discover_channels, strip_casts
-from repro.synth.facts import ProgramFacts
+from repro.opt.cfg import DominatorTree
+from repro.synth.channels import OverflowChannel, strip_casts
+from repro.synth.facts import FunctionFacts, ProgramFacts
 from repro.synth.goals import CorruptGoal, ExfilGoal, Goal
 
 WORD_MASK = (1 << 64) - 1
@@ -493,10 +493,19 @@ class Guard:
     want_true: bool
 
 
-def guards_for(function: Function, site_block: BasicBlock) -> Optional[List[Guard]]:
-    """Branch conditions every path to ``site_block`` must satisfy."""
-    tree = DominatorTree(function)
-    reachable = reachable_blocks(function)
+def guards_for(
+    function: Function,
+    site_block: BasicBlock,
+    facts: Optional[FunctionFacts] = None,
+) -> Optional[List[Guard]]:
+    """Branch conditions every path to ``site_block`` must satisfy.
+
+    ``facts`` supplies a cached dominator tree and reachable set; the
+    planners read the result through :meth:`FunctionFacts.guards`.
+    """
+    facts = facts or FunctionFacts(function)
+    tree = facts.dominators
+    reachable = facts.reachable
     if site_block not in reachable:
         return None
     guards: List[Guard] = []
@@ -607,7 +616,7 @@ class AttackPlan:
 class Planner:
     def __init__(self, facts: ProgramFacts):
         self.facts = facts
-        self.channels = discover_channels(facts)
+        self.channels = facts.channels()
 
     # -- public -----------------------------------------------------------
 
@@ -709,25 +718,11 @@ class Planner:
         constraints: ConstraintSet,
         planned_env: Dict[Tuple[str, str], int],
     ) -> bool:
-        guards = guards_for(function, site_block)
+        guards = self.facts.of(function).guards(site_block)
         if guards is None:
             return False
-        init_env = dict(planned_env)
-        for fn in self.facts.functions():
-            escaped = self.facts.escaped_slots(fn)
-            for slot, init in self.facts.initial_values(fn).items():
-                if slot in escaped:
-                    continue  # a call rewrites it; the init is stale
-                init_env.setdefault(
-                    (fn.name, slot),
-                    init.value if init.kind == "const" else None,
-                )
-        init_env = {k: v for k, v in init_env.items() if v is not None}
-        globals_env: Dict[str, int] = {}
-        for name in self.facts.module.globals:
-            word = self.facts.global_init_word(name)
-            if word is not None:
-                globals_env[name] = word
+        const_inits, globals_env = self.facts.guard_env()
+        init_env = {**const_inits, **planned_env}  # planned values win
         for guard in guards:
             if not self._apply_guard(guard, function, constraints, init_env, globals_env):
                 return False
@@ -742,8 +737,8 @@ class Planner:
         globals_env: Dict[str, int],
     ) -> bool:
         compare = guard.compare
-        lhs = build_expr(self.facts, function, compare.lhs, compare)
-        rhs = build_expr(self.facts, function, compare.rhs, compare)
+        lhs = self.facts.expr(function, compare.lhs, compare)
+        rhs = self.facts.expr(function, compare.rhs, compare)
         op = compare.op
         want_equal = (op == "eq") == guard.want_true
         if op in ("eq", "ne"):
@@ -853,9 +848,7 @@ class Planner:
         for function in self.facts.functions():
             if self._frame_of(channel, function.name) is None:
                 continue
-            for inst in function.instructions():
-                if not isinstance(inst, Call):
-                    continue
+            for inst in self.facts.of(function).calls:
                 if inst.callee_name() not in SEND_CALLEES:
                     continue
                 strikes = self._solve_send_site(
@@ -875,7 +868,7 @@ class Planner:
         needle_length: int,
     ) -> Optional[List[Strike]]:
         constraints = ConstraintSet()
-        pointer_expr = build_expr(self.facts, function, site.args[0], site)
+        pointer_expr = self.facts.expr(function, site.args[0], site)
         needed_length = offset + needle_length
 
         if isinstance(pointer_expr, EGlobalAddr):
@@ -887,7 +880,7 @@ class Planner:
             return None
 
         if len(site.args) > 1:
-            length_expr = build_expr(self.facts, function, site.args[1], site)
+            length_expr = self.facts.expr(function, site.args[1], site)
             length_const = (
                 length_expr.value if isinstance(length_expr, EConst) else None
             )
@@ -966,10 +959,10 @@ class Planner:
                     continue
                 store = hit.instruction
                 constraints = ConstraintSet()
-                pointer_expr = build_expr(self.facts, function, store.pointer, store)
+                pointer_expr = self.facts.expr(function, store.pointer, store)
                 if not solve(pointer_expr, target, WORD_MASK, constraints):
                     continue
-                value_expr = build_expr(self.facts, function, store.value, store)
+                value_expr = self.facts.expr(function, store.value, store)
                 if not solve(value_expr, value, WORD_MASK, constraints):
                     continue
                 planned_env = self._planned_env(constraints)

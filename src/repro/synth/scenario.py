@@ -19,13 +19,11 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.analysis import reach
 from repro.attacks.harness import ATTACK_MAX_STEPS, AttackScenario
-from repro.core.allocations import discover_function
 from repro.defenses.base import ProgramBuild
 from repro.defenses.registry import defense_class
 from repro.synth.concretize import AttackScript, BuildError, concretize
-from repro.synth.facts import ProgramFacts
+from repro.synth.facts import FunctionFacts, ProgramFacts
 from repro.synth.goals import Goal
 from repro.synth.layouts import GapModel
 from repro.synth.planner import AttackPlan
@@ -45,7 +43,7 @@ class SlotProbe:
         self.targets = list(targets)
         self._watched: Dict[int, Tuple[str, str, int]] = {}  # addr -> (fn, slot, size)
         self._observed: Dict[Tuple[str, str], Set[int]] = {}
-        self._slot_cache: Dict[int, Dict[str, object]] = {}
+        self._slot_cache: Dict[int, Dict[int, str]] = {}
         self._machine: Optional[Machine] = None
 
     # -- tracer interface --------------------------------------------------
@@ -87,17 +85,12 @@ class SlotProbe:
     # -- observation -------------------------------------------------------
 
     def _alloca_names(self, function) -> Dict[int, str]:
-        cached = self._slot_cache.get(id(function))
-        if cached is None:
-            descriptor = discover_function(function)
-            by_allocation = reach.unique_slot_names(descriptor.allocations)
-            cached = {
-                id(allocation.alloca): by_allocation[id(allocation)]
-                for allocation in descriptor.allocations
-                if allocation.alloca is not None
-            }
-            self._slot_cache[id(function)] = cached
-        return cached
+        """id(Alloca) -> slot name, from the function's fact bundle (the
+        probe watches deployed builds, so each function gets its own)."""
+        names = self._slot_cache.get(id(function))
+        if names is None:
+            names = self._slot_cache[id(function)] = FunctionFacts(function).slot_names
+        return names
 
     def _on_write(self, address: int, size: int) -> None:
         if not self._watched:

@@ -1,5 +1,8 @@
 """Lexer unit tests."""
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from repro.errors import LexError
@@ -199,3 +202,140 @@ class TestLocations:
         with pytest.raises(LexError) as excinfo:
             tokenize("x\n  $")
         assert excinfo.value.location.line == 2
+
+
+# -- golden token stream ------------------------------------------------------
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples" / "minic"
+
+
+def _corpus(name):
+    """(filename, source) pairs of one real corpus."""
+    if name == "benchsuite":
+        from repro.benchsuite.programs import WORKLOADS
+
+        return [(key, w.source) for key, w in sorted(WORKLOADS.items())]
+    if name == "canned":
+        from repro.attacks import dop, librelp, proftpd, wireshark
+
+        return [(m.__name__, m.SOURCE) for m in (dop, librelp, proftpd, wireshark)]
+    if name == "examples":
+        return [(p.name, p.read_text()) for p in sorted(EXAMPLES.glob("*.c"))]
+    from repro.fuzz.victims import generate_victims
+
+    return [(f"fuzz-{spec.seed}", spec.source) for spec in generate_victims(48)]
+
+
+def _stream_digest(sources):
+    digest = hashlib.sha256()
+    count = 0
+    for filename, source in sources:
+        for token in tokenize(source, filename):
+            fields = (
+                token.kind.name,
+                token.text,
+                token.value,
+                token.location.line,
+                token.location.column,
+            )
+            digest.update(repr(fields).encode("utf-8") + b"\n")
+            count += 1
+    return digest.hexdigest(), count
+
+
+class TestGoldenTokenStream:
+    """Every token of the real corpora, digested as (kind, text, value,
+    line, column): the scanner may change, its output may not."""
+
+    #: corpus -> (sources, tokens, digest), recorded with the original
+    #: character-at-a-time scanner
+    GOLDEN = {
+        "benchsuite": (
+            16, 5188,
+            "002a628477ced2a832d7e4c844fa099882233eb1f63a8513aa89f6f3fc5e8641",
+        ),
+        "canned": (
+            4, 1191,
+            "18f19300367be56fd50d482cbf32ff68d8c3e84c43d0cee853d70c3c1108e94f",
+        ),
+        "examples": (
+            2, 232,
+            "8c5656a49254510ce9f53d6daf9b692b3903fd37135934d6b733e08aa4e1d9fb",
+        ),
+        "fuzz": (
+            48, 9534,
+            "611abd5c6971ac48df586289574384369ee32d6c841ba3cf44de9e686a3dc4d1",
+        ),
+    }
+
+    @pytest.mark.parametrize("corpus", sorted(GOLDEN))
+    def test_token_stream_unchanged(self, corpus):
+        sources = _corpus(corpus)
+        count, tokens, digest = self.GOLDEN[corpus]
+        assert len(sources) == count
+        assert _stream_digest(sources) == (digest, tokens)
+
+    def test_every_token_kind(self):
+        """The corpora use few operators; this source has every kind,
+        every literal form, comments across lines, a tab-separated line
+        ending in CR-LF and non-ASCII text."""
+        from repro.minic.tokens import (
+            KEYWORDS,
+            MULTI_CHAR_OPERATORS,
+            SINGLE_CHAR_OPERATORS,
+        )
+
+        source = (
+            " ".join(sorted(KEYWORDS)) + "\n"
+            + "\t".join(spelling for spelling, _ in MULTI_CHAR_OPERATORS) + "\r\n"
+            + " ".join(sorted(SINGLE_CHAR_OPERATORS)) + "\n"
+            "/* block\n comment */ x_1 _y é2 // line comment\n"
+            "0 7 0755 0x1F 0XaB 42u 42UL 7l 'a' '\\n' '\\x41' '\\\\' '\n' "
+            "\"s\\t\\\"\\x7f\" \"ä\" a->b a.b a-->b a<<=b>>=c\n"
+        )
+        assert {t.kind for t in tokenize(source)} == set(TokenKind)
+        assert _stream_digest([("kinds.c", source)]) == (
+            "9c0242498ece818586ba5ed50baaf7fad07a1311045d7328717c7e9289c2aac6",
+            100,
+        )
+
+    def test_raw_newline_char_literal_advances_the_line(self):
+        tokens = tokenize("c = '\n'; d")
+        assert tokens[2].value == 10
+        assert [(t.location.line, t.location.column) for t in tokens] == [
+            (1, 1), (1, 3), (1, 5), (2, 2), (2, 4), (2, 5),
+        ]
+
+
+class TestLexErrorMessages:
+    """Each ``LexError``: its exact message and where it points."""
+
+    @pytest.mark.parametrize(
+        "source, message, line, column",
+        [
+            ("int x;\n  @", "unexpected character '@'", 2, 3),
+            ("int a;\n /* open\n never closed", "unterminated block comment", 2, 2),
+            ("/*/", "unterminated block comment", 1, 1),
+            ('char *s = "abc\n";', "unterminated string literal", 1, 11),
+            ('x = "abc', "unterminated string literal", 1, 5),
+            ("x = '", "unterminated character literal", 1, 5),
+            ("x = 'ab'", "unterminated character literal", 1, 5),
+            ("\n  x = '';", "empty character literal", 2, 7),
+            ("int y = 0x;", "expected hexadecimal digits after '0x'", 1, 11),
+            ("int y = 0xg1;", "expected hexadecimal digits after '0x'", 1, 11),
+            ("  int z = 09;", "invalid integer literal '09'", 1, 13),
+            ("c = 'ā';", "non-byte character literal", 1, 5),
+            ('char *s = "a\\q";', "unknown escape sequence '\\q'", 1, 11),
+            ("c = '\\x';", "\\x used with no following hex digits", 1, 5),
+            ("c = '\\x1ff';", "hex escape out of byte range", 1, 5),
+            ('c = "\\', "unterminated escape sequence", 1, 5),
+        ],
+    )
+    def test_message_and_location(self, source, message, line, column):
+        with pytest.raises(LexError) as excinfo:
+            tokenize(source, "t.c")
+        location = excinfo.value.location
+        assert (location.filename, location.line, location.column) == (
+            "t.c", line, column,
+        )
+        assert str(excinfo.value) == f"t.c:{line}:{column}: {message}"

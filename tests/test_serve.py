@@ -20,6 +20,7 @@ The load-bearing properties:
   parent registry (the metrics bugfix, observed end to end).
 """
 
+import hashlib
 import json
 import socket
 import threading
@@ -58,6 +59,8 @@ int work(int n) {
 }
 int main() { return work(9); }
 """
+
+LOCALS_DIGEST = "0cc99cb78110573ad9ea1a905042e0423a178b20ee6474a890f8e14bc96ba0ba"
 
 VICTIM_SRC = (
     "int main() { char b[8]; int t; t = 0; "
@@ -220,6 +223,14 @@ def _counter_keys(out):
     }
 
 
+def _frontend_counts(out):
+    return {
+        dict(labels)["cache"]: value
+        for name, labels, value in out["metrics"]["counters"]
+        if name == "pipeline_frontend_total"
+    }
+
+
 TRACER_DEOPT = ("jit_deopts_total", (("reason", "tracer"),))
 TRACED_MACHINES = ("vm_traced_machines_total", ())
 
@@ -278,6 +289,71 @@ class TestHardenFingerprint:
         for layout in result["layouts"]:
             rows = hardened.pbox.entry_for(layout["fn"]).table.row_count
             assert 0 <= layout["row"] < rows
+
+    def test_harden_and_trace_replies_pinned(self):
+        """The ``harden`` and ``trace`` replies, field for field (the
+        front end is cached, the reply may not change)."""
+        harden = worker.handle_job(_harden_job(LOCALS_SRC))["result"]
+        assert harden == {
+            "digest": LOCALS_DIGEST,
+            "draws": 1,
+            "exit_code": 114,
+            "layout_digest": "8472accc144dcd8feb091ae25ebd97c1"
+                             "2630cedfdcfab68ec1c6c0ed4fbb21c9",
+            "layouts": [{"fn": "work", "row": 365}],
+            "outcome": "exit",
+            "pbox_bytes": 36864,
+            "scheme": "aes-10",
+            "steps": 109,
+            "tenant_seed": 178232758275077,
+        }
+        proftpd = worker.handle_job(_case_job("proftpd"))["result"]
+        assert (
+            proftpd["draws"], proftpd["steps"], proftpd["layout_digest"]
+        ) == (
+            241, 30830,
+            "7ba7d27c11385b1a97de075f24f67ae0b0d5cd1f18580371cef22d3c37f91b1f",
+        )
+        expected = {
+            False: (52, 84.0, 10, 6, "5a9da03efd5e664ca911d8b7ec2c05f2"
+                                     "01edd7448534b6eb9644f258269f46f4"),
+            True: (109, 187.52500001247972, 11, 7,
+                   "3264228ee3d0b60611fc28b5c389558c"
+                   "f6f7d695af65d02128f0836ce97e7da2"),
+        }
+        for harden_first, (steps, cycles, writes, events, lines) in expected.items():
+            job = validate_request(
+                {"op": "trace", "source": LOCALS_SRC, "harden": harden_first}
+            )
+            if harden_first:
+                job["tenant_seed"] = tenant_seed("acme", ServeConfig().tenant_salt)
+            out = worker.handle_job(job)
+            assert out["result"] == {
+                "crossings": 0,
+                "cycles": cycles,
+                "digest": LOCALS_DIGEST,
+                "dropped": 0,
+                "events": events,
+                "outcome": "exit",
+                "steps": steps,
+                "writes_seen": writes,
+            }
+            digest = hashlib.sha256("\n".join(out["events"]).encode()).hexdigest()
+            assert digest == lines
+
+    def test_compile_then_harden_parses_once(self, monkeypatch):
+        """One worker, one source: ``compile`` misses the front-end
+        cache, the ``harden`` that follows hits it."""
+        from repro.core import pipeline
+
+        monkeypatch.setattr(pipeline, "_FRONTEND_CACHE", {})
+        monkeypatch.setattr(worker, "_MODULE_CACHE", {})
+        compile_job = validate_request({"op": "compile", "source": LOCALS_SRC})
+        compiled = worker.handle_job(compile_job)
+        hardened = worker.handle_job(_harden_job(LOCALS_SRC))
+        assert "error" not in compiled and "error" not in hardened
+        assert _frontend_counts(compiled) == {"miss": 1}
+        assert _frontend_counts(hardened) == {"hit": 1}
 
     def test_harden_runs_untraced_trace_stays_traced(self):
         harden = worker.handle_job(_harden_job(LOCALS_SRC))

@@ -6,6 +6,7 @@ from repro.errors import VMFault
 from repro.vm.memory import (
     CODE_BASE,
     DATA_BASE,
+    DEFAULT_STACK_LIMIT,
     HEAP_BASE,
     RODATA_BASE,
     STACK_TOP,
@@ -136,3 +137,97 @@ class TestAccounting:
             base <= RODATA_BASE < end for base, end in ranges
         )
         assert any(base <= DATA_BASE < end for base, end in ranges)
+
+
+class TestStackSegment:
+    """What a guest can observe of the stack segment, whatever backs it:
+    zeroed until written, and the same faults at the same addresses."""
+
+    def test_untouched_stack_reads_zero(self, memory):
+        stack = memory.stack
+        top = STACK_TOP - 8
+        middle = stack.base + stack.size // 2
+        for address in (top, middle, stack.base):
+            assert memory.read_int(address, 8, signed=False) == 0
+            assert memory.read_bytes(address, 8) == b"\x00" * 8
+
+    def test_written_bytes_read_back_among_zeros(self, memory):
+        address = memory.stack.base + 4096
+        memory.write_int(address, 0x1122334455667788, 8)
+        assert memory.read_bytes(address - 4, 16) == (
+            b"\x00" * 4 + (0x1122334455667788).to_bytes(8, "little") + b"\x00" * 4
+        )
+
+    @pytest.mark.parametrize(
+        "action, address, kind",
+        [
+            ("touch", STACK_TOP - DEFAULT_STACK_LIMIT - 1, "stack-overflow"),
+            ("touch", STACK_TOP - DEFAULT_STACK_LIMIT - 4096, "stack-overflow"),
+            ("read", STACK_TOP, "unmapped"),
+            ("write", STACK_TOP - 4, "unmapped"),
+            ("read", STACK_TOP - DEFAULT_STACK_LIMIT - 1, "unmapped"),
+            ("read", 0x10, "null-deref"),
+            ("write", 0xFF8, "null-deref"),
+        ],
+    )
+    def test_faults_at_the_same_addresses(self, memory, action, address, kind):
+        with pytest.raises(VMFault) as excinfo:
+            if action == "touch":
+                memory.touch_stack(address)
+            elif action == "read":
+                memory.read_int(address, 8, signed=False)
+            else:
+                memory.write_int(address, 1, 8)
+        assert (excinfo.value.kind, excinfo.value.address) == (kind, address)
+
+    def test_read_cstring_finds_nul_on_the_stack(self, memory):
+        address = STACK_TOP - 64
+        memory.write_bytes(address, b"hello")  # the next byte was never written
+        assert memory.read_cstring(address) == b"hello"
+        assert memory.read_cstring(STACK_TOP - 1) == b""
+        memory.write_bytes(STACK_TOP - 3, b"xyz")  # no NUL before the top
+        with pytest.raises(VMFault) as excinfo:
+            memory.read_cstring(STACK_TOP - 3)
+        assert (excinfo.value.kind, excinfo.value.address) == ("unmapped", STACK_TOP)
+
+
+DEEP_RECURSION_SRC = """
+int depth(int n, int fill) {
+  char pad[%d];
+  pad[0] = n & 127;
+  pad[%d] = fill;
+  if (n == 0) return pad[0];
+  return depth(n - 1, fill + 1) + pad[0] + pad[%d] - fill;
+}
+int main() { return depth(%d, 1) & 255; }
+"""
+
+
+class TestDeepRecursionEngines:
+    """Frames deep into the stack, and one past its end, on every engine."""
+
+    ENGINES = {"jit": {}, "fast": {"jit": False}, "slow": {"fast_dispatch": False}}
+
+    def _runs(self, pad, depth):
+        from repro.core.pipeline import compile_source
+        from repro.vm.interpreter import Machine, result_fingerprint
+
+        source = DEEP_RECURSION_SRC % (pad, pad - 1, pad - 1, depth)
+        module = compile_source(source)
+        return {
+            engine: Machine(module, **kwargs).run()
+            for engine, kwargs in self.ENGINES.items()
+        }, result_fingerprint
+
+    def test_deep_recursion_identical_on_all_engines(self):
+        runs, fingerprint = self._runs(512, 3000)
+        prints = {engine: fingerprint(run) for engine, run in runs.items()}
+        assert prints["jit"] == prints["fast"] == prints["slow"]
+        assert runs["jit"].outcome == "exit"
+        assert runs["jit"].max_rss > DEFAULT_STACK_LIMIT // 2
+
+    def test_stack_overflow_identical_on_all_engines(self):
+        runs, fingerprint = self._runs(1024, 3000)
+        prints = {engine: fingerprint(run) for engine, run in runs.items()}
+        assert prints["jit"] == prints["fast"] == prints["slow"]
+        assert runs["jit"].fault_kind == "stack-overflow"
