@@ -585,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="spend every restart even after a success",
     )
-    p.add_argument("--json", help="write the BENCH_synth-format report here")
+    p.add_argument("--json", help="write the per-victim campaign report here")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("bench", help="Figure 3/4 measurement slice")

@@ -5,7 +5,7 @@ interval facts) into an *attack compiler*: given a victim program and a
 goal predicate, it plans a gadget chain, concretizes it into crafted
 input bytes per deployed defense, and confirms the predicate by running
 the hardened build in the VM.  Success rates over many victims become
-the security metric reported in ``BENCH_synth.json``.
+the security metric reported in ``BENCH_security.json``.
 
 Layering (each module only looks down; the package itself imports
 nothing, so the defense registry can build on ``layouts`` without

@@ -1,9 +1,9 @@
 """Success-rate campaigns: plan, attack, and score every defense.
 
 This is the experiment driver behind ``repro synth`` and
-``BENCH_synth.json``.  For each victim (a canned CVE reproduction, an
-``examples/minic`` program, or a :mod:`repro.fuzz.victims` cohort
-member) it synthesizes one attack plan from the *reference* build, then
+``scripts/security_gate.py``.  For each victim (a canned CVE
+reproduction, an ``examples/minic`` program, or a
+:mod:`repro.fuzz.victims` cohort member) it synthesizes one attack plan from the *reference* build, then
 runs that plan against every requested defense through the campaign
 harness, recording the paper's headline number — the per-defense
 **success rate**: the fraction of victims whose goal predicate the
@@ -31,11 +31,12 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.exploit import EXPLOITABLE, ROBUST, ExploitProver
 from repro.analysis.safety import PROVEN_SAFE
 from repro.attacks.harness import ATTACK_MAX_STEPS, run_campaign
+from repro.attacks.model import OUTCOMES
 from repro.defenses.registry import defense_class, defense_names, make_defense
 from repro.obs.metrics import get_registry, worker_job_metrics
 from repro.synth.facts import ProgramFacts
@@ -64,16 +65,44 @@ class VictimCase:
     expect_plan: Optional[bool] = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class DefenseOutcome:
-    """One (victim, defense) campaign, summarized."""
+    """One (victim, defense) campaign: every attempt's outcome, in order.
+
+    Attempt *i*'s RNG seed and the deployed build do not depend on the
+    restart budget, so a budget-*k* campaign is exactly the first *k*
+    attempts of a longer one (:meth:`truncated`).
+    """
 
     defense: str
-    verdict: str
-    successes: int
-    attempts: int
-    breakdown: Dict[str, int]
-    first_success: Optional[int]  #: 1-based attempt index
+    outcomes: Tuple[str, ...]  #: one :data:`OUTCOMES` name per attempt
+
+    @property
+    def attempts(self) -> int:
+        return len(self.outcomes)
+
+    @property
+    def successes(self) -> int:
+        return self.outcomes.count("success")
+
+    @property
+    def breakdown(self) -> Dict[str, int]:
+        return {name: self.outcomes.count(name) for name in OUTCOMES}
+
+    @property
+    def first_success(self) -> Optional[int]:
+        """1-based index of the first successful attempt."""
+        if "success" not in self.outcomes:
+            return None
+        return self.outcomes.index("success") + 1
+
+    @property
+    def verdict(self) -> str:
+        return "bypassed" if self.successes else "stopped"
+
+    def truncated(self, attempts: int) -> "DefenseOutcome":
+        """This campaign as if run with a budget of ``attempts``."""
+        return DefenseOutcome(self.defense, self.outcomes[:attempts])
 
 
 @dataclass
@@ -126,15 +155,14 @@ def check_plan_soundness(
 
 
 def check_exploit_soundness(
-    facts: ProgramFacts,
-    case: VictimCase,
-    goal,
+    verdicts: Mapping[str, str],
     outcomes: Sequence[DefenseOutcome],
-    verdicts_out: Optional[Dict[str, str]] = None,
+    expect_plan: Optional[bool],
 ) -> List[str]:
-    """Cross-check the static exploitability prover against VM outcomes.
+    """Cross-check static exploitability verdicts against VM outcomes.
 
-    The two mechanical gates from the prover's contract:
+    ``verdicts`` maps defense -> verdict.  The two mechanical gates from
+    the prover's contract:
 
     1. a ``PROVABLY_ROBUST`` verdict contradicted by a VM-confirmed
        success is a soundness violation (the prover claimed no chain
@@ -144,45 +172,35 @@ def check_exploit_soundness(
        confirm is equally fatal — certain reach must concretize.
 
     Additionally, unexploitable control victims (``expect_plan=False``)
-    must come back ``PROVABLY_ROBUST`` under every modeled defense.
+    must come back ``PROVABLY_ROBUST`` under every defense in
+    ``verdicts``.  Returns human-readable violations (empty == sound).
     """
-    try:
-        prover = ExploitProver(facts)
-        violations: List[str] = []
-        checked = {o.defense for o in outcomes}
-        if case.expect_plan is False:
-            checked |= set(defense_names())
-        for defense in sorted(checked):
-            verdict = prover.prove(goal, defense).verdict
-            if verdicts_out is not None:
-                verdicts_out[defense] = verdict
-            if case.expect_plan is False and verdict != ROBUST:
+    violations: List[str] = []
+    if expect_plan is False:
+        for defense, verdict in sorted(verdicts.items()):
+            if verdict != ROBUST:
                 violations.append(
                     f"unexploitable control classified {verdict} "
                     f"under {defense} (must be {ROBUST})"
                 )
-        for outcome in outcomes:
-            verdict = (verdicts_out or {}).get(outcome.defense)
-            if verdict is None:
-                verdict = prover.prove(goal, outcome.defense).verdict
-            if outcome.successes > 0 and verdict == ROBUST:
-                violations.append(
-                    f"prover says {ROBUST} under {outcome.defense} but the "
-                    f"VM confirmed {outcome.successes} attack success(es)"
-                )
-            if (
-                verdict == EXPLOITABLE
-                and defense_class(outcome.defense).family == "fixed"
-                and outcome.successes == 0
-            ):
-                violations.append(
-                    f"prover says {EXPLOITABLE} under deterministic defense "
-                    f"{outcome.defense} but no VM attempt succeeded "
-                    f"({outcome.breakdown})"
-                )
-        return violations
-    except Exception as error:  # the cross-check must never mask results
-        return [f"exploit prover error: {type(error).__name__}: {error}"]
+    for outcome in outcomes:
+        verdict = verdicts.get(outcome.defense)
+        if outcome.successes > 0 and verdict == ROBUST:
+            violations.append(
+                f"prover says {ROBUST} under {outcome.defense} but the "
+                f"VM confirmed {outcome.successes} attack success(es)"
+            )
+        if (
+            verdict == EXPLOITABLE
+            and defense_class(outcome.defense).family == "fixed"
+            and outcome.successes == 0
+        ):
+            violations.append(
+                f"prover says {EXPLOITABLE} under deterministic defense "
+                f"{outcome.defense} but no VM attempt succeeded "
+                f"({outcome.breakdown})"
+            )
+    return violations
 
 
 def run_victim(
@@ -216,23 +234,34 @@ def run_victim(
                 seed=seed,
                 stop_on_success=stop_on_success,
             )
-            first = report.first_success
             result.defenses.append(
                 DefenseOutcome(
-                    defense=defense_name,
-                    verdict=report.verdict(),
-                    successes=report.count("success"),
-                    attempts=report.total,
-                    breakdown=report.breakdown(),
-                    first_success=None if first is None else first + 1,
+                    defense_name,
+                    tuple(attempt.outcome for attempt in report.attempts),
                 )
             )
     if exploit_check:
-        result.soundness.extend(
-            check_exploit_soundness(
-                facts, case, goal, result.defenses, result.exploit_verdicts
+        # control victims are proven under every defense, planned ones
+        # under each defense they were attacked with
+        checked = {o.defense for o in result.defenses}
+        if case.expect_plan is False:
+            checked |= set(defense_names())
+        try:
+            prover = ExploitProver(facts)
+            for defense in sorted(checked):
+                result.exploit_verdicts[defense] = prover.prove(
+                    goal, defense
+                ).verdict
+        except Exception as error:  # the cross-check must never mask results
+            result.soundness.append(
+                f"exploit prover error: {type(error).__name__}: {error}"
             )
-        )
+        else:
+            result.soundness.extend(
+                check_exploit_soundness(
+                    result.exploit_verdicts, result.defenses, case.expect_plan
+                )
+            )
     return result
 
 
@@ -374,7 +403,7 @@ class SynthConfig:
 
 @dataclass
 class SynthSummary:
-    """Aggregate of one campaign, JSON-shaped for ``BENCH_synth.json``."""
+    """Aggregate of one campaign, JSON-shaped for ``repro synth --json``."""
 
     config: SynthConfig
     results: List[VictimResult] = field(default_factory=list)

@@ -18,18 +18,22 @@ import unittest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.exploit import EXPLOITABLE, ROBUST, UNDECIDED
 from repro.analysis.gadgets import find_gadgets, sink_to_gadget
 from repro.analysis.safety import PROVEN_SAFE
 from repro.analysis.taintflow import TaintAnalysis
 from repro.attacks.harness import run_campaign
-from repro.defenses.registry import make_defense
+from repro.defenses.registry import defense_names, make_defense
 from repro.fuzz.victims import generate_victim, generate_victims
 from repro.synth.campaign import (
+    DefenseOutcome,
     SynthConfig,
     VictimCase,
     canned_cases,
+    check_exploit_soundness,
     check_plan_soundness,
     example_cases,
+    fuzz_cases,
     run_synth_campaign,
     run_victim,
 )
@@ -236,6 +240,92 @@ class DefenseOrderingTest(unittest.TestCase):
         baseline = table["none"]["success_rate"]
         self.assertLess(smokestack, static_permute, table)
         self.assertLess(static_permute, baseline, table)
+
+
+class BudgetCutTest(unittest.TestCase):
+    """A budget-6 campaign is exactly the first 6 attempts of a budget-8 one."""
+
+    def test_truncated_long_campaign_equals_short_campaign(self):
+        defenses = sorted(defense_names())
+        # fuzz-11: static-permute fails all 8 attempts and smokestack is
+        # bypassed only on attempt 7, so the cut changes its verdict
+        for case in (canned_cases()[0], fuzz_cases(1, start_seed=11)[0]):
+            long = run_victim(case, defenses, restarts=8)
+            short = run_victim(case, defenses, restarts=6)
+            self.assertEqual(
+                [o.truncated(6) for o in long.defenses], short.defenses, case.name
+            )
+        by_defense = {o.defense: o for o in long.defenses}
+        self.assertEqual(by_defense["static-permute"].attempts, 8)
+        self.assertEqual(by_defense["smokestack"].first_success, 7)
+        self.assertEqual(by_defense["smokestack"].truncated(6).verdict, "stopped")
+
+    def test_outcome_properties(self):
+        outcome = DefenseOutcome("canary", ("detected", "crashed", "success"))
+        self.assertEqual(outcome.attempts, 3)
+        self.assertEqual(outcome.successes, 1)
+        self.assertEqual(outcome.first_success, 3)
+        self.assertEqual(outcome.verdict, "bypassed")
+        self.assertEqual(
+            outcome.breakdown,
+            {"success": 1, "detected": 1, "crashed": 1, "failed": 0, "limit": 0},
+        )
+        cut = outcome.truncated(2)
+        self.assertEqual((cut.successes, cut.first_success), (0, None))
+        self.assertEqual(cut.verdict, "stopped")
+
+
+class ExploitSoundnessRuleTest(unittest.TestCase):
+    """Known answers for the one prover-vs-VM soundness rule."""
+
+    def test_success_under_robust_verdict(self):
+        violations = check_exploit_soundness(
+            {"smokestack": ROBUST},
+            [DefenseOutcome("smokestack", ("detected", "success"))],
+            True,
+        )
+        self.assertEqual(len(violations), 1)
+        self.assertIn(f"{ROBUST} under smokestack", violations[0])
+
+    def test_unconfirmed_exploitable_under_fixed_defense(self):
+        stopped = ("failed",) * 8
+        violations = check_exploit_soundness(
+            {"none": EXPLOITABLE, "static-permute": EXPLOITABLE},
+            [
+                DefenseOutcome("none", stopped),
+                DefenseOutcome("static-permute", stopped),
+            ],
+            True,
+        )
+        # only the single-layout defense must confirm certain reach
+        self.assertEqual(len(violations), 1)
+        self.assertIn("deterministic defense none", violations[0])
+
+    def test_control_not_robust(self):
+        violations = check_exploit_soundness(
+            {"none": ROBUST, "canary": UNDECIDED}, [], False
+        )
+        self.assertEqual(len(violations), 1)
+        self.assertIn(f"{UNDECIDED} under canary", violations[0])
+
+    def test_clean(self):
+        self.assertEqual(
+            check_exploit_soundness(
+                {"none": EXPLOITABLE, "smokestack": UNDECIDED},
+                [
+                    DefenseOutcome("none", ("success",)),
+                    DefenseOutcome("smokestack", ("detected",) * 8),
+                ],
+                True,
+            ),
+            [],
+        )
+        self.assertEqual(
+            check_exploit_soundness(
+                {d: ROBUST for d in defense_names()}, [], False
+            ),
+            [],
+        )
 
 
 class GoalGrammarTest(unittest.TestCase):
