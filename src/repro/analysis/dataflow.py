@@ -36,7 +36,7 @@ from repro.errors import ReproError
 from repro.ir.instructions import Instruction
 from repro.ir.module import BasicBlock, Function
 from repro.obs.metrics import get_registry
-from repro.opt.cfg import predecessors, reachable_blocks, reverse_postorder
+from repro.opt.cfg import predecessors, reverse_postorder
 
 
 class AnalysisError(ReproError):
@@ -189,7 +189,7 @@ def solve_forward(function: Function, problem: ForwardProblem) -> DataflowResult
     order = reverse_postorder(function)
     position = {block: i for i, block in enumerate(order)}
     preds = predecessors(function)
-    reachable = reachable_blocks(function)
+    reachable = set(order)  # reverse postorder visits exactly these
 
     # Loop heads: targets of back edges w.r.t. the RPO numbering.  Only
     # lattices that override ``widen`` engage widening there; the set

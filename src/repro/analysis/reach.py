@@ -42,6 +42,7 @@ to (near) nothing while prior schemes leave it intact.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.allocations import FrameDescriptor, StackAllocation, discover_function
@@ -154,15 +155,51 @@ def allocation_slots(
     """
     if names is None:
         names = unique_slot_names(allocations)
-    cursor = -8
-    if canary:
-        cursor -= 8
-    slots: List[Slot] = []
+    return tuple(
+        Slot(names[id(allocation)], lo, allocation.size)
+        for allocation, lo in zip(
+            allocations, slot_offsets(allocations, canary=canary)
+        )
+    )
+
+
+def slot_offsets(
+    allocations: Sequence[StackAllocation], *, canary: bool
+) -> List[int]:
+    """The ``lo`` of each of ``allocations`` laid out in the given order
+    (the arithmetic of :func:`allocation_slots`, without the slots).
+    Offsets strictly decrease, so the last is the frame's lowest."""
+    cursor = -16 if canary else -8
+    out: List[int] = []
     for allocation in allocations:
-        cursor -= allocation.size
-        cursor = _align_down(cursor, allocation.align)
-        slots.append(Slot(names[id(allocation)], cursor, allocation.size))
-    return tuple(slots)
+        cursor = (cursor - allocation.size) & -allocation.align
+        out.append(cursor)
+    return out
+
+
+class LayoutColumns(NamedTuple):
+    """A layout family read by column: every slot's ``lo`` in each member
+    (only slots present in every member) and each member's
+    :func:`frame_height` — all the exploit prover's gap arithmetic reads."""
+
+    los: Dict[str, Tuple[int, ...]]
+    heights: Tuple[int, ...]
+
+
+def layout_columns(layouts: Sequence[FrameLayout]) -> LayoutColumns:
+    """The :class:`LayoutColumns` of a family of frame layouts."""
+    los: Dict[str, List[int]] = {}
+    for layout in layouts:
+        for slot in layout.slots:
+            los.setdefault(slot.name, []).append(slot.lo)
+    return LayoutColumns(
+        {
+            name: tuple(column)
+            for name, column in los.items()
+            if len(column) == len(layouts)
+        },
+        tuple(frame_height(layout) for layout in layouts),
+    )
 
 
 def baseline_layout(function: Function, *, canary: bool = False) -> FrameLayout:
@@ -206,11 +243,16 @@ def intra_frame_reach(layout: FrameLayout, buffer: str) -> ReachSet:
 
 def frame_height(layout: FrameLayout) -> int:
     """Bytes from the frame base (16-aligned) to the frame top."""
-    lowest = min(
-        [slot.lo for slot in layout.slots]
-        + [-16 if layout.has_canary else -8]
+    return height_below(
+        min((slot.lo for slot in layout.slots), default=0),
+        canary=layout.has_canary,
     )
-    return -_align_down(lowest, 16)
+
+
+def height_below(lowest: int, *, canary: bool) -> int:
+    """:func:`frame_height` of a frame whose lowest slot starts at
+    ``lowest`` (0 for a frame without slots)."""
+    return -_align_down(min(lowest, -16 if canary else -8), 16)
 
 
 def stacked_layout(
@@ -345,12 +387,7 @@ def cleanstack_layouts(
         # Fully clean frame: single exact layout, nothing relocated.
         return [FrameLayout(function.name, main_slots, has_canary=False)]
     if deltas is None:
-        rng = random.Random(seed ^ 0xC1EA)
-        count = max(1, min(8, samples))
-        picked = set()
-        while len(picked) < count:
-            picked.add(-rng.randrange(16 * 1024, 64 * 1024, 16))
-        deltas = sorted(picked)
+        deltas = _cleanstack_deltas(samples, seed)
     layouts = []
     for delta in deltas:
         slots = main_slots + tuple(
@@ -361,6 +398,18 @@ def cleanstack_layouts(
             FrameLayout(function.name, slots, has_canary=False)
         )
     return layouts
+
+
+@lru_cache(maxsize=None)
+def _cleanstack_deltas(samples: int, seed: int) -> Tuple[int, ...]:
+    """The sampled unclean-region displacements, ascending (the same
+    for every frame, so drawn once per ``(samples, seed)``)."""
+    rng = random.Random(seed ^ 0xC1EA)
+    count = max(1, min(8, samples))
+    picked = set()
+    while len(picked) < count:
+        picked.add(-rng.randrange(16 * 1024, 64 * 1024, 16))
+    return tuple(sorted(picked))
 
 
 def smokestack_layouts(
@@ -378,9 +427,53 @@ def smokestack_layouts(
     as the real pass arranges (it replaces the stack protector).
     """
     descriptor = descriptor or discover_function(function)
-    allocations = list(descriptor.allocations)
-    if not allocations:
+    if not descriptor.allocations:
         return [baseline_layout(function)]
+    allocations, names, rows, frame_lo = _smokestack_rows(
+        descriptor, samples, seed
+    )
+    return [
+        FrameLayout(
+            function.name,
+            tuple(
+                Slot(names[id(allocation)], frame_lo + offset, allocation.size)
+                for allocation, offset in zip(allocations, row)
+            ),
+            has_canary=False,
+        )
+        for row in rows
+    ]
+
+
+def smokestack_columns(
+    function: Function,
+    *,
+    samples: int = 64,
+    seed: int = 0,
+    descriptor: Optional[FrameDescriptor] = None,
+) -> LayoutColumns:
+    """:func:`smokestack_layouts` by column, read off the table rows."""
+    descriptor = descriptor or discover_function(function)
+    if not descriptor.allocations:
+        return layout_columns([baseline_layout(function)])
+    allocations, names, rows, frame_lo = _smokestack_rows(
+        descriptor, samples, seed
+    )
+    return LayoutColumns(
+        {
+            names[id(allocation)]: tuple(frame_lo + row[index] for row in rows)
+            for index, allocation in enumerate(allocations)
+        },
+        tuple(
+            height_below(frame_lo + min(row), canary=False) for row in rows
+        ),
+    )
+
+
+def _smokestack_rows(descriptor: FrameDescriptor, samples: int, seed: int):
+    """(allocations incl. the fnid slot, slot names, table rows, the
+    unified frame's lo) of a frame with at least one allocation."""
+    allocations = list(descriptor.allocations)
     config = SmokestackConfig()
     if config.fnid_checks:
         allocations.append(
@@ -390,14 +483,7 @@ def smokestack_layouts(
     table = generate_table(allocations, max_rows=samples, seed=seed)
     # The unified frame: one 16-aligned char array below the cookie.
     frame_lo = _align_down(-8 - table.total_size, 16)
-    layouts = []
-    for row in table.rows:
-        slots = tuple(
-            Slot(names[id(allocation)], frame_lo + offset, allocation.size)
-            for allocation, offset in zip(allocations, row)
-        )
-        layouts.append(FrameLayout(function.name, slots, has_canary=False))
-    return layouts
+    return allocations, names, table.rows, frame_lo
 
 
 def reach_under_defense(

@@ -224,6 +224,31 @@ def input_deriving_functions(module: Module) -> Set[str]:
     return derived
 
 
+#: The transfer rule of each instruction class, by the isinstance test
+#: that selects it (first match wins); classes matching none are inert.
+_RULE_BASES = (
+    (Load, "load"),
+    ((BinOp, Cmp, Cast, Select, ElemPtr, FieldPtr), "operands"),
+    (Phi, "phi"),
+    (Call, "call"),
+    (Store, "store"),
+)
+#: concrete instruction class -> its rule (memoized :func:`_rule_of`)
+_RULES: Dict[type, str] = {}
+
+
+def _rule_of(kind: type) -> str:
+    """The transfer rule of instruction class ``kind``."""
+    rule = _RULES.get(kind)
+    if rule is None:
+        rule = next(
+            (name for base, name in _RULE_BASES if issubclass(kind, base)),
+            "inert",
+        )
+        _RULES[kind] = rule
+    return rule
+
+
 class TaintFlowAnalysis(ForwardProblem):
     """Flow-sensitive input taint for one function.
 
@@ -248,9 +273,9 @@ class TaintFlowAnalysis(ForwardProblem):
         #: corruption model: every load from writable storage is a source
         #: (the DOP attacker may have rewritten those bytes).
         self.corruption_model = corruption_model
-        self._input_deriving: Set[str] = (
-            input_deriving_functions(module) if module is not None else set()
-        )
+        #: input_deriving_functions(module), computed on the first call
+        #: to a module function (leaf functions never need it)
+        self._input_deriving: Optional[Set[str]] = None
         #: value/root -> (reason, parent locations) for --explain chains.
         self.provenance: Dict[object, Tuple[str, Tuple[object, ...]]] = {}
         self.result = solve_forward(function, self)
@@ -286,35 +311,51 @@ class TaintFlowAnalysis(ForwardProblem):
         return frozenset(state)
 
     def transfer(self, inst: Instruction, state: FrozenSet) -> FrozenSet:
-        tainted = self._tainted_result(inst, state)
+        rule = _RULES.get(type(inst)) or _rule_of(type(inst))
+        if rule == "inert":
+            return state
+        tainted = self._tainted_result(inst, state, rule)
         additions: List[object] = []
         if tainted is not None:
             reason, parents = tainted
             additions.append(inst)
             self._record(inst, reason, parents)
-        if isinstance(inst, Store):
+        if rule == "store":
             if self._is_tainted(inst.value, state):
                 token = mem(pointer_root(inst.pointer))
                 additions.append(token)
                 self._record(token, "store of tainted value", (inst.value,))
-        elif isinstance(inst, Call):
+        elif rule == "call":
             additions.extend(self._call_memory_effects(inst, state))
         if not additions:
             return state
-        return state | frozenset(additions)
+        return state.union(additions)
 
     # -- transfer helpers ----------------------------------------------------------
 
+    def _derives_input(self, name: str) -> bool:
+        """Is ``name`` a module function that can observe program input?"""
+        module = self.module
+        if module is None or name not in module.functions:
+            return False
+        if self._input_deriving is None:
+            self._input_deriving = input_deriving_functions(module)
+        return name in self._input_deriving
+
     def _is_tainted(self, value: Value, state: FrozenSet) -> bool:
+        # The state holds SSA values, arguments and ``mem`` tokens (tuples),
+        # so for any IR value this is plain membership; the hot transfer
+        # paths below test ``value in state`` directly.
         if isinstance(value, (Instruction, Argument)):
             return value in state
         return False
 
     def _tainted_result(
-        self, inst: Instruction, state: FrozenSet
+        self, inst: Instruction, state: FrozenSet, rule: str
     ) -> Optional[Tuple[str, Tuple[object, ...]]]:
-        """(reason, parents) if ``inst``'s result becomes tainted, else None."""
-        if isinstance(inst, Load):
+        """(reason, parents) if ``inst``'s result becomes tainted, else None
+        (``rule`` is :func:`_rule_of` its class)."""
+        if rule == "load":
             pointer = inst.pointer
             if self._is_tainted(pointer, state):
                 return ("load through tainted pointer", (pointer,))
@@ -326,23 +367,21 @@ class TaintFlowAnalysis(ForwardProblem):
             if root is None and UNKNOWN_MEMORY in state:
                 return ("load from unresolved memory", (UNKNOWN_MEMORY,))
             return None
-        if isinstance(inst, (BinOp, Cmp, Cast, Select, ElemPtr, FieldPtr)):
+        if rule == "operands":
             parents = tuple(
-                op for op in inst.operands if self._is_tainted(op, state)
+                op for op in inst.operands if op in state
             )
             if parents:
                 return (f"{inst.opcode()} over tainted operand", parents)
             return None
-        if isinstance(inst, Phi):
+        if rule == "phi":
             parents = tuple(
-                value
-                for value, _ in inst.incomings
-                if self._is_tainted(value, state)
+                value for value, _ in inst.incomings if value in state
             )
             if parents:
                 return ("phi merge of tainted value", parents)
             return None
-        if isinstance(inst, Call):
+        if rule == "call":
             name = inst.callee_name()
             if self.corruption_model:
                 # The corruption model keeps ``guest_rand`` uncontrolled
@@ -352,11 +391,9 @@ class TaintFlowAnalysis(ForwardProblem):
                     return (f"return of input builtin '{name}'", ())
             elif name in INPUT_BUILTINS:
                 return (f"return of input builtin '{name}'", ())
-            if name in self._input_deriving:
+            if self._derives_input(name):
                 return (f"return of input-deriving function '{name}'", ())
-            parents = tuple(
-                op for op in inst.operands if self._is_tainted(op, state)
-            )
+            parents = tuple(op for op in inst.operands if op in state)
             if parents and not inst.ctype.is_void():
                 return (f"call to '{name}' with tainted argument", parents)
             return None
@@ -385,7 +422,7 @@ class TaintFlowAnalysis(ForwardProblem):
                 self._record(
                     token, f"copy builtin '{name}' with tainted source", ()
                 )
-        elif name in self._input_deriving:
+        elif self._derives_input(name):
             # An input-deriving callee may write input into any buffer we
             # hand it a pointer to.
             for op in inst.args:

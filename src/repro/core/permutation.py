@@ -70,7 +70,8 @@ def layout_for_order(
     cursor = 0
     for allocation_id in order:
         allocation = allocations[allocation_id]
-        cursor = align_index(cursor, allocation.align)
+        align = allocation.align
+        cursor = -(-cursor // align) * align  # align_index, inlined
         indexes[allocation_id] = cursor
         cursor += allocation.size
     return indexes, cursor
@@ -79,10 +80,11 @@ def layout_for_order(
 class PermutationTable:
     """All generated layouts for one combination of allocations.
 
-    ``rows[r][i]`` is the frame offset of allocation ``i`` in layout ``r``.
-    ``total_size`` is the maximum frame size over all rows — the single
-    static allocation size the instrumented function reserves, so any row
-    fits.
+    ``rows[r][i]`` is the frame offset of allocation ``i`` in layout ``r``,
+    and ``orders[r]`` the placement order behind it (allocation indices
+    from the frame start).  ``total_size`` is the maximum frame size over
+    all rows — the single static allocation size the instrumented
+    function reserves, so any row fits.
     """
 
     def __init__(
@@ -91,11 +93,13 @@ class PermutationTable:
         rows: List[Tuple[int, ...]],
         total_size: int,
         exhaustive: bool,
+        orders: Sequence[Tuple[int, ...]] = (),
     ):
         self.shapes = shapes
         self.rows = rows
         self.total_size = total_size
         self.exhaustive = exhaustive
+        self.orders = list(orders)
 
     @property
     def row_count(self) -> int:
@@ -129,33 +133,60 @@ def generate_table(
     if max_rows < 1:
         raise ValueError("max_rows must be at least 1")
     total_permutations = math.factorial(n)
-    rng = random.Random((seed << 16) ^ n ^ hash(tuple(a.shape() for a in allocations)))
+    shapes = tuple(a.shape() for a in allocations)
+    rng = random.Random((seed << 16) ^ n ^ hash(shapes))
     rows: List[Tuple[int, ...]] = []
+    orders: List[Tuple[int, ...]] = []
     total_size = 0
     if total_permutations <= max_rows:
         for p_index in range(total_permutations):
             order = nth_lexical_permutation(n, p_index)
             indexes, frame_size = layout_for_order(allocations, order)
             rows.append(tuple(indexes))
+            orders.append(tuple(order))
             total_size = max(total_size, frame_size)
         exhaustive = True
-        # Shuffle rows to break lexical adjacency between consecutive rows.
-        rng.shuffle(rows)
+        # Shuffle rows (each with its order) to break lexical adjacency
+        # between consecutive rows.
+        dealt = list(zip(rows, orders))
+        _shuffle(dealt, rng.getrandbits)
+        rows = [row for row, _ in dealt]
+        orders = [order for _, order in dealt]
     else:
         seen = set()
+        identity = list(range(n))
+        getrandbits = rng.getrandbits
         while len(rows) < max_rows:
-            order = list(range(n))
-            rng.shuffle(order)
+            order = identity[:]
+            _shuffle(order, getrandbits)
             key = tuple(order)
             if key in seen:
                 continue
             seen.add(key)
             indexes, frame_size = layout_for_order(allocations, order)
             rows.append(tuple(indexes))
+            orders.append(key)
             total_size = max(total_size, frame_size)
         exhaustive = False
-    shapes = tuple(a.shape() for a in allocations)
-    return PermutationTable(shapes, rows, total_size, exhaustive)
+    return PermutationTable(shapes, rows, total_size, exhaustive, orders)
+
+
+def _shuffle(items: list, getrandbits) -> None:
+    """``random.Random.shuffle`` with its draws inlined.
+
+    CPython's shuffle is Fisher-Yates over ``_randbelow``, which draws
+    ``getrandbits(bound.bit_length())`` until the value is below
+    ``bound``.  Doing the same here deals the same permutation from the
+    same stream (pinned against ``random.shuffle`` by the tests) without
+    two Python calls per element.
+    """
+    for i in range(len(items) - 1, 0, -1):
+        bound = i + 1
+        bits = bound.bit_length()
+        j = getrandbits(bits)
+        while j >= bound:
+            j = getrandbits(bits)
+        items[i], items[j] = items[j], items[i]
 
 
 def round_rows_to_power_of_two(rows: List[Tuple[int, ...]]) -> List[Tuple[int, ...]]:

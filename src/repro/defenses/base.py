@@ -20,9 +20,10 @@ instance's compile-time random seed (Forrest-style diversity) — and for
 Smokestack there simply is no per-variable layout to recover.
 
 Each :class:`Defense` class is also the one description of its scheme
-the analyses read: its layout family (:meth:`Defense.layouts`), the
-attacker's payload-coordinate hypotheses (:meth:`Defense.gap_models`),
-its deployment cost rank and the exploit prover's carve-outs.  The
+the analyses read: its layout family (:meth:`Defense.layouts`, read by
+column through :meth:`Defense.columns`), the attacker's
+payload-coordinate hypotheses (:meth:`Defense.gap_models`), its
+deployment cost rank and the exploit prover's carve-outs.  The
 geometry those methods assemble lives in :mod:`repro.analysis.reach`
 and :mod:`repro.synth.layouts`, which know no defense by name.
 """
@@ -31,12 +32,17 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from repro.analysis.reach import FrameLayout, baseline_layout
+from repro.analysis.reach import (
+    FrameLayout,
+    LayoutColumns,
+    baseline_layout,
+    layout_columns,
+)
 from repro.core.pipeline import compile_source
 from repro.ir.module import Function, Module
 from repro.synth.facts import FunctionFacts
 from repro.synth.layouts import GapModel, gap_model
-from repro.vm.interpreter import Machine
+from repro.vm.interpreter import Machine, baseline_frame_layout
 
 
 class ProgramBuild:
@@ -62,8 +68,9 @@ class ProgramBuild:
         """What static analysis of the reference binary says about a frame.
 
         Offsets are bytes below the frame top (larger = lower address), as
-        produced by :meth:`Machine.baseline_frame_layout`.  Empty for
-        functions whose layout static analysis cannot pin down (Smokestack).
+        produced by :func:`repro.vm.interpreter.baseline_frame_layout`.
+        Empty for functions whose layout static analysis cannot pin down
+        (Smokestack).
         """
         return dict(self._reference_layouts.get(function_name, {}))
 
@@ -123,6 +130,27 @@ class Defense:
         return [facts.layout(cls.canary)]
 
     @classmethod
+    def columns(
+        cls,
+        function: Function,
+        *,
+        samples: int = 64,
+        seed: int = 0,
+        module: Optional[Module] = None,
+        facts: Optional[FunctionFacts] = None,
+    ) -> LayoutColumns:
+        """:meth:`layouts` read by column — the exploit prover's view.
+
+        Families drawn from a permutation table override this to read
+        the rows directly instead of building a frame layout per row.
+        """
+        return layout_columns(
+            cls.layouts(
+                function, samples=samples, seed=seed, module=module, facts=facts
+            )
+        )
+
+    @classmethod
     def gap_models(
         cls,
         victim: Function,
@@ -152,10 +180,11 @@ class Defense:
 
 def reference_layouts_of(module: Module) -> Dict[str, Dict[str, int]]:
     """Declaration-order layouts of every function (the un-diversified
-    reference binary an attacker studies)."""
-    machine = Machine(module)
+    reference binary an attacker studies), read straight off each
+    function's static allocas — no process is loaded for it."""
     return {
-        name: machine.baseline_frame_layout(name) for name in module.functions
+        name: baseline_frame_layout(function)
+        for name, function in module.functions.items()
     }
 
 

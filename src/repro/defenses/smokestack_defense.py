@@ -11,7 +11,12 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.analysis.reach import FrameLayout, smokestack_layouts
+from repro.analysis.reach import (
+    FrameLayout,
+    LayoutColumns,
+    smokestack_columns,
+    smokestack_layouts,
+)
 from repro.core.config import SmokestackConfig
 from repro.core.pipeline import harden_source
 from repro.defenses.base import Defense, ProgramBuild
@@ -75,5 +80,21 @@ class SmokestackDefense(Defense):
         """Sampled rows of the function's own permutation table."""
         facts = facts or FunctionFacts(function, module)
         return smokestack_layouts(
+            function, samples=samples, seed=seed, descriptor=facts.descriptor
+        )
+
+    @classmethod
+    def columns(
+        cls,
+        function: Function,
+        *,
+        samples: int = 64,
+        seed: int = 0,
+        module: Optional[Module] = None,
+        facts: Optional[FunctionFacts] = None,
+    ) -> LayoutColumns:
+        """The same rows, read by column."""
+        facts = facts or FunctionFacts(function, module)
+        return smokestack_columns(
             function, samples=samples, seed=seed, descriptor=facts.descriptor
         )

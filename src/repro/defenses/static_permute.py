@@ -11,9 +11,16 @@ layout, which is the weakness §II-C exploits: a single memory disclosure
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.reach import FrameLayout, allocation_slots
+from repro.analysis.reach import (
+    FrameLayout,
+    LayoutColumns,
+    allocation_slots,
+    height_below,
+    layout_columns,
+    slot_offsets,
+)
 from repro.core.permutation import generate_table
 from repro.core.pipeline import compile_source
 from repro.defenses.base import Defense, ProgramBuild, reference_layouts_of
@@ -98,16 +105,57 @@ class StaticPermutation(Defense):
         if len(allocations) < 2:
             return [facts.layout()]
         names = facts.allocation_names
-        table = generate_table(allocations, max_rows=samples, seed=seed)
-        layouts = []
-        for row in table.rows:
-            order = sorted(range(len(allocations)), key=row.__getitem__)
-            ordered = [allocations[i] for i in reversed(order)]
-            layouts.append(
-                FrameLayout(
-                    function.name,
-                    allocation_slots(ordered, canary=False, names=names),
-                    has_canary=False,
-                )
+        return [
+            FrameLayout(
+                function.name,
+                allocation_slots(
+                    [allocations[i] for i in placed], canary=False, names=names
+                ),
+                has_canary=False,
             )
-        return layouts
+            for placed in _placements(allocations, samples, seed)
+        ]
+
+    @classmethod
+    def columns(
+        cls,
+        function: Function,
+        *,
+        samples: int = 64,
+        seed: int = 0,
+        module: Optional[Module] = None,
+        facts: Optional[FunctionFacts] = None,
+    ) -> LayoutColumns:
+        """The same permutations, read by column."""
+        facts = facts or FunctionFacts(function, module)
+        allocations = list(facts.descriptor.allocations)
+        if len(allocations) < 2:
+            return layout_columns([facts.layout()])
+        columns: List[List[int]] = [[] for _ in allocations]
+        heights = []
+        for placed in _placements(allocations, samples, seed):
+            los = slot_offsets(
+                [allocations[i] for i in placed], canary=False
+            )
+            for index, lo in zip(placed, los):
+                columns[index].append(lo)
+            heights.append(height_below(los[-1], canary=False))
+        names = facts.allocation_names
+        return LayoutColumns(
+            {
+                names[id(allocation)]: tuple(column)
+                for allocation, column in zip(allocations, columns)
+            },
+            tuple(heights),
+        )
+
+
+def _placements(
+    allocations, samples: int, seed: int
+) -> List[Tuple[int, ...]]:
+    """Allocation indices in frame order (first = just below the cookie)
+    for each sampled row of the permutation table: the row's placement
+    order, reversed (the table grows up from the frame base, the frame
+    down from the cookie)."""
+    table = generate_table(allocations, max_rows=samples, seed=seed)
+    return [order[::-1] for order in table.orders]

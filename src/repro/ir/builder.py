@@ -44,11 +44,12 @@ class IRBuilder:
         self.block = block
 
     def _emit(self, inst: Instruction, hint: str = "t") -> Instruction:
-        if self.block is None:
+        block = self.block
+        if block is None:
             raise IRError("builder has no insertion block")
-        if inst.has_result() and not inst.name:
+        if not inst.name and inst.has_result():
             inst.name = self.function.next_value_name(hint)
-        self.block.append(inst)
+        block.append(inst)
         return inst
 
     # -- memory ------------------------------------------------------------------

@@ -19,13 +19,14 @@ class BasicBlock:
         self.instructions: List[Instruction] = []
 
     def append(self, inst: Instruction) -> Instruction:
-        if self.is_terminated():
+        instructions = self.instructions
+        if instructions and instructions[-1].is_terminator:
             raise IRError(
                 f"cannot append to terminated block '{self.label}' "
                 f"in function '{self.function.name if self.function else '?'}'"
             )
         inst.block = self
-        self.instructions.append(inst)
+        instructions.append(inst)
         return inst
 
     def terminator(self) -> Optional[Instruction]:
@@ -104,7 +105,12 @@ class Function:
         This is the "discovering stack allocations" input (paper §III-D):
         everything Smokestack will permute lives here.
         """
-        return [inst for inst in self.instructions() if isinstance(inst, Alloca)]
+        return [
+            inst
+            for block in self.blocks
+            for inst in block.instructions
+            if isinstance(inst, Alloca)
+        ]
 
     def static_allocas(self) -> List[Alloca]:
         return [a for a in self.allocas() if a.is_static()]

@@ -26,17 +26,30 @@ from repro.errors import VerifierError
 from repro.minic.builtins import BUILTINS
 from repro.ir.instructions import (
     Alloca,
+    BinOp,
     Br,
     Call,
+    Cast,
+    Cmp,
     CondBr,
+    ElemPtr,
+    FieldPtr,
     Instruction,
     Load,
     Phi,
     Ret,
+    Select,
     Store,
+    Unreachable,
 )
 from repro.ir.module import Function, Module
 from repro.ir.values import Argument, Constant, GlobalVariable, Value
+
+
+#: instruction classes with no checks beyond their operands
+_OPERANDS_ONLY = frozenset(
+    {BinOp, Cast, Cmp, ElemPtr, FieldPtr, Select, Unreachable}
+)
 
 
 def verify_module(module: Module) -> None:
@@ -85,7 +98,15 @@ def verify_function(function: Function, module: Module) -> None:
                     )
             else:
                 seen_non_phi = True
-            _verify_instruction(inst, function, module, defined, block_set)
+            for operand in inst.operands:
+                # Fast path: an instruction of this function (the
+                # commonest operand); everything else is checked in full.
+                if not (
+                    isinstance(operand, Instruction) and id(operand) in defined
+                ):
+                    _verify_operand(operand, function, module, defined)
+            if type(inst) not in _OPERANDS_ONLY:
+                _verify_instruction(inst, function, module, block_set)
     _verify_dominance(function)
 
 
@@ -102,10 +123,10 @@ def _verify_dominance(function: Function) -> None:
     # Imported here: repro.opt.cfg has no dependencies back on the
     # verifier, but keeping the import local avoids any ir<->opt import
     # cycle at module load time.
-    from repro.opt.cfg import DominatorTree, reachable_blocks
+    from repro.opt.cfg import DominatorTree
 
-    reachable = reachable_blocks(function)
     dom = DominatorTree(function)
+    reachable = set(dom.order)  # reverse postorder covers the reachable blocks
     position = {}
     for block in function.blocks:
         for index, inst in enumerate(block.instructions):
@@ -149,18 +170,19 @@ def _verify_dominance(function: Function) -> None:
                     )
                 continue
             for operand in inst.operands:
+                if not isinstance(operand, Instruction):
+                    continue
+                def_pos = position.get(id(operand))
+                if def_pos and def_pos[0] is block and def_pos[1] < index:
+                    continue  # the common case: defined earlier in this block
                 check_use(operand, block, index, "operand")
 
 
 def _verify_instruction(
-    inst: Instruction,
-    function: Function,
-    module: Module,
-    defined: Set[int],
-    block_set,
+    inst: Instruction, function: Function, module: Module, block_set
 ) -> None:
-    for operand in inst.operands:
-        _verify_operand(operand, function, module, defined)
+    """The checks specific to ``inst``'s kind (operands are checked by
+    the caller)."""
     if isinstance(inst, Br):
         if inst.target not in block_set:
             raise VerifierError(

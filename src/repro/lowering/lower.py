@@ -280,6 +280,16 @@ class Lowerer:
 
     def _lower_expr(self, expr: ast.Expr) -> Value:
         builder = self._builder
+        # The node classes are disjoint; the commonest (sema's implicit
+        # conversions, names, literals) are tested first.
+        if isinstance(expr, ast.Cast):
+            return self._lower_cast(expr)
+        if isinstance(expr, ast.Identifier):
+            slot = self._slot_for(expr)
+            if expr.ctype.is_scalar():
+                return builder.load(slot)
+            # Aggregates as rvalues only appear under decay casts / sizeof.
+            return slot
         if isinstance(expr, ast.IntLiteral):
             return Constant(expr.ctype, expr.value)
         if isinstance(expr, ast.FloatLiteral):
@@ -291,12 +301,6 @@ class Lowerer:
         if isinstance(expr, ast.CompoundRead):
             assert self._compound_value is not None, "CompoundRead outside op="
             return self._compound_value
-        if isinstance(expr, ast.Identifier):
-            slot = self._slot_for(expr)
-            if expr.ctype.is_scalar():
-                return builder.load(slot)
-            # Aggregates as rvalues only appear under decay casts / sizeof.
-            return slot
         if isinstance(expr, ast.UnaryOp):
             return self._lower_unary(expr)
         if isinstance(expr, ast.PostfixOp):
@@ -314,8 +318,6 @@ class Lowerer:
             if expr.ctype.is_scalar():
                 return builder.load(address)
             return address
-        if isinstance(expr, ast.Cast):
-            return self._lower_cast(expr)
         if isinstance(expr, ast.SizeofType):
             return Constant(ctypes.LONG, expr.queried_type.size())
         if isinstance(expr, ast.SizeofExpr):

@@ -83,20 +83,22 @@ class Lexer:
         end = len(source)
         tokens: List[Token] = []
         append = tokens.append
+        next_match = _NEXT.match
         pos = 0
         line = 1
         line_start = 0  # index of the current line's first character
         while True:
-            match = _NEXT.match(source, pos)
+            match = next_match(source, pos)
             stop = match.end()
             ident, operator = match.groups()
             text = ident or operator
             start = stop - len(text) if text else stop
-            # only skipped whitespace and comments hold newlines here
-            newline = source.rfind("\n", pos, start)
-            if newline >= 0:
-                line += source.count("\n", pos, newline + 1)
-                line_start = newline + 1
+            if start != pos:
+                # only skipped whitespace and comments hold newlines here
+                newline = source.rfind("\n", pos, start)
+                if newline >= 0:
+                    line += source.count("\n", pos, newline + 1)
+                    line_start = newline + 1
             location = SourceLocation(filename, line, start - line_start + 1)
             if ident:
                 kind = KEYWORDS.get(ident, _IDENT)

@@ -89,7 +89,8 @@ class Parser:
 
     def _peek(self, offset: int = 0) -> Token:
         # The cursor never passes the final token, so only a lookahead
-        # past the end needs clamping.
+        # past the end needs clamping (and the current token is simply
+        # ``self._tokens[self._pos]``, which the hot paths read inline).
         try:
             return self._tokens[self._pos + offset]
         except IndexError:
@@ -102,15 +103,15 @@ class Parser:
         return token
 
     def _check(self, kind: TokenKind) -> bool:
-        return self._peek().kind is kind
+        return self._tokens[self._pos].kind is kind
 
     def _match(self, kind: TokenKind) -> Optional[Token]:
-        if self._check(kind):
+        if self._tokens[self._pos].kind is kind:
             return self._advance()
         return None
 
     def _expect(self, kind: TokenKind, context: str = "") -> Token:
-        token = self._peek()
+        token = self._tokens[self._pos]
         if token.kind is not kind:
             where = f" in {context}" if context else ""
             raise ParseError(
@@ -120,19 +121,19 @@ class Parser:
         return self._advance()
 
     def _error(self, message: str) -> ParseError:
-        return ParseError(message, self._peek().location)
+        return ParseError(message, self._tokens[self._pos].location)
 
     # -- entry point --------------------------------------------------------------
 
     def parse_translation_unit(self) -> ast.TranslationUnit:
-        start = self._peek().location
+        start = self._tokens[self._pos].location
         declarations: List[ast.Node] = []
         while not self._check(TokenKind.EOF):
             declarations.extend(self._parse_top_level())
         return ast.TranslationUnit(declarations, start)
 
     def _parse_top_level(self) -> List[ast.Node]:
-        token = self._peek()
+        token = self._tokens[self._pos]
         if not token.is_type_start():
             raise self._error(
                 f"expected a declaration at top level, found {token.text!r}"
@@ -149,13 +150,13 @@ class Parser:
     # -- types --------------------------------------------------------------------
 
     def _at_type_start(self) -> bool:
-        token = self._peek()
+        token = self._tokens[self._pos]
         return token.is_type_start()
 
     def _parse_declaration_specifiers(self) -> Tuple[ct.CType, bool]:
         """Parse qualifiers + base type.  Returns (type, is_extern)."""
         is_extern = False
-        while self._peek().kind in (
+        while self._tokens[self._pos].kind in (
             TokenKind.KW_CONST,
             TokenKind.KW_STATIC,
             TokenKind.KW_EXTERN,
@@ -169,10 +170,10 @@ class Parser:
         return base, is_extern
 
     def _parse_base_type(self) -> ct.CType:
-        token = self._peek()
+        token = self._tokens[self._pos]
         if token.kind is TokenKind.KW_UNSIGNED:
             self._advance()
-            follow = self._peek()
+            follow = self._tokens[self._pos]
             if follow.kind is TokenKind.KW_CHAR:
                 self._advance()
                 return ct.UCHAR
@@ -388,7 +389,7 @@ class Parser:
         return ast.Block(statements, location)
 
     def _parse_statement(self) -> ast.Stmt:
-        token = self._peek()
+        token = self._tokens[self._pos]
         if token.kind is TokenKind.LBRACE:
             return self._parse_block()
         if token.kind is TokenKind.SEMICOLON:
@@ -424,7 +425,7 @@ class Parser:
         return ast.ExprStmt(expr, token.location)
 
     def _parse_local_declaration(self) -> ast.DeclStmt:
-        location = self._peek().location
+        location = self._tokens[self._pos].location
         base, _ = self._parse_declaration_specifiers()
         decls: List[ast.VarDecl] = []
         while True:
@@ -487,7 +488,7 @@ class Parser:
         self._expect(TokenKind.LPAREN, "for statement")
         init: Optional[ast.Stmt] = None
         if not self._check(TokenKind.SEMICOLON):
-            if self._peek().is_type_start():
+            if self._tokens[self._pos].is_type_start():
                 init = self._parse_local_declaration()
             else:
                 expr = self.parse_expression()
@@ -514,7 +515,7 @@ class Parser:
 
     def parse_assignment_expression(self) -> ast.Expr:
         left = self._parse_conditional()
-        token = self._peek()
+        token = self._tokens[self._pos]
         if token.kind is TokenKind.ASSIGN:
             self._advance()
             value = self.parse_assignment_expression()
@@ -540,7 +541,7 @@ class Parser:
     def _parse_binary(self, min_precedence: int) -> ast.Expr:
         left = self._parse_unary()
         while True:
-            token = self._peek()
+            token = self._tokens[self._pos]
             entry = _BINARY_PRECEDENCE.get(token.kind)
             if entry is None or entry[0] < min_precedence:
                 return left
@@ -550,7 +551,7 @@ class Parser:
             left = ast.BinaryOp(op, left, right, token.location)
 
     def _parse_unary(self) -> ast.Expr:
-        token = self._peek()
+        token = self._tokens[self._pos]
         op = _PREFIX_OPS.get(token.kind)
         if op is not None:
             self._advance()
@@ -600,7 +601,7 @@ class Parser:
     def _parse_postfix(self) -> ast.Expr:
         expr = self._parse_primary()
         while True:
-            token = self._peek()
+            token = self._tokens[self._pos]
             if token.kind not in _POSTFIX_STARTS:
                 return expr
             if token.kind is TokenKind.LPAREN:
@@ -634,7 +635,7 @@ class Parser:
                 expr = ast.PostfixOp("--", expr, token.location)
 
     def _parse_primary(self) -> ast.Expr:
-        token = self._peek()
+        token = self._tokens[self._pos]
         if token.kind is TokenKind.IDENT:
             self._advance()
             return ast.Identifier(str(token.value), token.location)

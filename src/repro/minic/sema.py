@@ -60,6 +60,12 @@ class FunctionInfo:
         self.node = node
 
 
+_INT_MIN = ct.INT.min_value()
+_INT_MAX = ct.INT.max_value()
+#: expression node type -> its ``Sema._check_<Type>`` (filled on first use)
+_EXPR_CHECKERS: Dict[type, object] = {}
+
+
 class Sema:
     """Runs semantic analysis over one translation unit."""
 
@@ -300,17 +306,22 @@ class Sema:
     # -- expressions ------------------------------------------------------------------
 
     def _check_expr(self, expr: ast.Expr) -> ast.Expr:
-        method = getattr(self, f"_check_{type(expr).__name__}", None)
+        kind = type(expr)
+        method = _EXPR_CHECKERS.get(kind)
+        if method is None:
+            method = _EXPR_CHECKERS[kind] = getattr(
+                Sema, f"_check_{kind.__name__}", None
+            )
         if method is None:
             raise SemanticError(
-                f"unsupported expression {type(expr).__name__}", expr.location
+                f"unsupported expression {kind.__name__}", expr.location
             )
-        result = method(expr)
+        result = method(self, expr)
         assert result.ctype is not None, f"no type computed for {expr!r}"
         return result
 
     def _check_IntLiteral(self, expr: ast.IntLiteral) -> ast.Expr:
-        expr.ctype = ct.INT if ct.INT.min_value() <= expr.value <= ct.INT.max_value() else ct.LONG
+        expr.ctype = ct.INT if _INT_MIN <= expr.value <= _INT_MAX else ct.LONG
         return expr
 
     def _check_FloatLiteral(self, expr: ast.FloatLiteral) -> ast.Expr:

@@ -95,6 +95,11 @@ class TokenKind(enum.Enum):
 
     EOF = "end of input"
 
+    # Members are singletons compared by identity, so the identity hash
+    # is consistent with equality — and, unlike Enum's name hash, runs
+    # in C on every parser table lookup.
+    __hash__ = object.__hash__
+
 
 #: Keyword spelling -> token kind.  The lexer consults this after scanning
 #: an identifier-shaped lexeme.

@@ -83,9 +83,17 @@ class DominatorTree:
         self.order = reverse_postorder(function)
         self._index = {block: i for i, block in enumerate(self.order)}
         self.idom: Dict[BasicBlock, Optional[BasicBlock]] = {}
-        preds = predecessors(function)
-        self._compute(preds)
-        self.frontiers = self._dominance_frontiers(preds)
+        self._preds = predecessors(function)
+        self._compute(self._preds)
+        self._frontiers: Optional[Dict[BasicBlock, Set[BasicBlock]]] = None
+
+    @property
+    def frontiers(self) -> Dict[BasicBlock, Set[BasicBlock]]:
+        """Dominance frontiers (computed on first use; only SSA
+        construction needs them)."""
+        if self._frontiers is None:
+            self._frontiers = self._dominance_frontiers(self._preds)
+        return self._frontiers
 
     def _compute(self, preds) -> None:
         entry = self.function.entry

@@ -521,7 +521,8 @@ class Decoder:
         # The stack and data segments have fixed bounds by the time decode
         # runs (decode is lazy — the image is already loaded, and only the
         # heap grows during execution), so the in-range checks can be
-        # inlined here with the segment bytearrays captured directly.
+        # inlined here with the segment buffers (the stack's mmap, the
+        # data bytearray) captured directly.
         # Heap accesses and misses fall through to ``memory.read_int``,
         # which keeps its own fast paths and the exact fault diagnostics.
         stack_base = memory._stack_base
@@ -586,7 +587,7 @@ class Decoder:
         cost = self.machine.cost
         memory = self.machine.memory
         if getattr(self.machine, "_tracer", None) is not None:
-            # Traced machines must not use the inlined bytearray store
+            # Traced machines must not use the inlined buffer store
             # paths below — those bypass the Memory methods the write
             # observer shadows.  The generic path charges the same units
             # and has identical semantics (it IS memory.write_int).
@@ -632,7 +633,9 @@ class Decoder:
 
         # Same fixed-window inlining as loads (see _decode_load): stack and
         # data bounds are final once decode runs, and both segments are
-        # always writable, so in-range stores go straight to the bytearray.
+        # always writable, so in-range stores go straight to the segment
+        # buffer (equal-length slice assignment, which the stack's mmap
+        # supports like a bytearray).
         # The stack high-water mark is tracked through the live memory
         # attribute, never a captured copy.
         stack_base = memory._stack_base

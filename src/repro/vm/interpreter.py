@@ -210,6 +210,40 @@ def result_fingerprint(result: "ExecutionResult", fields=RESULT_FIELDS) -> tuple
     return tuple(out)
 
 
+def baseline_frame_layout(
+    function: Function, stack_protector: bool = False
+) -> Dict[str, int]:
+    """The *static* layout an attacker derives from the binary.
+
+    Returns var_name -> offset below the frame top (positive numbers;
+    larger offset = lower address) of ``function``'s static allocas in
+    declaration order, below the return cookie and, with
+    ``stack_protector``, the canary.  Only meaningful for unhardened
+    functions whose layout is the same every call; for a
+    Smokestack-hardened function the named slots no longer exist and
+    this returns an empty mapping — which is precisely what the
+    attacker's static analysis would find.
+    """
+    offsets: Dict[str, int] = {}
+    cursor = 8  # return cookie
+    if stack_protector:
+        cursor += 8
+    for alloca in function.static_allocas():
+        if not alloca.is_static():
+            continue
+        size = alloca.static_size()
+        cursor += size
+        remainder = cursor % alloca.align
+        if remainder:
+            cursor += alloca.align - remainder
+        # Pass-internal slots (the Smokestack unified frame, padding
+        # defenses' dummies) are not source variables: static analysis
+        # sees an opaque allocation, not a named layout.
+        if alloca.var_name and not alloca.var_name.startswith("__"):
+            offsets[alloca.var_name] = cursor
+    return offsets
+
+
 class Machine:
     """Executes one process image.
 
@@ -454,32 +488,12 @@ class Machine:
     def baseline_frame_layout(self, function_name: str) -> Dict[str, int]:
         """The *static* layout an attacker derives from the binary.
 
-        Returns var_name -> offset below the frame top (positive numbers;
-        larger offset = lower address).  Only meaningful for unhardened
-        functions whose layout is the same every call; for a
-        Smokestack-hardened function the named slots no longer exist and
-        this returns an empty mapping — which is precisely what the
-        attacker's static analysis would find.
+        See :func:`baseline_frame_layout`; this machine's stack protector
+        setting decides whether the canary slot is counted.
         """
-        function = self.module.get_function(function_name)
-        offsets: Dict[str, int] = {}
-        cursor = 8  # return cookie
-        if self.stack_protector:
-            cursor += 8
-        for alloca in function.static_allocas():
-            if not alloca.is_static():
-                continue
-            size = alloca.static_size()
-            cursor += size
-            remainder = cursor % alloca.align
-            if remainder:
-                cursor += alloca.align - remainder
-            # Pass-internal slots (the Smokestack unified frame, padding
-            # defenses' dummies) are not source variables: static analysis
-            # sees an opaque allocation, not a named layout.
-            if alloca.var_name and not alloca.var_name.startswith("__"):
-                offsets[alloca.var_name] = cursor
-        return offsets
+        return baseline_frame_layout(
+            self.module.get_function(function_name), self.stack_protector
+        )
 
     def push_probe_frame(self, function_name: str) -> Frame:
         """Push a real frame for layout probing, without executing code.

@@ -366,7 +366,7 @@ _STD_CELLS = (
     "_MEM",  # memory (stack high-water mark)
     "_SB",   # stack window base
     "_SE",   # stack window end
-    "_SD",   # stack bytearray
+    "_SD",   # stack mmap (fixed length; sliced and slice-assigned)
     "_DD",   # data bytearray
     "_DAE",  # data window end
     "_UNR",  # _unreachable

@@ -15,6 +15,13 @@ stack     grows down  rw-          call frames
 ========  ==========  ===========  =======================================
 
 Addresses are plain integers.  All multi-byte accesses are little-endian.
+The stack segment is a private anonymous ``mmap`` of the full stack
+limit: the kernel hands out zero pages on first touch, so a process start
+costs no zero-fill and only the pages a run reaches count towards host
+memory.  Being private, it stays copy-on-write across ``fork`` like a
+bytearray: a forked worker never shares stack pages with its parent.
+The stack never grows (its bounds are fixed at construction); the other
+segments are bytearrays that the loader and the heap extend.
 Crucially for the DOP experiments, **writes are only checked against
 segment bounds and permissions — never against object bounds** — so a
 buffer overflow really does corrupt whatever the adjacent bytes are,
@@ -23,10 +30,11 @@ exactly like hardware.
 
 from __future__ import annotations
 
+import mmap
 import struct
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import VMFault
+from repro.errors import VMError, VMFault
 
 # Segment bases (chosen far apart so segments can grow in tests).
 CODE_BASE = 0x0001_0000
@@ -39,7 +47,12 @@ POINTER_BYTES = 8
 
 
 class Segment:
-    """One contiguous mapped region."""
+    """One contiguous mapped region.
+
+    ``data`` is a ``bytearray`` unless the segment is built with
+    ``fixed=True``, which backs it with a zero-filled private anonymous
+    ``mmap`` that :meth:`grow` refuses to extend.
+    """
 
     __slots__ = ("name", "base", "data", "readable", "writable", "executable")
 
@@ -51,10 +64,15 @@ class Segment:
         readable: bool = True,
         writable: bool = True,
         executable: bool = False,
+        fixed: bool = False,
     ):
         self.name = name
         self.base = base
-        self.data = bytearray(size)
+        self.data = (
+            mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+            if fixed
+            else bytearray(size)
+        )
         self.readable = readable
         self.writable = writable
         self.executable = executable
@@ -71,6 +89,8 @@ class Segment:
         return self.base <= address and address + length <= self.base + len(self.data)
 
     def grow(self, new_size: int) -> None:
+        if isinstance(self.data, mmap.mmap):
+            raise VMError(f"the {self.name} segment has fixed bounds")
         if new_size > len(self.data):
             self.data.extend(b"\x00" * (new_size - len(self.data)))
 
@@ -84,7 +104,7 @@ class Memory:
         self.rodata = Segment("rodata", RODATA_BASE, 0, writable=False)
         self.data = Segment("data", DATA_BASE, 0)
         self.heap = Segment("heap", HEAP_BASE, 0)
-        self.stack = Segment("stack", stack_base, stack_limit)
+        self.stack = Segment("stack", stack_base, stack_limit, fixed=True)
         #: cached for the typed-access fast paths (never changes).
         self._stack_base = stack_base
         self._segments: List[Segment] = [
@@ -198,7 +218,7 @@ class Memory:
     def read_int(self, address: int, size: int, signed: bool) -> int:
         # Typed loads are the VM's hottest memory operation.  The fast
         # paths below pick stack/heap/data by base address (always
-        # readable, bases fixed and ordered) and slice the bytearray
+        # readable, bases fixed and ordered) and slice the segment buffer
         # directly; anything else — rodata/code reads, out-of-range
         # addresses — falls through to the general path so permission
         # checks and fault diagnostics are unchanged.
@@ -297,13 +317,13 @@ class Memory:
 
     def read_cstring(self, address: int, limit: int = 1 << 20) -> bytes:
         """Read a NUL-terminated byte string (faults propagate)."""
-        # Fast path: scan for the NUL with bytearray.find inside the
-        # containing segment.
+        # Fast path: scan for the NUL with find() inside the containing
+        # segment (bytearray and mmap alike).
         segment = self.segment_for(address, 1)
         if segment.readable:
             offset = address - segment.base
             end = min(offset + limit, len(segment.data))
-            nul = segment.data.find(0, offset, end)
+            nul = segment.data.find(b"\x00", offset, end)
             if nul >= 0:
                 return bytes(segment.data[offset:nul])
         # No terminator inside this segment (or unreadable): replay the

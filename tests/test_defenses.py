@@ -295,3 +295,81 @@ class TestSmokestackDefense:
         hardened = SmokestackDefense().build(PROBE, instance_seed=1)
         result = hardened.make_machine().run()
         assert result.exit_code == baseline.exit_code
+
+
+def _corpus_modules():
+    """Compiled modules of benchsuite + canned + examples + fuzz_cases(48)."""
+    from repro.benchsuite.programs import WORKLOADS
+    from repro.core.pipeline import compile_source
+    from repro.synth.campaign import canned_cases, example_cases, fuzz_cases
+
+    examples = str(Path(__file__).resolve().parent.parent / "examples" / "minic")
+    sources = [w.source for _, w in sorted(WORKLOADS.items())] + [
+        case.source
+        for case in canned_cases() + example_cases(examples) + fuzz_cases(48)
+    ]
+    return [compile_source(source) for source in sources]
+
+
+class TestReferenceLayouts:
+    """The declaration-order layout is computed in one place, and it is
+    where the VM really puts every named slot."""
+
+    @pytest.fixture(scope="class")
+    def modules(self):
+        return _corpus_modules()
+
+    @pytest.mark.parametrize("stack_protector", [False, True])
+    def test_static_layout_matches_pushed_frames(self, modules, stack_protector):
+        from repro.defenses.base import reference_layouts_of
+        from repro.vm.interpreter import Machine, baseline_frame_layout
+
+        checked = 0
+        for module in modules:
+            reference = reference_layouts_of(module)
+            machine = Machine(module, stack_protector=stack_protector)
+            for name, function in module.functions.items():
+                expected = baseline_frame_layout(function, stack_protector)
+                assert machine.baseline_frame_layout(name) == expected
+                if not stack_protector:
+                    assert reference[name] == expected
+                frame = machine.push_probe_frame(name)
+                pushed = {
+                    var: frame.frame_top - address
+                    for var, address in frame.local_addresses().items()
+                    if not var.startswith("__")
+                }
+                machine.pop_probe_frame()
+                assert pushed == expected, (module.name, name)
+                checked += 1
+        assert checked > 200
+
+
+class TestLayoutColumns:
+    """Each scheme's ``columns`` is its ``layouts`` family read by column."""
+
+    @pytest.mark.parametrize("defense", DEFENSE_ORDER)
+    def test_columns_match_layouts(self, defense):
+        from repro.analysis.reach import layout_columns
+        from repro.defenses.registry import defense_class
+        from repro.synth.campaign import canned_cases, example_cases, fuzz_cases
+        from repro.synth.facts import ProgramFacts
+
+        scheme = defense_class(defense)
+        examples = str(
+            Path(__file__).resolve().parent.parent / "examples" / "minic"
+        )
+        cases = canned_cases() + example_cases(examples) + fuzz_cases(16)
+        for case in cases:
+            facts = ProgramFacts(case.source, case.name)
+            for function in facts.functions():
+                for samples, seed in ((16, 0), (64, 3)):
+                    kwargs = dict(
+                        samples=samples,
+                        seed=seed,
+                        module=facts.module,
+                        facts=facts.of(function),
+                    )
+                    assert scheme.columns(function, **kwargs) == layout_columns(
+                        scheme.layouts(function, **kwargs)
+                    ), (case.name, function.name)

@@ -199,3 +199,20 @@ def test_property_lexical_permutation_is_permutation(n, index):
     index = index % math.factorial(n)
     order = nth_lexical_permutation(n, index)
     assert sorted(order) == list(range(n))
+
+
+def test_inlined_shuffle_deals_like_random_shuffle():
+    """generate_table's shuffle draws exactly as random.shuffle does, so
+    every table is the one the library shuffle would deal."""
+    import random
+
+    from repro.core.permutation import _shuffle
+
+    for seed in range(64):
+        for n in (0, 1, 2, 5, 9, 17, 33):
+            expected, actual = list(range(n)), list(range(n))
+            reference, inlined = random.Random(seed), random.Random(seed)
+            reference.shuffle(expected)
+            _shuffle(actual, inlined.getrandbits)
+            assert actual == expected
+            assert inlined.getrandbits(32) == reference.getrandbits(32)

@@ -1,8 +1,10 @@
 """Memory model unit tests: segments, permissions, faults, accounting."""
 
+import os
+
 import pytest
 
-from repro.errors import VMFault
+from repro.errors import VMError, VMFault
 from repro.vm.memory import (
     CODE_BASE,
     DATA_BASE,
@@ -189,6 +191,73 @@ class TestStackSegment:
         with pytest.raises(VMFault) as excinfo:
             memory.read_cstring(STACK_TOP - 3)
         assert (excinfo.value.kind, excinfo.value.address) == ("unmapped", STACK_TOP)
+
+
+class TestMmapStack:
+    """The stack is a private anonymous mmap: zero pages per process,
+    copy-on-write across fork, fixed bounds."""
+
+    DIRTY_SRC = """
+    int fill(int n) {
+      char buf[256];
+      int i = 0;
+      while (i < 256) { buf[i] = (char)(n + i + 1); i = i + 1; }
+      if (n == 0) return buf[7];
+      return fill(n - 1) + buf[3];
+    }
+    int main() { return fill(40) & 255; }
+    """
+
+    def test_fresh_machine_reads_zero_where_a_run_wrote(self):
+        from repro.core.pipeline import compile_source
+        from repro.vm.interpreter import Machine
+
+        module = compile_source(self.DIRTY_SRC)
+        dirty = Machine(module)
+        assert dirty.run().outcome == "exit"
+        stack = dirty.memory.stack
+        image = bytes(stack.data)
+        touched = [stack.base + i for i, byte in enumerate(image) if byte]
+        assert len(touched) > 40 * 256
+        fresh = Machine(module)
+        assert fresh.memory.stack.data is not stack.data
+        for address in touched:
+            assert fresh.memory.read_int(address, 1, signed=False) == 0
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_does_not_share_stack_pages(self, memory):
+        address = memory.stack.base + 4096
+        memory.write_bytes(address, b"parent")
+        pid = os.fork()
+        if pid == 0:  # child: dirty the inherited stack, then leave
+            try:
+                memory.write_bytes(address, b"child!")
+                memory.write_bytes(address + 8192, b"\xff")
+            finally:
+                os._exit(0)
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+        assert memory.read_bytes(address, 6) == b"parent"
+        assert memory.read_int(address + 8192, 1, signed=False) == 0
+
+    def test_heap_cannot_grow_into_the_stack(self, memory):
+        room = memory.stack.base - memory.heap.end
+        memory.heap_grow(room)  # exactly up to the stack's base
+        with pytest.raises(VMFault) as excinfo:
+            memory.heap_grow(1)
+        assert excinfo.value.kind == "out-of-memory"
+
+    def test_touch_below_the_base_overflows(self, memory):
+        memory.touch_stack(memory.stack.base)
+        with pytest.raises(VMFault) as excinfo:
+            memory.touch_stack(memory.stack.base - 16)
+        assert excinfo.value.kind == "stack-overflow"
+
+    def test_stack_segment_refuses_to_grow(self, memory):
+        size = memory.stack.size
+        with pytest.raises(VMError):
+            memory.stack.grow(size + 4096)
+        assert memory.stack.size == size == DEFAULT_STACK_LIMIT
 
 
 DEEP_RECURSION_SRC = """
