@@ -13,6 +13,10 @@ changes:
   time and the amortization over 1 and 10 real runs of the same build;
 * **aes** — T-table AES blocks/sec against the byte-level FIPS-197
   reference implementation;
+* **restart** — per-attempt wall time of the canned CVE attacks under
+  every defense, starting a fresh process per attempt against
+  restarting one process in place (identical ExecutionResult asserted),
+  as median and quartiles;
 * **suite** — wall-clock for a Figure-3-style measurement campaign
   under the current harness (single parse per workload, the default
   JIT engine, T-table AES, optional ``--jobs``) against an emulation of
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import statistics
 import sys
 import time
@@ -59,6 +64,9 @@ SUITE_SCHEMES_QUICK = ("aes-10",)
 AMORTIZATION_RUNS = 10
 AES_BLOCKS = 8192
 AES_BLOCKS_QUICK = 1024
+#: attack attempts per (canned victim, defense) behind the restart row
+RESTART_ATTEMPTS = 8
+RESTART_ATTEMPTS_QUICK = 3
 
 
 def bench_interpreter(workload_name: str) -> dict:
@@ -184,6 +192,76 @@ def bench_jit(workload_name: str) -> dict:
         "speedup_vs_fast": round(fast_seconds / warm_seconds, 2),
         "speedup_vs_slow": round(slow_seconds / warm_seconds, 2),
         "amortization_runs": amortization,
+    }
+
+
+def _quartiles_ms(samples) -> dict:
+    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return {
+        "median": round(median * 1000, 3),
+        "q1": round(q1 * 1000, 3),
+        "q3": round(q3 * 1000, 3),
+    }
+
+
+def bench_restart(attempts: int) -> dict:
+    """A fresh process per attack attempt vs one process restarted.
+
+    Each canned CVE scenario attacks each defense on two builds with the
+    same instance seed, so both draw the same per-start randomness.
+    Attempt by attempt, one build starts a fresh ``Machine`` and the
+    other restarts the machine of its previous attempt
+    (:meth:`AttackScenario.start`, as the campaign harness does); the
+    two results must be identical.  The first attempt is fresh on both
+    sides and untimed; every later one is timed whole (input hook,
+    start, run).
+    """
+    from repro.attacks import dop, librelp, proftpd, wireshark
+    from repro.defenses.registry import defense_names, make_defense
+    from repro.vm.interpreter import result_fingerprint
+
+    scenarios = [
+        dop.Listing1DopAttack(),
+        wireshark.WiresharkDopAttack(),
+        proftpd.ProftpdDopAttack(),
+        librelp.LibrelpDopAttack(),
+    ]
+    fresh_seconds, restart_seconds = [], []
+    for scenario in scenarios:
+        for name in defense_names():
+            fresh_build, restart_build = (
+                make_defense(name).build(scenario.source) for _ in range(2)
+            )
+            machine = None
+            for attempt in range(attempts):
+                start = time.perf_counter()
+                fresh = scenario.run_once(
+                    fresh_build, random.Random(attempt), attempt
+                )
+                fresh_elapsed = time.perf_counter() - start
+                start = time.perf_counter()
+                machine = scenario.start(
+                    restart_build, random.Random(attempt), attempt, machine
+                )
+                restarted = machine.run()
+                restart_elapsed = time.perf_counter() - start
+                if result_fingerprint(fresh) != result_fingerprint(restarted):
+                    raise SystemExit(
+                        f"restart mismatch: {scenario.name} under {name}, "
+                        f"attempt {attempt}: {fresh!r} != {restarted!r}"
+                    )
+                if attempt:
+                    fresh_seconds.append(fresh_elapsed)
+                    restart_seconds.append(restart_elapsed)
+    fresh_ms = _quartiles_ms(fresh_seconds)
+    restart_ms = _quartiles_ms(restart_seconds)
+    return {
+        "victims": [scenario.name for scenario in scenarios],
+        "defenses": len(defense_names()),
+        "timed_attempts": len(restart_seconds),
+        "fresh_ms": fresh_ms,
+        "restart_ms": restart_ms,
+        "speedup": round(fresh_ms["median"] / restart_ms["median"], 2),
     }
 
 
@@ -338,12 +416,16 @@ def main() -> int:
     suite_names = SUITE_WORKLOADS_QUICK if args.quick else SUITE_WORKLOADS
     suite_schemes = SUITE_SCHEMES_QUICK if args.quick else SUITE_SCHEMES
     aes_blocks = AES_BLOCKS_QUICK if args.quick else AES_BLOCKS
+    restart_attempts = (
+        RESTART_ATTEMPTS_QUICK if args.quick else RESTART_ATTEMPTS
+    )
 
     report = {
         "quick": args.quick,
         "interpreter": bench_interpreter(dispatch_workload),
         "jit": bench_jit(dispatch_workload),
         "aes": bench_aes(aes_blocks),
+        "restart": bench_restart(restart_attempts),
         "tracing": bench_tracing(dispatch_workload),
         "suite": bench_suite(suite_names, suite_schemes, args.jobs),
     }
@@ -364,6 +446,10 @@ def main() -> int:
           f"{amort[str(AMORTIZATION_RUNS)]['instr_per_sec']:,}")
     print(f"aes:         {aes_report['ttable_blocks_per_sec']:,} blocks/sec "
           f"({aes_report['speedup']}x over byte-level reference)")
+    restart = report["restart"]
+    print(f"restart:     {restart['restart_ms']['median']} ms per restarted "
+          f"attempt vs {restart['fresh_ms']['median']} ms fresh "
+          f"({restart['speedup']}x, median of {restart['timed_attempts']})")
     tracing = report["tracing"]
     print(f"tracing:     untraced {tracing['untraced_instr_per_sec']:,} "
           f"instr/sec, traced (writes=none) overhead "

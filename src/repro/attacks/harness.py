@@ -12,6 +12,12 @@ Compile-time randomness is drawn once per campaign (one deployed build);
 run-time and load-time randomness is fresh per restart.  That split is
 the mechanism behind the paper's §II-C result: brute force converges
 against compile-time schemes and does not against Smokestack.
+
+A campaign runs one process of the build: the first attempt is a fresh
+start and every later one restarts that process in place
+(:meth:`ProgramBuild.restart`), which draws the same per-start
+randomness as a fresh start but keeps the decoded code.  Traced attempts
+(a scenario whose ``machine_kwargs`` carry a tracer) always start fresh.
 """
 
 from __future__ import annotations
@@ -60,12 +66,26 @@ class AttackScenario:
         """Did the attack achieve its end (e.g. secret in the output)?"""
         raise NotImplementedError
 
+    def start(
+        self,
+        build: ProgramBuild,
+        rng: random.Random,
+        attempt: int,
+        machine: Optional[Machine] = None,
+    ) -> Machine:
+        """One process start for ``attempt``, ready to run: ``machine``
+        (an earlier process of ``build``) restarted in place, or a fresh
+        process when there is none or either side is traced."""
+        hook = self.make_input_hook(build, rng, attempt)
+        kwargs = self.machine_kwargs()
+        if machine is None or machine.traced or kwargs.get("tracer") is not None:
+            return build.make_machine(input_hook=hook, **kwargs)
+        return build.restart(machine, input_hook=hook, **kwargs)
+
     def run_once(
         self, build: ProgramBuild, rng: random.Random, attempt: int
     ) -> ExecutionResult:
-        hook = self.make_input_hook(build, rng, attempt)
-        machine = build.make_machine(input_hook=hook, **self.machine_kwargs())
-        return machine.run()
+        return self.start(build, rng, attempt).run()
 
 
 def run_campaign(
@@ -78,9 +98,11 @@ def run_campaign(
     """Attack one deployment of ``scenario.source`` under ``defense``."""
     build = defense.build(scenario.source, instance_seed=seed)
     report = AttackReport(scenario.name, defense.name)
+    machine: Optional[Machine] = None
     for attempt in range(restarts):
         rng = random.Random((seed << 16) ^ (attempt * 0x9E37) ^ 0xA77ACC)
-        result = scenario.run_once(build, rng, attempt)
+        machine = scenario.start(build, rng, attempt, machine)
+        result = machine.run()
         outcome = classify_result(result, scenario.goal_met(result))
         report.record(outcome, detail=result.error_message)
         if stop_on_success and outcome == "success":

@@ -121,20 +121,48 @@ class HardenedProgram:
         self.pbox = pbox
         self.config = config
 
+    def start_options(
+        self,
+        entropy: Optional[EntropySource] = None,
+        scheme: Optional[str] = None,
+        **machine_kwargs,
+    ) -> dict:
+        """Machine options for one process start: ``machine_kwargs`` plus
+        an ``rng_source`` of the configured randomness scheme.
+
+        ``scheme`` overrides the compile-time default, which is how the
+        Figure 3 harness runs the same hardened binary under all four
+        randomness sources.
+        """
+        machine_kwargs["rng_source"] = make_source(
+            scheme or self.config.scheme, entropy
+        )
+        return machine_kwargs
+
     def make_machine(
         self,
         entropy: Optional[EntropySource] = None,
         scheme: Optional[str] = None,
         **machine_kwargs,
     ) -> Machine:
-        """A :class:`Machine` wired with the configured randomness scheme.
+        """A fresh process wired with the configured randomness scheme
+        (see :meth:`start_options`)."""
+        return Machine(
+            self.module, **self.start_options(entropy, scheme, **machine_kwargs)
+        )
 
-        ``scheme`` overrides the compile-time default, which is how the
-        Figure 3 harness runs the same hardened binary under all four
-        randomness sources.
-        """
-        source = make_source(scheme or self.config.scheme, entropy)
-        return Machine(self.module, rng_source=source, **machine_kwargs)
+    def restart(
+        self,
+        machine: Machine,
+        entropy: Optional[EntropySource] = None,
+        scheme: Optional[str] = None,
+        **machine_kwargs,
+    ) -> Machine:
+        """Start ``machine``, a process of this program, again in place
+        with a fresh randomness source (see :meth:`Machine.restart`)."""
+        return machine.restart(
+            **self.start_options(entropy, scheme, **machine_kwargs)
+        )
 
     def pbox_bytes(self) -> int:
         return self.pbox.size_bytes()

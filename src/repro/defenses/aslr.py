@@ -14,7 +14,6 @@ import random
 
 from repro.core.pipeline import compile_source
 from repro.defenses.base import Defense, ProgramBuild, reference_layouts_of
-from repro.vm.interpreter import Machine
 
 #: Span of the random displacement (bytes).  16-byte granularity is
 #: enforced by the VM to preserve ABI stack alignment.
@@ -35,13 +34,14 @@ class StackBaseASLR(Defense):
 
     def build(self, source: str, instance_seed: int = 0) -> ProgramBuild:
         module = compile_source(source)
-        layouts = reference_layouts_of(module)
         rng = random.Random(instance_seed ^ 0xA51A51)
         span = self.entropy_span
 
-        def factory(**kwargs) -> Machine:
-            # A fresh displacement per process start (machine creation).
+        def start_options(**kwargs):
+            # A fresh displacement per process start.
             kwargs.setdefault("stack_base_offset", rng.randrange(0, span, 16))
-            return Machine(module, **kwargs)
+            return kwargs
 
-        return ProgramBuild(self.name, module, factory, layouts)
+        return ProgramBuild(
+            self.name, module, reference_layouts_of(module), start_options
+        )

@@ -10,8 +10,12 @@ The essential distinction the paper draws is *when* randomness is drawn:
 
 :class:`Defense.build` therefore models one *deployment*: compile-time
 randomness is fixed inside the returned :class:`ProgramBuild`, while each
-:meth:`ProgramBuild.make_machine` call models one process start (load-time
-and run-time randomness fresh).
+process start draws load-time and run-time randomness fresh.  A start is
+either fresh (:meth:`ProgramBuild.make_machine` loads a new process) or a
+restart (:meth:`ProgramBuild.restart` starts an existing process of the
+build again in place, keeping its decoded code); both draw the same
+per-start options, in the same order, from the build's start-options
+function.
 
 ``layout_oracle`` returns what the attacker's *static analysis of the
 reference binary* reveals about a function's frame: the paper's threat
@@ -30,7 +34,7 @@ and :mod:`repro.synth.layouts`, which know no defense by name.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.analysis.reach import (
     FrameLayout,
@@ -45,24 +49,53 @@ from repro.synth.layouts import GapModel, gap_model
 from repro.vm.interpreter import Machine, baseline_frame_layout
 
 
+#: A build's per-start options: takes the caller's Machine options and
+#: returns them with the scheme's own added — the load-time draws (ASLR
+#: and CleanStack offsets, Smokestack's entropy) taken once per call.
+StartOptions = Callable[..., Dict[str, Any]]
+
+
+def _as_given(**kwargs) -> Dict[str, Any]:
+    return kwargs
+
+
 class ProgramBuild:
-    """One deployed build of a program under some defense."""
+    """One deployed build of a program under some defense.
+
+    A process of the build starts either fresh (:meth:`make_machine`) or
+    as a restart of an earlier process (:meth:`restart`); both draw the
+    scheme's per-start options from ``start_options``, once per start.
+    """
 
     def __init__(
         self,
         defense_name: str,
         module: Module,
-        machine_factory: Callable[..., Machine],
         reference_layouts: Dict[str, Dict[str, int]],
+        start_options: StartOptions = _as_given,
     ):
         self.defense_name = defense_name
         self.module = module
-        self._machine_factory = machine_factory
         self._reference_layouts = reference_layouts
+        self._start_options = start_options
 
     def make_machine(self, **kwargs) -> Machine:
-        """A fresh process (one service start / one restart)."""
-        return self._machine_factory(**kwargs)
+        """A fresh process: load the build and start it."""
+        return Machine(self.module, **self._start_options(**kwargs))
+
+    def restart(self, machine: Machine, **kwargs) -> Machine:
+        """Start ``machine``, a process of this build, again in place.
+
+        Draws exactly what :meth:`make_machine` draws; the run that
+        follows matches a fresh process given the same draws (see
+        :meth:`Machine.restart`).
+        """
+        if machine.module is not self.module:
+            raise ValueError(
+                f"machine runs {machine.module.name!r}, not this "
+                f"{self.defense_name} build"
+            )
+        return machine.restart(**self._start_options(**kwargs))
 
     def layout_oracle(self, function_name: str) -> Dict[str, int]:
         """What static analysis of the reference binary says about a frame.
@@ -198,12 +231,7 @@ class NoDefense(Defense):
 
     def build(self, source: str, instance_seed: int = 0) -> ProgramBuild:
         module = compile_source(source)
-        layouts = reference_layouts_of(module)
-
-        def factory(**kwargs) -> Machine:
-            return Machine(module, **kwargs)
-
-        return ProgramBuild(self.name, module, factory, layouts)
+        return ProgramBuild(self.name, module, reference_layouts_of(module))
 
 
 class StackCanary(Defense):
@@ -223,10 +251,11 @@ class StackCanary(Defense):
 
     def build(self, source: str, instance_seed: int = 0) -> ProgramBuild:
         module = compile_source(source)
-        layouts = reference_layouts_of(module)
 
-        def factory(**kwargs) -> Machine:
+        def start_options(**kwargs):
             kwargs.setdefault("stack_protector", True)
-            return Machine(module, **kwargs)
+            return kwargs
 
-        return ProgramBuild(self.name, module, factory, layouts)
+        return ProgramBuild(
+            self.name, module, reference_layouts_of(module), start_options
+        )

@@ -35,7 +35,6 @@ from repro.defenses.base import Defense, ProgramBuild, reference_layouts_of
 from repro.ir.module import Function, Module
 from repro.synth.facts import FunctionFacts
 from repro.synth.layouts import GapModel, cleanstack_gap_model
-from repro.vm.interpreter import Machine
 
 #: Span of the unclean stack's load-time displacement (bytes), matching
 #: the stack-base ASLR span; the VM enforces 16-byte granularity.
@@ -56,22 +55,23 @@ class CleanStackDefense(Defense):
 
     def build(self, source: str, instance_seed: int = 0) -> ProgramBuild:
         module = compile_source(source)
-        layouts = reference_layouts_of(module)
         # The partition is a compile-time artifact: static analysis over
         # the taint verdicts, baked into the deployment.
         unclean = machine_partition(partition_module(module))
         rng = random.Random(instance_seed ^ 0xC1EA45)
         span = self.entropy_span
 
-        def factory(**kwargs) -> Machine:
+        def start_options(**kwargs):
             kwargs.setdefault("clean_partition", unclean)
             # A fresh unclean-stack displacement per process start.
             kwargs.setdefault(
                 "unsafe_stack_offset", rng.randrange(0, span, 16)
             )
-            return Machine(module, **kwargs)
+            return kwargs
 
-        return ProgramBuild(self.name, module, factory, layouts)
+        return ProgramBuild(
+            self.name, module, reference_layouts_of(module), start_options
+        )
 
     @classmethod
     def layouts(

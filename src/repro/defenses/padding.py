@@ -32,7 +32,6 @@ from repro.ir.module import Function, Module
 from repro.minic import types as ct
 from repro.synth.facts import FunctionFacts
 from repro.synth.layouts import GapModel, gap_model
-from repro.vm.interpreter import Machine
 
 #: The 8 possible paddings of the original scheme.
 PAD_CHOICES = tuple(range(8, 72, 8))
@@ -94,11 +93,7 @@ class ForrestPadding(Defense):
         module = compile_source(source)
         applied = apply_module_padding(module, instance_seed)
         module.metadata["forrest_padding"] = applied
-
-        def factory(**kwargs) -> Machine:
-            return Machine(module, **kwargs)
-
-        return ProgramBuild(self.name, module, factory, layouts)
+        return ProgramBuild(self.name, module, layouts)
 
     @classmethod
     def layouts(

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from repro.core.pipeline import compile_source
 from repro.defenses.base import Defense, ProgramBuild, reference_layouts_of
-from repro.vm.interpreter import Machine
 
 
 class ShadowStackDefense(Defense):
@@ -36,10 +35,11 @@ class ShadowStackDefense(Defense):
 
     def build(self, source: str, instance_seed: int = 0) -> ProgramBuild:
         module = compile_source(source)
-        layouts = reference_layouts_of(module)
 
-        def factory(**kwargs) -> Machine:
+        def start_options(**kwargs):
             kwargs.setdefault("shadow_stack", True)
-            return Machine(module, **kwargs)
+            return kwargs
 
-        return ProgramBuild(self.name, module, factory, layouts)
+        return ProgramBuild(
+            self.name, module, reference_layouts_of(module), start_options
+        )

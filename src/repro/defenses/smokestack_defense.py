@@ -23,7 +23,6 @@ from repro.defenses.base import Defense, ProgramBuild
 from repro.ir.module import Function, Module
 from repro.rng.entropy import DeterministicEntropy, EntropySource
 from repro.synth.facts import FunctionFacts
-from repro.vm.interpreter import Machine
 
 
 class SmokestackDefense(Defense):
@@ -48,7 +47,7 @@ class SmokestackDefense(Defense):
         scheme = self.config.scheme
         starts = [0]  # distinct per-process entropy across restarts
 
-        def factory(**kwargs) -> Machine:
+        def start_options(**kwargs):
             if entropy is not None:
                 process_entropy = entropy
             else:
@@ -59,13 +58,13 @@ class SmokestackDefense(Defense):
                 process_entropy = DeterministicEntropy(
                     (instance_seed << 20) ^ starts[0]
                 )
-            return hardened.make_machine(
+            return hardened.start_options(
                 entropy=process_entropy, scheme=scheme, **kwargs
             )
 
         # Static analysis of a hardened binary finds one unified frame per
         # function and no per-variable slots: the oracle is empty.
-        return ProgramBuild(self.name, hardened.module, factory, {})
+        return ProgramBuild(self.name, hardened.module, {}, start_options)
 
     @classmethod
     def layouts(

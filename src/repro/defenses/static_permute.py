@@ -27,7 +27,6 @@ from repro.defenses.base import Defense, ProgramBuild, reference_layouts_of
 from repro.ir.instructions import Alloca, Instruction
 from repro.ir.module import Function, Module
 from repro.synth.facts import FunctionFacts
-from repro.vm.interpreter import Machine
 
 
 def permute_function_allocas(function: Function, rng: random.Random) -> List[str]:
@@ -83,11 +82,7 @@ class StaticPermutation(Defense):
         module.metadata["static_permutation"] = permute_module(
             module, instance_seed
         )
-
-        def factory(**kwargs) -> Machine:
-            return Machine(module, **kwargs)
-
-        return ProgramBuild(self.name, module, factory, layouts)
+        return ProgramBuild(self.name, module, layouts)
 
     @classmethod
     def layouts(

@@ -259,13 +259,21 @@ def check_program(
         hardened = harden_module(
             build(), SmokestackConfig(scheme="pseudo")
         )
+        # One process, restarted for every seed after the first: a
+        # restart must give what a fresh process gives, so the seed
+        # comparisons below also check restarts on generated programs.
         runs = []
+        machine = None
         for seed in harden_seeds:
-            machine = hardened.make_machine(
+            options = dict(
                 entropy=DeterministicEntropy(seed),
                 scheme="pseudo",
                 max_steps=max_steps,
             )
+            if machine is None:
+                machine = hardened.make_machine(**options)
+            else:
+                hardened.restart(machine, **options)
             runs.append((seed, _run_machine(machine)))
         first_seed, first = runs[0]
         if _limited(reference) or _limited(first):

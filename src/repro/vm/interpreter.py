@@ -59,7 +59,16 @@ from repro.vm.memory import STACK_TOP, Memory
 from repro.vm.process import ProcessImage, install_missing_globals, load
 
 DEFAULT_MAX_STEPS = 50_000_000
+DEFAULT_CANARY = 0x00E2_57AC_CA0B_0A17
 _U64 = (1 << 64) - 1
+
+
+def _count_start(kind: str) -> None:
+    """Count one process start (``fresh`` or ``restart``)."""
+    # Imported here: repro.obs pulls in tracing, which imports this module.
+    from repro.obs.metrics import get_registry
+
+    get_registry().counter("vm_process_starts_total", kind=kind).inc()
 
 
 class _ExitProgram(Exception):
@@ -247,6 +256,13 @@ def baseline_frame_layout(
 class Machine:
     """Executes one process image.
 
+    Each process start is either *fresh* — ``Machine(...)`` loads the
+    image and builds the engine — or a *restart*: :meth:`restart` resets
+    the same machine's memory in place and draws new per-start options,
+    keeping the decoded and compiled code.  Both give the same
+    :class:`ExecutionResult` for the same options
+    (``vm_process_starts_total{kind=fresh|restart}`` counts each).
+
     Parameters
     ----------
     image_or_module:
@@ -309,7 +325,7 @@ class Machine:
         max_steps: int = DEFAULT_MAX_STEPS,
         stack_protector: bool = False,
         scheduling_effects: bool = False,
-        canary_value: int = 0x00E2_57AC_CA0B_0A17,
+        canary_value: int = DEFAULT_CANARY,
         stack_base_offset: int = 0,
         clean_partition: Optional[Dict[str, FrozenSet[int]]] = None,
         unsafe_stack_offset: int = 0,
@@ -319,55 +335,37 @@ class Machine:
         jit: Optional[bool] = None,
         tracer=None,
     ):
+        # The code-shaping half, built once per machine: the image, the
+        # cost model, the engine and everything decoded or compiled
+        # against them.  restart() keeps all of it.
         if isinstance(image_or_module, Module):
             self.image = load(image_or_module)
         else:
             self.image = image_or_module
         self.module: Module = self.image.module
         self.memory: Memory = self.image.memory
-        self.inputs: List[bytes] = list(inputs or [])
-        self.input_hook = input_hook
-        self.rng_source = rng_source
-        self.max_steps = max_steps
         self.stack_protector = stack_protector
-        self.canary_value = canary_value
         self.cost = CostModel(scheduling_effects=scheduling_effects)
         if "smokestack" in self.module.metadata:
             self.cost.variant = "ss"
-        self.frames: List[Frame] = []
-        self.result = ExecutionResult()
-        self.call_counts: Dict[str, int] = {}
-        self.universal_call_counter = 0  # paper: feeds AES-CTR reseeding
-        if not 0 <= stack_base_offset < self.memory.stack.size // 2:
-            raise VMError(
-                f"stack_base_offset {stack_base_offset} out of range"
-            )
-        # Load-time stack-base randomization (ASLR-style defenses).
-        self._stack_top = STACK_TOP - (stack_base_offset & ~0xF)
         # CleanStack-style dual stack: frames listed in ``clean_partition``
         # place the named alloca indices on a separate unclean stack in
-        # the lower half of the stack segment, whose top is itself
-        # randomized at load time by ``unsafe_stack_offset``.
-        if not 0 <= unsafe_stack_offset < self.memory.stack.size // 4:
-            raise VMError(
-                f"unsafe_stack_offset {unsafe_stack_offset} out of range"
-            )
+        # the lower half of the stack segment (see ``_start``).
         self.clean_partition = clean_partition
-        self._unsafe_top = (STACK_TOP - self.memory.stack.size // 2) - (
-            unsafe_stack_offset & ~0xF
-        )
-        self._usp = self._unsafe_top
         # Shadow-stack semantics: the return-address/metadata band lives
         # out of overflow reach, so the epilogue's cookie comparison never
         # observes guest corruption (see ``_pop_frame``).
         self.shadow_stack = shadow_stack
-        self.record_frames = record_frames
-        self.frame_trace: List[Tuple[str, int, Dict[str, int]]] = []
-        self._steps = 0
-        self._sp = self._stack_top
-        self._cookie_seed = 0x5EED_0001
-        self._guest_rng_state = 0x9E3779B97F4A7C15
-        self._heap_free: Dict[int, List[int]] = {}
+        #: the options restart() may not change, as given here
+        self._shape = {
+            "stack_protector": stack_protector,
+            "scheduling_effects": scheduling_effects,
+            "clean_partition": clean_partition,
+            "shadow_stack": shadow_stack,
+            "fast_dispatch": fast_dispatch,
+            "jit": jit,
+            "tracer": tracer,
+        }
         # Per-function alloca layouts and decoded code are valid for one
         # module *version*: in-place transforms (optimize,
         # instrument_module) bump ``Module.version`` and
@@ -378,6 +376,16 @@ class Machine:
         self._tracer = tracer
         self._builtins = self._build_builtin_table()
         self._executors = self._build_executor_table()
+        self._start(
+            inputs=inputs,
+            input_hook=input_hook,
+            rng_source=rng_source,
+            max_steps=max_steps,
+            canary_value=canary_value,
+            stack_base_offset=stack_base_offset,
+            unsafe_stack_offset=unsafe_stack_offset,
+            record_frames=record_frames,
+        )
         if tracer is not None:
             # Installs the memory write observer and wraps the
             # write-performing builtins; all mechanics live in obs.
@@ -395,6 +403,104 @@ class Machine:
         # jit machine always carries one even with fast_dispatch off.
         self._decoder = Decoder(self) if (fast_dispatch or self.jit) else None
         self._jit_engine: Optional[JitEngine] = None
+        _count_start("fresh")
+
+    def _start(
+        self,
+        *,
+        inputs: Optional[List[bytes]] = None,
+        input_hook: Optional[Callable[["Machine"], Optional[bytes]]] = None,
+        rng_source=None,
+        max_steps: int = DEFAULT_MAX_STEPS,
+        canary_value: int = DEFAULT_CANARY,
+        stack_base_offset: int = 0,
+        unsafe_stack_offset: int = 0,
+        record_frames: bool = False,
+    ) -> None:
+        """The per-start half: everything one process start draws or
+        accumulates.  ``__init__`` and :meth:`restart` both end here."""
+        stack_size = self.memory.stack.size
+        if not 0 <= stack_base_offset < stack_size // 2:
+            raise VMError(
+                f"stack_base_offset {stack_base_offset} out of range"
+            )
+        if not 0 <= unsafe_stack_offset < stack_size // 4:
+            raise VMError(
+                f"unsafe_stack_offset {unsafe_stack_offset} out of range"
+            )
+        self.inputs: List[bytes] = list(inputs or [])
+        self.input_hook = input_hook
+        self.rng_source = rng_source
+        self.max_steps = max_steps
+        self.canary_value = canary_value
+        self.cost.cycle_units = 0
+        self.frames: List[Frame] = []
+        self.result = ExecutionResult()
+        self.call_counts: Dict[str, int] = {}
+        self.universal_call_counter = 0  # paper: feeds AES-CTR reseeding
+        # Load-time stack-base randomization (ASLR-style defenses).
+        self._stack_top = STACK_TOP - (stack_base_offset & ~0xF)
+        # The unclean stack's top is itself randomized at load time by
+        # ``unsafe_stack_offset``.
+        self._unsafe_top = (STACK_TOP - stack_size // 2) - (
+            unsafe_stack_offset & ~0xF
+        )
+        self._usp = self._unsafe_top
+        self.record_frames = record_frames
+        self.frame_trace: List[Tuple[str, int, Dict[str, int]]] = []
+        self._steps = 0
+        self._sp = self._stack_top
+        self._cookie_seed = 0x5EED_0001
+        self._guest_rng_state = 0x9E3779B97F4A7C15
+        self._heap_free: Dict[int, List[int]] = {}
+
+    def restart(self, **options) -> "Machine":
+        """Start this machine's process again, in place.
+
+        Models a crashed service restarting the same deployed binary:
+        the memory returns to its just-loaded state
+        (:meth:`Memory.reset`) and every per-start option — ``inputs``,
+        ``input_hook``, ``rng_source``, ``max_steps``, ``canary_value``,
+        ``stack_base_offset``, ``unsafe_stack_offset``,
+        ``record_frames`` — takes the value given here or its default,
+        exactly as for a fresh ``Machine``.  What a restart keeps is the
+        code: the loaded image, the decoded blocks and the JIT bindings,
+        so a restarted run decodes nothing it decoded before.  The next
+        :meth:`run` gives the same :class:`ExecutionResult` as a fresh
+        machine with the same options.
+
+        The options that shape the code (``stack_protector``,
+        ``scheduling_effects``, ``clean_partition``, ``shadow_stack``,
+        ``fast_dispatch``, ``jit``) may be repeated but not changed, and
+        a traced machine — or a ``tracer`` option — is refused: a tracer
+        observes one run, so traced runs take a fresh machine.  Returns
+        the machine.
+        """
+        if self._tracer is not None or options.get("tracer") is not None:
+            raise VMError(
+                "a traced machine cannot be restarted: tracers observe "
+                "one run, so start a fresh Machine"
+            )
+        shape = self._shape
+        start = {}
+        for name, value in options.items():
+            if name not in shape:
+                start[name] = value
+            elif value is not shape[name] and value != shape[name]:
+                raise VMError(
+                    f"restart cannot change {name} ({shape[name]!r} -> "
+                    f"{value!r}): it shapes the decoded code, so start "
+                    f"a fresh Machine"
+                )
+        self._start(**start)  # validates before anything is reset
+        self.memory.reset()
+        _count_start("restart")
+        return self
+
+    @property
+    def traced(self) -> bool:
+        """Whether a tracer observes this machine (it cannot restart)."""
+        return self._tracer is not None
 
     def _sync_module_version(self) -> None:
         """Invalidate per-module caches if the module was transformed.

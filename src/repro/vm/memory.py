@@ -22,6 +22,10 @@ memory.  Being private, it stays copy-on-write across ``fork`` like a
 bytearray: a forked worker never shares stack pages with its parent.
 The stack never grows (its bounds are fixed at construction); the other
 segments are bytearrays that the loader and the heap extend.
+:meth:`Memory.reset` returns a loaded memory to its just-loaded state in
+place — the process restart a crashed service goes through — keeping
+every segment's buffer object, because decoded code and compiled JIT
+bodies hold direct references to the stack and data buffers.
 Crucially for the DOP experiments, **writes are only checked against
 segment bounds and permissions — never against object bounds** — so a
 buffer overflow really does corrupt whatever the adjacent bytes are,
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import mmap
 import struct
+import sys
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import VMError, VMFault
@@ -44,6 +49,11 @@ HEAP_BASE = 0x0040_0000
 STACK_TOP = 0x0080_0000
 DEFAULT_STACK_LIMIT = 0x20_0000  # 2 MiB
 POINTER_BYTES = 8
+
+#: ``MADV_DONTNEED`` on a private anonymous mapping makes the next read
+#: of each page a fresh zero page on Linux; elsewhere the advice may
+#: keep the old contents, so :meth:`Memory.reset` zero-fills instead.
+_DONTNEED_ZEROES = sys.platform.startswith("linux")
 
 
 class Segment:
@@ -120,6 +130,10 @@ class Memory:
         # When True, writes to rodata fault (normal).  Loaders flip this
         # off briefly while installing images.
         self._protect = True
+        #: the data segment as the loader installed it, which a restart
+        #: restores: (offset, image) of every install into data that is
+        #: not all zero (the rest of the segment starts zeroed).
+        self._data_images: List[Tuple[int, bytes]] = []
 
     # -- mapping helpers -----------------------------------------------------------
 
@@ -351,7 +365,34 @@ class Memory:
         segment.grow(segment.size + len(image))
         offset = address - segment.base
         segment.data[offset : offset + len(image)] = image
+        if segment is self.data and image.count(0) != len(image):
+            self._data_images.append((offset, bytes(image)))
         return address
+
+    def reset(self) -> None:
+        """Return the memory to its just-loaded state, in place.
+
+        The data segment is zeroed and rewritten from the pristine
+        images the loader installed (globals added later by
+        ``install_missing_globals`` included), the heap is emptied, the
+        stack reads zero again and the high-water marks and write
+        protection are reset.  Every segment keeps its buffer object:
+        decoded steps and JIT bindings capture the stack and data
+        buffers directly.
+        """
+        data = self.data.data
+        data[:] = bytes(len(data))
+        for offset, image in self._data_images:
+            data[offset : offset + len(image)] = image
+        del self.heap.data[:]
+        stack = self.stack.data
+        if _DONTNEED_ZEROES:
+            stack.madvise(mmap.MADV_DONTNEED)
+        else:
+            stack[:] = bytes(len(stack))
+        self._heap_hwm = 0
+        self._stack_hwm_low = STACK_TOP
+        self._protect = True
 
     # -- heap ---------------------------------------------------------------------------
 
