@@ -6,7 +6,7 @@ Measures the three hot paths the fast-path engine targets and writes
 changes:
 
 * **interpreter** — interpreted instructions/sec under the predecoded
-  dispatch, against the ``fast_dispatch=False`` executor-table path
+  dispatch, against the ``engine="slow"`` executor-table path
   (identical ExecutionResult required; the script asserts it);
 * **jit** — the IR→Python JIT against both interpreter paths
   (bit-identical results asserted), with the JIT's own recorded compile
@@ -76,14 +76,13 @@ def bench_interpreter(workload_name: str) -> dict:
 
     start = time.perf_counter()
     fast = Machine(
-        module_fast, inputs=list(workload.inputs), fast_dispatch=True,
-        jit=False,
+        module_fast, inputs=list(workload.inputs), engine="fast"
     ).run()
     fast_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
     slow = Machine(
-        module_slow, inputs=list(workload.inputs), fast_dispatch=False
+        module_slow, inputs=list(workload.inputs), engine="slow"
     ).run()
     slow_seconds = time.perf_counter() - start
 
@@ -125,7 +124,7 @@ def bench_jit(workload_name: str) -> dict:
 
     def jit_run_seconds() -> tuple:
         machine = Machine(
-            module, inputs=list(workload.inputs), jit=True
+            module, inputs=list(workload.inputs), engine="jit-eager"
         )
         start = time.perf_counter()
         result = machine.run()
@@ -142,8 +141,7 @@ def bench_jit(workload_name: str) -> dict:
     fast = Machine(
         compile_source(workload.source, workload.name),
         inputs=list(workload.inputs),
-        fast_dispatch=True,
-        jit=False,
+        engine="fast",
     )
     start = time.perf_counter()
     fast_result = fast.run()
@@ -152,7 +150,7 @@ def bench_jit(workload_name: str) -> dict:
     slow = Machine(
         compile_source(workload.source, workload.name),
         inputs=list(workload.inputs),
-        fast_dispatch=False,
+        engine="slow",
     )
     start = time.perf_counter()
     slow_result = slow.run()
@@ -305,8 +303,7 @@ def bench_tracing(workload_name: str) -> dict:
 
     start = time.perf_counter()
     off = Machine(
-        module_off, inputs=list(workload.inputs), fast_dispatch=True,
-        jit=False,
+        module_off, inputs=list(workload.inputs), engine="fast"
     ).run()
     off_seconds = time.perf_counter() - start
 
@@ -317,8 +314,7 @@ def bench_tracing(workload_name: str) -> dict:
     on = Machine(
         module_on,
         inputs=list(workload.inputs),
-        fast_dispatch=True,
-        jit=False,
+        engine="fast",
         tracer=tracer,
     ).run()
     on_seconds = time.perf_counter() - start
@@ -354,11 +350,11 @@ def _measure_suite_legacy(names, schemes) -> None:
     """
     for name in names:
         workload = get_workload(name)
-        baseline = runner.run_baseline(workload, fast_dispatch=False)
+        baseline = runner.run_baseline(workload, engine="slow")
         hardened = harden_source(workload.source, None, workload.name)
         for scheme in schemes:
             run = runner.run_hardened(
-                hardened, workload, scheme, fast_dispatch=False
+                hardened, workload, scheme, engine="slow"
             )
             assert run.int_outputs == baseline.int_outputs
 

@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
-"""CI gate for the IR→Python JIT (ISSUE 6 acceptance).
+"""CI gate for the IR→Python JIT.
 
 Two checks, any failure exits nonzero:
 
-1. **Equivalence matrix** — every benchsuite workload runs under all
-   three engines (jit / predecoded / executor table) and every
-   ``ExecutionResult`` field must be bit-identical; a deopt sweep runs
-   a recursive program under every step limit around interesting
-   boundaries and demands the same.
-2. **Perf smoke** — warm-cache jit instr/sec on the dispatch workload
-   (libquantum) must be at least ``--min-speedup`` (default 2x) the
+1. **Equivalence matrix** — every benchsuite workload runs under every
+   engine in :data:`repro.vm.interpreter.ENGINES` and every
+   ``ExecutionResult`` field must be bit-identical to the executor
+   table's; a deopt sweep runs a recursive program under every step
+   limit around interesting boundaries and demands the same.
+2. **Perf smoke** — warm-cache eager-jit instr/sec on the dispatch
+   workload (libquantum) must be at least :data:`MIN_SPEEDUP` the
    predecoded interpreter's.  The full self-speed benchmark asserts a
    stricter 3x locally; CI runners are noisy, so the gate is looser.
 
@@ -32,7 +32,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.benchsuite.programs import WORKLOADS, get_workload  # noqa: E402
 from repro.core.pipeline import compile_source  # noqa: E402
-from repro.vm.interpreter import RESULT_FIELDS, Machine  # noqa: E402
+from repro.vm.interpreter import ENGINES, RESULT_FIELDS, Machine  # noqa: E402
 from repro.vm.jit import clear_code_cache  # noqa: E402
 
 #: Program whose call-heavy recursion makes step-limit deopts land at
@@ -42,37 +42,33 @@ int fib(int n) { if (n < 2) { return n; } return fib(n - 1) + fib(n - 2); }
 int main() { print_int(fib(10)); return 0; }
 """
 
-ENGINES = (
-    ("jit", {"jit": True}),
-    ("fast", {"fast_dispatch": True, "jit": False}),
-    ("slow", {"fast_dispatch": False}),
-)
+#: warm-cache eager JIT over the predecoded interpreter, at least
+MIN_SPEEDUP = 2.0
 
 
-def run_one(source, name, inputs, max_steps, engine_kwargs):
-    kwargs = dict(engine_kwargs)
-    if max_steps is not None:
-        kwargs["max_steps"] = max_steps
+def run_one(source, name, inputs, max_steps, engine):
+    kwargs = {} if max_steps is None else {"max_steps": max_steps}
     machine = Machine(
-        compile_source(source, name), inputs=list(inputs), **kwargs
+        compile_source(source, name), inputs=list(inputs), engine=engine,
+        **kwargs,
     )
     return machine.run()
 
 
 def diff_engines(source, name, inputs=(), max_steps=None):
-    """Field-level mismatches of jit vs the two interpreter paths."""
+    """Field-level mismatches of every engine vs the executor table."""
     results = {
-        label: run_one(source, name, inputs, max_steps, kwargs)
-        for label, kwargs in ENGINES
+        engine: run_one(source, name, inputs, max_steps, engine)
+        for engine in ENGINES
     }
     mismatches = []
-    for other in ("fast", "slow"):
+    for engine in ENGINES:
         for field in RESULT_FIELDS:
-            a = getattr(results["jit"], field)
-            b = getattr(results[other], field)
+            a = getattr(results[engine], field)
+            b = getattr(results["slow"], field)
             if a != b:
                 mismatches.append(
-                    f"{name} (max_steps={max_steps}) jit vs {other} "
+                    f"{name} (max_steps={max_steps}) {engine} vs slow "
                     f"on {field}: {a!r} != {b!r}"
                 )
     return mismatches
@@ -98,15 +94,17 @@ def perf_smoke(workload_name: str) -> dict:
     module = compile_source(workload.source, workload.name)
 
     clear_code_cache()
-    warmup = Machine(module, inputs=list(workload.inputs), jit=True)
+    warmup = Machine(module, inputs=list(workload.inputs), engine="jit-eager")
     warmup.run()  # pay compilation outside the timed run
 
-    jit_machine = Machine(module, inputs=list(workload.inputs), jit=True)
+    jit_machine = Machine(
+        module, inputs=list(workload.inputs), engine="jit-eager"
+    )
     start = time.perf_counter()
     jit_result = jit_machine.run()
     jit_seconds = time.perf_counter() - start
 
-    fast_machine = Machine(module, inputs=list(workload.inputs), jit=False)
+    fast_machine = Machine(module, inputs=list(workload.inputs), engine="fast")
     start = time.perf_counter()
     fast_result = fast_machine.run()
     fast_seconds = time.perf_counter() - start
@@ -123,7 +121,7 @@ def perf_smoke(workload_name: str) -> dict:
     }
 
 
-def run(out: str, min_speedup: float) -> int:
+def run(out: str) -> int:
     failures = check_equivalence()
     for line in failures:
         print(f"FAIL equivalence: {line}")
@@ -132,19 +130,19 @@ def run(out: str, min_speedup: float) -> int:
     print(
         f"jit {perf['jit_instr_per_sec']:,.0f} instr/s vs predecoded "
         f"{perf['fast_instr_per_sec']:,.0f} instr/s "
-        f"({perf['speedup']:.2f}x, gate {min_speedup:.1f}x)"
+        f"({perf['speedup']:.2f}x, gate {MIN_SPEEDUP:.1f}x)"
     )
-    if perf["speedup"] < min_speedup:
+    if perf["speedup"] < MIN_SPEEDUP:
         failures.append(
             f"perf: jit only {perf['speedup']:.2f}x predecoded "
-            f"(need {min_speedup:.1f}x)"
+            f"(need {MIN_SPEEDUP:.1f}x)"
         )
         print(f"FAIL {failures[-1]}")
 
     report = {
         "equivalence_failures": failures,
         "perf": perf,
-        "min_speedup": min_speedup,
+        "min_speedup": MIN_SPEEDUP,
     }
     Path(out).write_text(json.dumps(report, indent=2, sort_keys=True))
     print(f"report written to {out}")
@@ -157,9 +155,8 @@ def run(out: str, min_speedup: float) -> int:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="jit-smoke.json")
-    parser.add_argument("--min-speedup", type=float, default=2.0)
     args = parser.parse_args()
-    return run(args.out, args.min_speedup)
+    return run(args.out)
 
 
 if __name__ == "__main__":

@@ -59,10 +59,6 @@ class ExposureScore(NamedTuple):
     exploit_chain_length: Optional[int] = None
     #: verdict-adjusted score; None when the prover was skipped
     adjusted_score: Optional[float] = None
-    #: cheapest registry defense proving this function's goals ROBUST
-    #: (from :mod:`repro.analysis.assign`; None when assignment was
-    #: skipped)
-    assigned_defense: Optional[str] = None
 
     @property
     def effective_score(self) -> float:
@@ -87,8 +83,6 @@ class ExposureScore(NamedTuple):
             verdict = f", verdict={self.exploit_verdict}"
             if self.adjusted_score is not None:
                 verdict += f", adjusted={self.adjusted_score:.1f}"
-        if self.assigned_defense is not None:
-            verdict += f", assign={self.assigned_defense}"
         return (
             f"{self.function}: score {self.score:.1f} "
             f"(buffers={self.buffers}, certain-reach={self.certain_reach_slots}, "
@@ -214,27 +208,6 @@ def apply_exploit_verdicts(
         )
     adjusted.sort(key=lambda s: (-s.effective_score, s.function))
     return adjusted
-
-
-def apply_defense_assignment(
-    scores: List[ExposureScore],
-    assignments,
-) -> List[ExposureScore]:
-    """Annotate each score with its assigned defense.
-
-    ``assignments`` is the :func:`repro.analysis.assign.assign_defenses`
-    output (any iterable of objects with ``function``/``defense``
-    attributes).  Pure annotation — the ordering, raw and adjusted
-    scores are untouched; the report simply gains the "what the ladder
-    chose" column next to the "how exposed" one.
-    """
-    chosen = {entry.function: entry.defense for entry in assignments}
-    return [
-        entry._replace(assigned_defense=chosen.get(entry.function))
-        if entry.function in chosen
-        else entry
-        for entry in scores
-    ]
 
 
 def _summary_verdict(kinds) -> str:

@@ -139,11 +139,6 @@ class Interval:
             return EMPTY
         return Interval(self.lo - other.hi, self.hi - other.lo)
 
-    def neg(self) -> "Interval":
-        if self.is_empty():
-            return EMPTY
-        return Interval(-self.hi, -self.lo)
-
     def mul(self, other: "Interval") -> "Interval":
         if self.is_empty() or other.is_empty():
             return EMPTY

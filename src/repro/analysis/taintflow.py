@@ -442,14 +442,6 @@ class TaintFlowAnalysis(ForwardProblem):
 
     # -- results -------------------------------------------------------------------
 
-    def is_tainted_at(self, value: Value, inst: Instruction) -> bool:
-        """Was ``value`` tainted in the state just before ``inst``?"""
-        block = inst.block
-        for candidate, state in self.result.states_in(block):
-            if candidate is inst:
-                return self._is_tainted(value, state)
-        return False
-
     def tainted_values(self) -> Set[Value]:
         """Every SSA value/argument tainted somewhere in the function."""
         out: Set[Value] = set()

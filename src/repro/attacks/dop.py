@@ -156,9 +156,6 @@ class Listing1DopAttack(AttackScenario):
 
         return hook
 
-    def goal_description(self) -> str:
-        return f"compute 6*7={EXPECTED_PRODUCT} via ADD gadgets and leak it"
-
 
 def run_listing1_campaign(
     defense: Defense, restarts: int = 8, seed: int = 0

@@ -14,10 +14,10 @@ the max-RSS ratio (the P-BOX lands in rodata and is part of the image).
 Outputs are also compared: a hardened binary must behave identically.
 
 Guests run on the machine's default engine, the tiered IR→Python JIT;
-``jit=False`` selects the predecoded dispatcher and
-``fast_dispatch=False`` the executor-table interpreter.  All three give
-bit-identical cycles, steps, max RSS and outputs, so the engine changes
-only how long the harness takes, never what it measures.
+``engine=`` takes any name in :data:`repro.vm.interpreter.ENGINES`.
+Every engine gives bit-identical cycles, steps, max RSS and outputs, so
+the engine changes only how long the harness takes, never what it
+measures.
 
 Harness performance (not to be confused with the *measured* cycle
 counts, which are deterministic and unaffected):
@@ -100,8 +100,7 @@ def run_baseline(
     scheduling_effects: bool = False,
     opt_level: int = 0,
     module=None,
-    fast_dispatch: bool = True,
-    jit: Optional[bool] = None,
+    engine: str = "jit",
 ) -> RunMeasurement:
     """Execute the unhardened build (default stack protector on).
 
@@ -116,8 +115,7 @@ def run_baseline(
         stack_protector=True,
         max_steps=BENCH_MAX_STEPS,
         scheduling_effects=scheduling_effects,
-        fast_dispatch=fast_dispatch,
-        jit=jit,
+        engine=engine,
     )
     return _run(machine, workload, "baseline")
 
@@ -128,8 +126,7 @@ def run_hardened(
     scheme: str,
     entropy_seed: int = 0,
     scheduling_effects: bool = False,
-    fast_dispatch: bool = True,
-    jit: Optional[bool] = None,
+    engine: str = "jit",
 ) -> RunMeasurement:
     """Execute the hardened build under one randomness scheme."""
     source = make_source(scheme, DeterministicEntropy(entropy_seed))
@@ -139,8 +136,7 @@ def run_hardened(
         rng_source=source,
         max_steps=BENCH_MAX_STEPS,
         scheduling_effects=scheduling_effects,
-        fast_dispatch=fast_dispatch,
-        jit=jit,
+        engine=engine,
     )
     return _run(machine, workload, scheme)
 
@@ -168,8 +164,7 @@ def measure_workload(
     scheduling_effects: bool = False,
     entropy_seed: int = 0,
     opt_level: int = 0,
-    fast_dispatch: bool = True,
-    jit: Optional[bool] = None,
+    engine: str = "jit",
 ) -> WorkloadMeasurement:
     """Baseline + hardened measurements for one workload.
 
@@ -196,16 +191,14 @@ def measure_workload(
             scheduling_effects,
             opt_level,
             module=baseline_module,
-            fast_dispatch=fast_dispatch,
-            jit=jit,
+            engine=engine,
         )
         for scheme in schemes:
             run = run_hardened(
                 hardened, workload, scheme,
                 entropy_seed=entropy_seed,
                 scheduling_effects=scheduling_effects,
-                fast_dispatch=fast_dispatch,
-                jit=jit,
+                engine=engine,
             )
             if run.int_outputs != measurement.baseline.int_outputs:
                 raise BenchmarkError(
@@ -285,8 +278,7 @@ def measure_suite(
     scheduling_effects: bool = False,
     entropy_seed: int = 0,
     jobs: int = 1,
-    fast_dispatch: bool = True,
-    jit: Optional[bool] = None,
+    engine: str = "jit",
 ) -> SuiteResults:
     """Run the full Figure 3/4 measurement campaign.
 
@@ -302,8 +294,7 @@ def measure_suite(
         config=config,
         scheduling_effects=scheduling_effects,
         entropy_seed=entropy_seed,
-        fast_dispatch=fast_dispatch,
-        jit=jit,
+        engine=engine,
     )
     if jobs > 1 and len(names) > 1:
         from repro.obs.metrics import get_registry

@@ -67,13 +67,8 @@ def _inputs_from_args(raw: Optional[List[str]]) -> List[bytes]:
 
 def cmd_run(args) -> int:
     module = compile_source(_read_source(args.file), opt_level=args.opt)
-    engine = getattr(args, "engine", "jit")
     machine = Machine(
-        module,
-        inputs=_inputs_from_args(args.input),
-        fast_dispatch=engine != "slow",
-        # None: the machine's default, tiered JIT
-        jit=None if engine == "jit" else False,
+        module, inputs=_inputs_from_args(args.input), engine=args.engine
     )
     return _print_result(machine.run())
 

@@ -195,9 +195,9 @@ def check_program(
     def build(opt_level: int = 0):
         return lower_ast(tree, name, opt_level=opt_level)
 
-    # Reference run: O0, predecoded dispatch (``jit=False``: the default
-    # engine is the tiered JIT, and the ``jit`` oracle compares the
-    # eager JIT against this leg).  Shared by every program oracle.
+    # Reference run: O0, predecoded dispatch (not the default tiered
+    # JIT: the ``jit`` oracle compares the eager JIT against this leg).
+    # Shared by every program oracle.
     baseline_module = build()
     try:
         baseline_module.get_function("main")
@@ -207,7 +207,7 @@ def check_program(
         verdict.compile_error = f"{type(exc).__name__}: {exc}"
         return verdict
     reference = _run_machine(
-        Machine(baseline_module, max_steps=max_steps, jit=False)
+        Machine(baseline_module, max_steps=max_steps, engine="fast")
     )
     if not isinstance(reference, _HostException):
         verdict.outcome = reference.outcome
@@ -218,7 +218,7 @@ def check_program(
 
     if "dispatch" in program_oracles:
         slow = _run_machine(
-            Machine(baseline_module, max_steps=max_steps, fast_dispatch=False)
+            Machine(baseline_module, max_steps=max_steps, engine="slow")
         )
         for line in _diff(reference, slow, RESULT_FIELDS):
             verdict.findings.append(
@@ -227,7 +227,7 @@ def check_program(
 
     if "jit" in program_oracles:
         jitted = _run_machine(
-            Machine(baseline_module, max_steps=max_steps, jit=True)
+            Machine(baseline_module, max_steps=max_steps, engine="jit-eager")
         )
         for line in _diff(reference, jitted, RESULT_FIELDS):
             verdict.findings.append(

@@ -149,10 +149,6 @@ class Parser:
 
     # -- types --------------------------------------------------------------------
 
-    def _at_type_start(self) -> bool:
-        token = self._tokens[self._pos]
-        return token.is_type_start()
-
     def _parse_declaration_specifiers(self) -> Tuple[ct.CType, bool]:
         """Parse qualifiers + base type.  Returns (type, is_extern)."""
         is_extern = False

@@ -400,11 +400,6 @@ FLOAT = FloatType("float", 4)
 DOUBLE = FloatType("double", 8)
 
 
-def pointer_to(pointee: CType) -> PointerType:
-    """Build a pointer type (tiny helper for readability)."""
-    return PointerType(pointee)
-
-
 def common_arithmetic_type(left: CType, right: CType) -> CType:
     """The usual arithmetic conversions, simplified for Mini-C.
 

@@ -35,7 +35,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.exploit import EXPLOITABLE, ROBUST, ExploitProver
 from repro.analysis.safety import PROVEN_SAFE
-from repro.attacks.harness import ATTACK_MAX_STEPS, run_campaign
+from repro.attacks.harness import run_campaign
 from repro.attacks.model import OUTCOMES
 from repro.defenses.registry import defense_class, defense_names, make_defense
 from repro.obs.metrics import get_registry, worker_job_metrics
@@ -209,7 +209,6 @@ def run_victim(
     restarts: int = DEFAULT_RESTARTS,
     seed: int = DEFAULT_SEED,
     stop_on_success: bool = True,
-    max_steps: int = ATTACK_MAX_STEPS,
     exploit_check: bool = True,
 ) -> VictimResult:
     """Synthesize against one victim and campaign every defense."""
@@ -274,7 +273,6 @@ def _run_victim_job(job: dict) -> VictimResult:
         restarts=job["restarts"],
         seed=job["seed"],
         stop_on_success=job["stop_on_success"],
-        max_steps=job["max_steps"],
         exploit_check=job.get("exploit_check", True),
     )
 
@@ -393,7 +391,6 @@ class SynthConfig:
     seed: int = DEFAULT_SEED
     jobs: int = 1
     stop_on_success: bool = True
-    max_steps: int = ATTACK_MAX_STEPS
     #: cross-check every result against the static exploitability prover
     exploit_check: bool = True
 
@@ -566,7 +563,6 @@ def run_synth_campaign(
             "restarts": config.restarts,
             "seed": config.seed,
             "stop_on_success": config.stop_on_success,
-            "max_steps": config.max_steps,
             "exploit_check": config.exploit_check,
         }
         for case in cases

@@ -24,8 +24,6 @@ it did not), which is why the fuzz-victim cohort uses them exclusively.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.attacks.overflow import le64
 
 
@@ -116,11 +114,3 @@ def parse_goal(text: str) -> Goal:
             raise ValueError(f"bad corrupt goal '{text}'")
         return CorruptGoal(function, slot, int(value, 0))
     raise ValueError(f"unknown goal '{text}'")
-
-
-def goal_for_needle(needle: bytes) -> ExfilGoal:
-    return ExfilGoal(needle)
-
-
-def describe_optional(goal: Optional[Goal]) -> str:
-    return goal.describe() if goal is not None else "(none)"

@@ -44,10 +44,6 @@ class GapModel(NamedTuple):
     def cookie_gap(self) -> int:
         return -8 - self.buffer_lo
 
-    @property
-    def canary_gap(self) -> Optional[int]:
-        return -16 - self.buffer_lo if self.has_canary else None
-
     def victim_slots_between(self, lo: int, hi: int) -> List[Tuple[str, int, int]]:
         """Named victim slots overlapping payload range [lo, hi)."""
         out = []

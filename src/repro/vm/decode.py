@@ -23,9 +23,9 @@ entry — into a list of *step* closures, one per instruction, with
 * branch edges carrying their phi parallel-copy plan pre-resolved for
   the specific source block.
 
-The machine's ``fast_dispatch=False`` escape hatch keeps the original
-executor-table path; the test suite asserts both produce bit-identical
-:class:`ExecutionResult` fields on every workload.
+Every engine but ``engine="slow"`` (the original executor-table path)
+runs on a decoder; the test suite asserts every engine produces
+bit-identical :class:`ExecutionResult` fields on every workload.
 """
 
 from __future__ import annotations

@@ -60,6 +60,11 @@ from repro.vm.process import ProcessImage, install_missing_globals, load
 
 DEFAULT_MAX_STEPS = 50_000_000
 DEFAULT_CANARY = 0x00E2_57AC_CA0B_0A17
+
+#: the execution engines, by name: the tiered JIT (the default), the
+#: eager JIT, the predecoded dispatcher and the executor table.
+ENGINES = ("jit", "jit-eager", "fast", "slow")
+
 _U64 = (1 << 64) - 1
 
 
@@ -284,27 +289,21 @@ class Machine:
     scheduling_effects:
         Enables the deterministic per-function cost perturbation that
         models the paper's instruction-scheduling speedups (§V-A).
-    fast_dispatch:
-        Interpret through the predecoded dispatch path
-        (:mod:`repro.vm.decode`): basic blocks are compiled once, on
-        first entry, into pre-bound step closures.  ``False`` falls back
-        to the original executor-table interpreter; both paths produce
-        bit-identical :class:`ExecutionResult` fields.
-    jit:
-        Execute through the IR→Python JIT (:mod:`repro.vm.jit`):
-        functions are compiled, on first call, into Python closures
-        with per-block fused step/cycle accounting.  Bit-identical to
-        both interpreter paths; unsupported functions are interpreted
-        in place, and attaching a tracer deopts the whole run to the
-        observed interpreter paths.  ``jit=True`` compiles every
-        function on its first call.  The default ``None`` means "JIT
-        unless ``fast_dispatch=False``", tiered: functions start on the
-        predecoded interpreter and are compiled once they run hot (a
+    engine:
+        One of :data:`ENGINES`; every engine gives bit-identical
+        :class:`ExecutionResult` fields.  ``"jit"`` (the default) is the
+        tiered IR→Python JIT (:mod:`repro.vm.jit`): functions start on
+        the predecoded interpreter and are compiled once they run hot (a
         call site or loop back-edge passing :data:`HOT_THRESHOLDS`), so
         runs too short to repay a compile never pay for one.
-        ``jit=False`` selects the predecoded engine, and
-        ``fast_dispatch=False`` alone the executor table.  Resolved once
-        here: ``machine.jit`` is always a bool.
+        ``"jit-eager"`` compiles every function on its first call.
+        Unsupported functions are interpreted in place, and attaching a
+        tracer deopts a JIT run to the predecoded path.  ``"fast"`` is
+        the predecoded dispatcher (:mod:`repro.vm.decode`): basic blocks
+        are compiled once, on first entry, into pre-bound step closures.
+        ``"slow"`` is the original executor-table interpreter.  Resolved
+        once here into the booleans :meth:`run` branches on:
+        ``machine.jit`` and ``machine.fast_dispatch``.
     tracer:
         Optional observability sink (duck-typed; see
         :class:`repro.obs.trace.Tracer`).  Receives call/return events
@@ -331,10 +330,13 @@ class Machine:
         unsafe_stack_offset: int = 0,
         shadow_stack: bool = False,
         record_frames: bool = False,
-        fast_dispatch: bool = True,
-        jit: Optional[bool] = None,
+        engine: str = "jit",
         tracer=None,
     ):
+        if engine not in ENGINES:
+            raise VMError(
+                f"unknown engine {engine!r}: expected one of {ENGINES}"
+            )
         # The code-shaping half, built once per machine: the image, the
         # cost model, the engine and everything decoded or compiled
         # against them.  restart() keeps all of it.
@@ -362,8 +364,7 @@ class Machine:
             "scheduling_effects": scheduling_effects,
             "clean_partition": clean_partition,
             "shadow_stack": shadow_stack,
-            "fast_dispatch": fast_dispatch,
-            "jit": jit,
+            "engine": engine,
             "tracer": tracer,
         }
         # Per-function alloca layouts and decoded code are valid for one
@@ -390,18 +391,16 @@ class Machine:
             # Installs the memory write observer and wraps the
             # write-performing builtins; all mechanics live in obs.
             tracer.attach(self)
-        self.fast_dispatch = fast_dispatch
-        self.jit = fast_dispatch if jit is None else jit
+        self.engine = engine
+        self.jit = engine in ("jit", "jit-eager")
+        self.fast_dispatch = engine != "slow"
         #: tier-up thresholds of a tiered JIT run (read by the decoder
         #: and the JIT engine); None for eager JIT and interpreted runs.
         self._hot = (
-            HOT_THRESHOLDS
-            if jit is None and self.jit and tracer is None
-            else None
+            HOT_THRESHOLDS if engine == "jit" and tracer is None else None
         )
-        # The JIT leans on the decoder for its deopt continuations, so a
-        # jit machine always carries one even with fast_dispatch off.
-        self._decoder = Decoder(self) if (fast_dispatch or self.jit) else None
+        # The JIT leans on the decoder for its deopt continuations.
+        self._decoder = Decoder(self) if self.fast_dispatch else None
         self._jit_engine: Optional[JitEngine] = None
         _count_start("fresh")
 
@@ -471,7 +470,7 @@ class Machine:
 
         The options that shape the code (``stack_protector``,
         ``scheduling_effects``, ``clean_partition``, ``shadow_stack``,
-        ``fast_dispatch``, ``jit``) may be repeated but not changed, and
+        ``engine``) may be repeated but not changed, and
         a traced machine — or a ``tracer`` option — is refused: a tracer
         observes one run, so traced runs take a fresh machine.  Returns
         the machine.
@@ -551,7 +550,7 @@ class Machine:
                 if self.jit:
                     # Observed runs carry per-event hooks compiled code
                     # does not emit; the whole run deopts to the
-                    # decoded/slow paths, which trace natively.
+                    # predecoded path, which traces natively.
                     record_deopt("tracer")
                 if self.fast_dispatch:
                     exit_value = self._execute_loop_fast()
@@ -585,11 +584,6 @@ class Machine:
         if tracer is not None:
             tracer.on_end(self, self.result)
         return self.result
-
-    def current_frame(self) -> Frame:
-        if not self.frames:
-            raise VMError("no active frame")
-        return self.frames[-1]
 
     def baseline_frame_layout(self, function_name: str) -> Dict[str, int]:
         """The *static* layout an attacker derives from the binary.

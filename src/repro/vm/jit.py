@@ -35,10 +35,10 @@ exception escapes.  The reference interpreter's charge-then-execute
 order is thereby reproduced exactly, including for faults inside
 callees several JIT frames deep.
 
-Tiering.  ``Machine(jit=True)`` compiles every function on its first
-call.  The default machine tiers up instead: each function starts on
-the predecoded interpreter, whose call steps and loop back-edges count
-their trips (:class:`~repro.vm.decode.HotCall`,
+Tiering.  ``Machine(engine="jit-eager")`` compiles every function on
+its first call.  The default machine (``engine="jit"``) tiers up
+instead: each function starts on the predecoded interpreter, whose call
+steps and loop back-edges count their trips (:class:`~repro.vm.decode.HotCall`,
 :class:`~repro.vm.decode.HotLoop`), and is compiled once it passes
 :data:`HOT_THRESHOLDS`.  The running frame then moves to compiled code
 right away: a hot call runs the callee's body, a hot back-edge resumes
@@ -1026,7 +1026,7 @@ class JitEngine:
     def execute(self):
         """Run the already-pushed entry frame to completion.
 
-        An eager machine (``jit=True``) compiles the entry function
+        An eager machine (``engine="jit-eager"``) compiles the entry function
         now; a tiered one interprets it until it runs hot."""
         machine = self.machine
         try:

@@ -68,10 +68,10 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "engine_args, expect",
         [
-            ([], (True, True, True)),  # default: the tiered JIT
-            (["--engine", "jit"], (True, True, True)),
-            (["--engine", "fast"], (False, True, False)),
-            (["--engine", "slow"], (False, False, False)),
+            ([], ("jit", True)),  # default: the tiered JIT
+            (["--engine", "jit"], ("jit", True)),
+            (["--engine", "fast"], ("fast", False)),
+            (["--engine", "slow"], ("slow", False)),
         ],
     )
     def test_run_engine_selection(
@@ -90,7 +90,7 @@ class TestRunCommand:
         assert main(["run", hello_file, *engine_args]) == 0
         assert "exit    : 7" in capsys.readouterr().out
         (machine,) = built
-        assert (machine.jit, machine.fast_dispatch, machine._hot is not None) == expect
+        assert (machine.engine, machine._hot is not None) == expect
 
 
 class TestHardenCommand:

@@ -4,16 +4,16 @@ The predecoded engine (:mod:`repro.vm.decode`) is a pure performance
 layer: for every program — including ones that fault, trap, or hit the
 step limit — it must produce exactly the ExecutionResult the
 executor-table dispatch produces.  These tests pin that down across the
-whole benchmark suite, hardened builds, and the error paths.
+whole benchmark suite and hardened builds (the shared table in
+:mod:`tests.workload_engines`) and across the error paths.
 """
 
 import pytest
 
-from repro.benchsuite.programs import WORKLOADS, get_workload
-from repro.core.pipeline import compile_source, harden_source
-from repro.rng.entropy import DeterministicEntropy
-from repro.rng.sources import make_source
+from repro.benchsuite.programs import WORKLOADS
+from repro.core.pipeline import compile_source
 from repro.vm.interpreter import RESULT_FIELDS, Machine
+from tests.workload_engines import HARDENED_WORKLOADS, assert_engines_agree
 
 #: Every ExecutionResult field (output_data included): the canonical
 #: "bit-identical" definition, shared with the fuzzer's dispatch oracle.
@@ -30,8 +30,8 @@ def assert_identical(fast, slow, label):
 
 def run_both(source_text, inputs=(), max_steps=None, **kwargs):
     results = []
-    for fast_dispatch in (True, False):
-        machine_kwargs = dict(kwargs, fast_dispatch=fast_dispatch, jit=False)
+    for engine in ("fast", "slow"):
+        machine_kwargs = dict(kwargs, engine=engine)
         if max_steps is not None:
             machine_kwargs["max_steps"] = max_steps
         machine = Machine(
@@ -44,35 +44,15 @@ def run_both(source_text, inputs=(), max_steps=None, **kwargs):
 
 
 class TestWorkloadEquivalence:
+    """The predecoded engine's rows of the engine-equivalence table."""
+
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
     def test_baseline_bit_identical(self, name):
-        workload = get_workload(name)
-        fast, slow = (
-            Machine(
-                compile_source(workload.source, name),
-                inputs=list(workload.inputs),
-                fast_dispatch=fd,
-                jit=False,
-            ).run()
-            for fd in (True, False)
-        )
-        assert_identical(fast, slow, name)
+        assert_engines_agree(name, ("fast",))
 
-    @pytest.mark.parametrize("name", ["libquantum", "sjeng"])
+    @pytest.mark.parametrize("name", HARDENED_WORKLOADS)
     def test_hardened_bit_identical(self, name):
-        workload = get_workload(name)
-        results = []
-        for fast_dispatch in (True, False):
-            hardened = harden_source(workload.source, None, name)
-            machine = Machine(
-                hardened.module,
-                inputs=list(workload.inputs),
-                rng_source=make_source("aes-10", DeterministicEntropy(0)),
-                fast_dispatch=fast_dispatch,
-                jit=False,
-            )
-            results.append(machine.run())
-        assert_identical(results[0], results[1], f"hardened {name}")
+        assert_engines_agree(name, ("fast",), hardened=True)
 
 
 class TestErrorPathEquivalence:
@@ -182,7 +162,7 @@ class TestDispatchToggle:
 
     def test_slow_dispatch_has_no_decoder(self):
         machine = Machine(
-            compile_source("int main() { return 3; }"), fast_dispatch=False
+            compile_source("int main() { return 3; }"), engine="slow"
         )
         assert machine._decoder is None
         assert machine.run().exit_code == 3
@@ -289,7 +269,7 @@ class TestDecoderStaleness:
         from repro.rng.sources import make_source
 
         module = compile_source(self.SOURCE)
-        machine = Machine(module, fast_dispatch=False)
+        machine = Machine(module, engine="slow")
         assert machine.run().exit_code == 0
 
         instrument_module(module)
@@ -304,9 +284,9 @@ class TestDecoderStaleness:
         from repro.rng.sources import make_source
 
         results = []
-        for fast_dispatch in (True, False):
+        for engine in ("fast", "slow"):
             module = compile_source(self.SOURCE)
-            machine = Machine(module, fast_dispatch=fast_dispatch, jit=False)
+            machine = Machine(module, engine=engine)
             machine.run()
             instrument_module(module)
             machine.rng_source = make_source(
@@ -319,7 +299,7 @@ class TestDecoderStaleness:
         from repro.opt import optimize
 
         module = compile_source(self.SOURCE)
-        machine = Machine(module, jit=True)
+        machine = Machine(module, engine="jit-eager")
         first = machine.run()
         assert first.exit_code == 0
         steps_before = machine._steps
@@ -335,7 +315,7 @@ class TestDecoderStaleness:
         # the version resync must have dropped it.
         assert machine._jit_engine is not engine_before
 
-        fresh = Machine(module, jit=True).run()
+        fresh = Machine(module, engine="jit-eager").run()
         assert fresh.exit_code == 0
         assert fresh.steps == machine._steps - steps_before
 
@@ -345,7 +325,7 @@ class TestDecoderStaleness:
         from repro.rng.sources import make_source
 
         module = compile_source(self.SOURCE)
-        machine = Machine(module, jit=True)
+        machine = Machine(module, engine="jit-eager")
         assert machine.run().exit_code == 0
         steps_before = machine._steps
 
@@ -358,7 +338,7 @@ class TestDecoderStaleness:
 
         fresh = Machine(
             module,
-            jit=True,
+            engine="jit-eager",
             rng_source=make_source("pseudo", DeterministicEntropy(7)),
         ).run()
         assert fresh.exit_code == 0
@@ -370,13 +350,9 @@ class TestDecoderStaleness:
         from repro.rng.sources import make_source
 
         results = []
-        for kwargs in (
-            {"jit": True},
-            {"fast_dispatch": True, "jit": False},
-            {"fast_dispatch": False},
-        ):
+        for engine in ("jit-eager", "fast", "slow"):
             module = compile_source(self.SOURCE)
-            machine = Machine(module, **kwargs)
+            machine = Machine(module, engine=engine)
             machine.run()
             instrument_module(module)
             machine.rng_source = make_source(

@@ -122,11 +122,9 @@ class TestRegressionCorpus:
 
     def test_nonfinite_cast_traps_identically(self):
         results = []
-        for fast_dispatch in (True, False):
+        for engine in ("fast", "slow"):
             result = Machine(
-                compile_source(NONFINITE_FLOAT_TO_INT),
-                fast_dispatch=fast_dispatch,
-                jit=False,
+                compile_source(NONFINITE_FLOAT_TO_INT), engine=engine
             ).run()
             results.append(result)
         fast, slow = results

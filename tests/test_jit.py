@@ -16,10 +16,10 @@ import pytest
 
 import repro.vm.interpreter as interpreter
 from repro.benchsuite.programs import WORKLOADS, get_workload
-from repro.core.pipeline import compile_source, harden_source
-from repro.rng.entropy import DeterministicEntropy
-from repro.rng.sources import make_source
-from repro.vm.interpreter import RESULT_FIELDS, Machine
+from repro.core.pipeline import compile_source
+from repro.errors import VMError
+from repro.vm.interpreter import ENGINES, RESULT_FIELDS, Machine
+from tests.workload_engines import HARDENED_WORKLOADS, assert_engines_agree
 
 COMPARED_FIELDS = RESULT_FIELDS
 
@@ -33,14 +33,10 @@ def assert_identical(jit, reference, label):
 
 
 def run_engines(source_text, inputs=(), max_steps=None, **kwargs):
-    """(jit, fast, slow) results for one program."""
+    """(eager jit, fast, slow) results for one program."""
     results = []
-    for engine_kwargs in (
-        {"jit": True},
-        {"fast_dispatch": True, "jit": False},
-        {"fast_dispatch": False},
-    ):
-        machine_kwargs = dict(kwargs, **engine_kwargs)
+    for engine in ("jit-eager", "fast", "slow"):
+        machine_kwargs = dict(kwargs, engine=engine)
         if max_steps is not None:
             machine_kwargs["max_steps"] = max_steps
         machine = Machine(
@@ -96,34 +92,15 @@ def assert_all_agree(source_text, inputs=(), max_steps=None, label="", **kwargs)
 
 
 class TestWorkloadEquivalence:
+    """The JIT engines' rows of the engine-equivalence table."""
+
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
     def test_baseline_bit_identical(self, name):
-        workload = get_workload(name)
-        jit, fast, tiered = (
-            Machine(
-                compile_source(workload.source, name),
-                inputs=list(workload.inputs),
-                **engine_kwargs,
-            ).run()
-            for engine_kwargs in ({"jit": True}, {"jit": False}, {})
-        )
-        assert_identical(jit, fast, name)
-        assert_identical(tiered, fast, f"{name} (tiered)")
+        assert_engines_agree(name, ("jit", "jit-eager"))
 
-    @pytest.mark.parametrize("name", ["libquantum", "sjeng", "lbm"])
+    @pytest.mark.parametrize("name", HARDENED_WORKLOADS)
     def test_hardened_bit_identical(self, name):
-        workload = get_workload(name)
-        results = []
-        for use_jit in (True, False):
-            hardened = harden_source(workload.source, None, name)
-            machine = Machine(
-                hardened.module,
-                inputs=list(workload.inputs),
-                rng_source=make_source("aes-10", DeterministicEntropy(0)),
-                jit=use_jit,
-            )
-            results.append(machine.run())
-        assert_identical(results[0], results[1], f"hardened {name}")
+        assert_engines_agree(name, ("jit", "jit-eager"), hardened=True)
 
 
 class TestCannedAttackEquivalence:
@@ -156,19 +133,19 @@ class TestCannedAttackEquivalence:
             "wireshark": WiresharkDopAttack,
         }[attack]
 
-        def jitted(engine_kwargs):
+        def jitted(engine):
             class Wrapped(scenario_cls):
                 def machine_kwargs(self):
-                    return dict(super().machine_kwargs(), **engine_kwargs)
+                    return dict(super().machine_kwargs(), engine=engine)
 
             return Wrapped()
 
         attempts = []
         # eager JIT, predecoded, and tiered with every hand-over firing
         with hot_thresholds(1, 1):
-            for engine_kwargs in ({"jit": True}, {"jit": False}, {}):
+            for engine in ("jit-eager", "fast", "jit"):
                 report = run_campaign(
-                    jitted(engine_kwargs), make_defense(defense_name),
+                    jitted(engine), make_defense(defense_name),
                     restarts=3, seed=1,
                 )
                 attempts.append(
@@ -274,12 +251,12 @@ class TestObservedRunsDeopt:
         workload = get_workload("libquantum")
         streams = []
         results = []
-        for use_jit in (True, False):
+        for engine in ("jit-eager", "fast"):
             tracer = Tracer(record_writes="all")
             machine = Machine(
                 compile_source(workload.source, "libquantum"),
                 inputs=list(workload.inputs),
-                jit=use_jit,
+                engine=engine,
                 tracer=tracer,
             )
             results.append(machine.run())
@@ -294,7 +271,7 @@ class TestObservedRunsDeopt:
 
         machine = M(
             compile_source("int main() { return 0; }"),
-            jit=True,
+            engine="jit-eager",
             tracer=Tracer(),
         )
         machine.run()
@@ -310,8 +287,8 @@ class TestObservedRunsDeopt:
             " int main() { return victim(1) - 99; }"
         )
         layouts = []
-        for use_jit in (True, False):
-            machine = Machine(compile_source(source), jit=use_jit)
+        for engine in ("jit-eager", "fast"):
+            machine = Machine(compile_source(source), engine=engine)
             assert machine.run().exit_code == 0
             frame = machine.push_probe_frame("victim")
             layouts.append(sorted(frame.alloca_addresses.values()))
@@ -325,26 +302,19 @@ class TestObservedRunsDeopt:
             "int main() { char buf[8]; int guard;"
             " guard = 7; buf[0] = 1; return guard - 7; }"
         )
-        Machine(module, jit=True).run()  # warm the shared code cache
+        Machine(module, engine="jit-eager").run()  # warm the shared code cache
         results = crosscheck_module(module)
         assert results and all(r.ok for r in results)
 
 
 class TestEngineSelection:
-    def test_slow_dispatch_jit_machine_still_has_decoder(self):
-        # Deopt continuations need predecoded step lists even when the
-        # caller asked for the executor-table interpreter as fallback.
-        machine = Machine(
-            compile_source("int main() { return 0; }"),
-            fast_dispatch=False,
-            jit=True,
-        )
-        assert machine._decoder is not None
-        assert machine.run().exit_code == 0
+    def test_unknown_engine_is_rejected(self):
+        with pytest.raises(VMError, match="unknown engine 'turbo'"):
+            Machine(compile_source("int main() { return 0; }"), engine="turbo")
 
     def test_plain_slow_machine_has_no_decoder(self):
         machine = Machine(
-            compile_source("int main() { return 0; }"), fast_dispatch=False
+            compile_source("int main() { return 0; }"), engine="slow"
         )
         assert machine._decoder is None
 
@@ -353,16 +323,16 @@ class TestEngineSelection:
             "int main() { int s = 0; for (int i = 0; i < 40; i = i + 1)"
             " { s = s + i; } print_int(s); return 0; }"
         )
-        first = Machine(module, jit=True).run()
-        second = Machine(module, jit=True).run()  # cache hit
+        first = Machine(module, engine="jit-eager").run()
+        second = Machine(module, engine="jit-eager").run()  # cache hit
         assert_identical(second, first, "cache reuse")
 
     def test_benchsuite_runner_jit_flag(self):
         from repro.benchsuite.runner import run_baseline
 
         workload = get_workload("libquantum")
-        jit = run_baseline(workload, jit=True)
-        fast = run_baseline(workload, jit=False)
+        jit = run_baseline(workload, engine="jit-eager")
+        fast = run_baseline(workload, engine="fast")
         assert jit == fast
 
 
@@ -383,7 +353,7 @@ class TestProcessGlobalState:
 
         before = sys.getrecursionlimit()
         result = Machine(
-            compile_source(self.TRAP_MID_RECURSION), jit=True
+            compile_source(self.TRAP_MID_RECURSION), engine="jit-eager"
         ).run()
         assert result.outcome == "trap"
         assert sys.getrecursionlimit() == before
@@ -396,11 +366,13 @@ class TestProcessGlobalState:
             compile_source(
                 "int main() { int b[2]; b[700000] = 9; return 0; }"
             ),
-            jit=True,
+            engine="jit-eager",
         ).run()
         assert sys.getrecursionlimit() == before
         Machine(
-            compile_source(self.TRAP_MID_RECURSION), jit=True, max_steps=37
+            compile_source(self.TRAP_MID_RECURSION),
+            engine="jit-eager",
+            max_steps=37,
         ).run()
         assert sys.getrecursionlimit() == before
 
@@ -452,7 +424,7 @@ class TestProcessGlobalState:
         seen = {}
 
         def hook(machine):
-            inner = Machine(inner_module, jit=True).run()
+            inner = Machine(inner_module, engine="jit-eager").run()
             seen["inner_outcome"] = inner.outcome
             # After the nested jitted run exits, the limit must still be
             # raised for the outer run that is mid-flight.
@@ -465,7 +437,7 @@ class TestProcessGlobalState:
                 "int main() { char b[8]; input_read(b, 8); return 0; }"
             ),
             input_hook=hook,
-            jit=True,
+            engine="jit-eager",
         ).run()
         assert outer.outcome == "exit"
         assert seen["inner_outcome"] == "exit"
@@ -483,14 +455,14 @@ class TestProcessGlobalState:
             " for (int i = 0; i < 30; i = i + 1) { s = add(s, i); }"
             " print_int(s); return s - 435; }"
         )
-        reference = Machine(module, jit=True).run()
+        reference = Machine(module, engine="jit-eager").run()
         errors = []
         stop = threading.Event()
 
         def hammer_runs():
             try:
                 for _ in range(8):
-                    result = Machine(module, jit=True).run()
+                    result = Machine(module, engine="jit-eager").run()
                     assert_identical(result, reference, "threaded run")
             except Exception as exc:  # noqa: BLE001 - collected for assert
                 errors.append(exc)
@@ -514,8 +486,8 @@ class TestProcessGlobalState:
 
 
 class TestDefaultEngine:
-    """The JIT is the default engine: ``jit=None`` resolves, once in
-    ``Machine.__init__``, to "tiered JIT unless ``fast_dispatch=False``"."""
+    """The tiered JIT is the default engine; ``Machine.__init__``
+    resolves the engine name, once, into the booleans ``run`` reads."""
 
     SOURCE = (
         "int add(int a, int b) { return a + b; }"
@@ -524,31 +496,15 @@ class TestDefaultEngine:
         " print_int(s); return 0; }"
     )
 
-    @pytest.mark.parametrize(
-        "fast_dispatch, jit, expect_jit, expect_tiered, expect_decoder",
-        [
-            (True, None, True, True, True),  # the default: tiered JIT
-            (False, None, False, False, False),  # executor table
-            (True, False, False, False, True),  # predecoded dispatch
-            (False, False, False, False, False),  # executor table
-            (True, True, True, False, True),  # eager JIT
-            (False, True, True, False, True),  # eager, executor-table fallback
-        ],
-    )
-    def test_engine_resolution(
-        self, fast_dispatch, jit, expect_jit, expect_tiered, expect_decoder
-    ):
-        # ``jit=None`` is exercised by omission: it is the default.
-        engine_kwargs = {} if jit is None else {"jit": jit}
-        machine = Machine(
-            compile_source(self.SOURCE),
-            fast_dispatch=fast_dispatch,
-            **engine_kwargs,
-        )
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_engine_resolution(self, engine):
+        machine = Machine(compile_source(self.SOURCE), engine=engine)
+        expect_jit = engine.startswith("jit")
         assert machine.jit is expect_jit
-        assert (machine._hot is not None) is expect_tiered
-        assert machine.fast_dispatch is fast_dispatch
-        assert (machine._decoder is not None) is expect_decoder
+        assert machine.fast_dispatch is (engine != "slow")
+        # A decoder exactly when not "slow"; only "jit" is tiered.
+        assert (machine._decoder is not None) is (engine != "slow")
+        assert (machine._hot is not None) is (engine == "jit")
         assert machine.run().int_outputs == [435]
         # Only a JIT machine builds an engine, and only when it runs.
         assert (machine._jit_engine is not None) is expect_jit
@@ -560,7 +516,7 @@ class TestDefaultEngine:
         workload = get_workload("libquantum")
         registry = get_registry()
         runs = {}
-        for label, engine_kwargs in (("default", {}), ("fast", {"jit": False})):
+        for label, engine_kwargs in (("default", {}), ("fast", {"engine": "fast"})):
             registry.reset()
             tracer = Tracer(record_writes="all")
             machine = Machine(
@@ -586,7 +542,7 @@ class TestDefaultEngine:
         from repro.benchsuite.runner import measure_workload
 
         default = measure_workload(name)
-        fast = measure_workload(name, jit=False)
+        fast = measure_workload(name, engine="fast")
         assert default.pbox_bytes == fast.pbox_bytes
         assert list(default.hardened) == list(fast.hardened)
         pairs = [("baseline", default.baseline, fast.baseline)] + [
@@ -624,7 +580,7 @@ class TestTiering:
         machine = Machine(compile_source(source))
         result = machine.run()
         assert self.compiled_names(machine) == set()
-        fast = Machine(compile_source(source), jit=False).run()
+        fast = Machine(compile_source(source), engine="fast").run()
         assert_identical(result, fast, "short run")
 
     def test_hot_call_site_compiles_callee(self):
@@ -640,7 +596,7 @@ class TestTiering:
         machine = Machine(compile_source(source))
         result = machine.run()
         assert self.compiled_names(machine) == {"sq"}
-        fast = Machine(compile_source(source), jit=False).run()
+        fast = Machine(compile_source(source), engine="fast").run()
         assert_identical(result, fast, "hot call site")
 
     def test_hot_loop_resumes_compiled(self):
@@ -655,7 +611,7 @@ class TestTiering:
         fast = Machine(
             compile_source(workload.source, "libquantum"),
             inputs=list(workload.inputs),
-            jit=False,
+            engine="fast",
         ).run()
         assert_identical(result, fast, "hot loop")
 
@@ -664,16 +620,16 @@ class TestTiering:
         # -O2 loop headers carry phis: the hand-over must pick up their
         # values from frame.env.  Each step limit puts the deopt (and
         # the next hand-over) at another instruction.
-        def run(max_steps, **engine_kwargs):
+        def run(max_steps):
             return Machine(
                 compile_source(self.LOOPS, opt_level=opt_level),
                 max_steps=max_steps,
-                **engine_kwargs,
+                engine="fast",
             ).run()
 
-        full = run(10**9, jit=False).steps
+        full = run(10**9).steps
         for limit in list(range(1, 400, 7)) + list(range(full - 3, full + 2)):
-            fast = run(limit, jit=False)
+            fast = run(limit)
             for thresholds in LOW_THRESHOLDS:
                 with hot_thresholds(*thresholds):
                     machine = Machine(
@@ -685,5 +641,5 @@ class TestTiering:
                 )
         with hot_thresholds(2, 3):
             machine = Machine(compile_source(self.LOOPS, opt_level=opt_level))
-        assert_identical(machine.run(), run(10**9, jit=False), "full run")
+        assert_identical(machine.run(), run(10**9), "full run")
         assert self.compiled_names(machine) == {"main", "sq"}

@@ -254,7 +254,7 @@ class TestJitMetrics:
 
     def test_jit_run_populates_compile_metrics(self):
         registry = self._fresh_registry()
-        machine = Machine(compile_source(self.SOURCE), jit=True)
+        machine = Machine(compile_source(self.SOURCE), engine="jit-eager")
         result = machine.run()
         assert result.outcome == "exit" and result.exit_code == 0
         snap = registry.snapshot()
@@ -265,14 +265,16 @@ class TestJitMetrics:
     def test_shared_cache_compiles_once_per_module(self):
         registry = self._fresh_registry()
         module = compile_source(self.SOURCE)
-        Machine(module, jit=True).run()
-        Machine(module, jit=True).run()  # second machine, same module
+        Machine(module, engine="jit-eager").run()
+        Machine(module, engine="jit-eager").run()  # second machine, same module
         snap = registry.snapshot()
         assert snap["counters"]["jit_functions_compiled_total"] == 2
 
     def test_step_limit_deopt_counted(self):
         registry = self._fresh_registry()
-        machine = Machine(compile_source(self.SOURCE), jit=True, max_steps=40)
+        machine = Machine(
+            compile_source(self.SOURCE), engine="jit-eager", max_steps=40
+        )
         result = machine.run()
         assert result.outcome == "limit"
         snap = registry.snapshot()
@@ -281,7 +283,7 @@ class TestJitMetrics:
     def test_tracer_fallback_counted(self):
         registry = self._fresh_registry()
         machine = Machine(
-            compile_source(self.SOURCE), jit=True, tracer=Tracer()
+            compile_source(self.SOURCE), engine="jit-eager", tracer=Tracer()
         )
         result = machine.run()
         assert result.outcome == "exit" and result.exit_code == 0
@@ -291,8 +293,8 @@ class TestJitMetrics:
         assert "jit_functions_compiled_total" not in snap["counters"]
 
 
-#: (traced?, fast_dispatch?) — all four execution configurations.
-MODES = [(False, True), (False, False), (True, True), (True, False)]
+#: (traced?, engine) — all four interpreter configurations.
+MODES = [(False, "fast"), (False, "slow"), (True, "fast"), (True, "slow")]
 
 
 class TestTracingEquivalence:
@@ -301,13 +303,12 @@ class TestTracingEquivalence:
         workload = get_workload(name)
         prints = []
         streams = []
-        for traced, fast in MODES:
+        for traced, engine in MODES:
             tracer = Tracer(record_writes="all") if traced else None
             machine = Machine(
                 compile_source(workload.source, name),
                 inputs=list(workload.inputs),
-                fast_dispatch=fast,
-                jit=False,
+                engine=engine,
                 tracer=tracer,
             )
             result = machine.run()

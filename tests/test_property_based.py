@@ -212,10 +212,8 @@ def test_gep_constant_and_dynamic_index_agree(spec, index):
         return (int)(a[{index}] + a[k]);
     }}"""
     results = []
-    for fast_dispatch in (True, False):
-        result = Machine(
-            compile_source(source), fast_dispatch=fast_dispatch, jit=False
-        ).run()
+    for engine in ("fast", "slow"):
+        result = Machine(compile_source(source), engine=engine).run()
         assert result.finished_cleanly()
         results.append(result)
     fast, slow = results
@@ -238,10 +236,8 @@ def test_gep_negative_pointer_index_wraps_identically(offset):
         return (int)(p[{offset}]);
     }}"""
     expected = (8 + offset) * 5
-    for fast_dispatch in (True, False):
-        result = Machine(
-            compile_source(source), fast_dispatch=fast_dispatch, jit=False
-        ).run()
+    for engine in ("fast", "slow"):
+        result = Machine(compile_source(source), engine=engine).run()
         assert result.finished_cleanly()
         assert result.exit_code == expected
 
@@ -263,10 +259,8 @@ def test_gep_struct_array_field_chain(i, j):
         }}
         return (int)(s.arr[{i}] + s.arr[{j}] + s.head);
     }}"""
-    for fast_dispatch in (True, False):
-        result = Machine(
-            compile_source(source), fast_dispatch=fast_dispatch, jit=False
-        ).run()
+    for engine in ("fast", "slow"):
+        result = Machine(compile_source(source), engine=engine).run()
         assert result.finished_cleanly()
         assert result.exit_code == i * 7 + j * 7 + 100
 

@@ -38,9 +38,9 @@ from repro.vm.memory import STACK_TOP, Memory
 #: the three engines: the tiered JIT (default), the predecoded
 #: interpreter and the executor table
 ENGINES = {
-    "tiered-jit": {},
-    "predecoded": {"jit": False},
-    "executor-table": {"fast_dispatch": False},
+    "tiered-jit": {"engine": "jit"},
+    "predecoded": {"engine": "fast"},
+    "executor-table": {"engine": "slow"},
 }
 
 #: inputs that overflow the victims' buffers (faults, smashed frames)
@@ -239,8 +239,8 @@ class TestRestartContract:
     @pytest.mark.parametrize(
         "option, value",
         [
-            ("jit", False),
-            ("fast_dispatch", False),
+            ("engine", "fast"),
+            ("engine", "slow"),
             ("scheduling_effects", True),
             ("stack_protector", True),
             ("shadow_stack", True),
@@ -258,11 +258,11 @@ class TestRestartContract:
             compile_source(HEAP_AND_GLOBALS),
             stack_protector=True,
             clean_partition=partition,
-            jit=False,
+            engine="fast",
         )
         machine.run()
         machine.restart(
-            stack_protector=True, clean_partition=dict(partition), jit=False
+            stack_protector=True, clean_partition=dict(partition), engine="fast"
         )
         assert machine.run().outcome == "exit"
 

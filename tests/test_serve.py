@@ -253,12 +253,8 @@ class TestHardenFingerprint:
 
         job = _case_job(case)
         runs = {
-            engine: worker.fingerprint_run(job, **kwargs)
-            for engine, kwargs in (
-                ("jit", {}),
-                ("fast", {"jit": False}),
-                ("slow", {"fast_dispatch": False}),
-            )
+            engine: worker.fingerprint_run(job, engine=engine)
+            for engine in ("jit", "fast", "slow")
         }
         observed = {
             engine: (fp.hexdigest(), fp.draws, fp.layouts, run.steps, run.cycles)

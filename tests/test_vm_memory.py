@@ -275,7 +275,7 @@ int main() { return depth(%d, 1) & 255; }
 class TestDeepRecursionEngines:
     """Frames deep into the stack, and one past its end, on every engine."""
 
-    ENGINES = {"jit": {}, "fast": {"jit": False}, "slow": {"fast_dispatch": False}}
+    ENGINES = ("jit", "fast", "slow")
 
     def _runs(self, pad, depth):
         from repro.core.pipeline import compile_source
@@ -284,8 +284,8 @@ class TestDeepRecursionEngines:
         source = DEEP_RECURSION_SRC % (pad, pad - 1, pad - 1, depth)
         module = compile_source(source)
         return {
-            engine: Machine(module, **kwargs).run()
-            for engine, kwargs in self.ENGINES.items()
+            engine: Machine(module, engine=engine).run()
+            for engine in self.ENGINES
         }, result_fingerprint
 
     def test_deep_recursion_identical_on_all_engines(self):
