@@ -17,15 +17,15 @@ function lists, and the mean deltas over the proven-only subset.
 
 Usage::
 
-    PYTHONPATH=src python scripts/bench_selective.py [--scheme aes-10]
+    PYTHONPATH=src python scripts/bench_selective.py
         [--out BENCH_selective.json]
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -36,17 +36,13 @@ from repro.benchsuite.runner import measure_workload  # noqa: E402
 from repro.core.allocations import discover_function  # noqa: E402
 from repro.core.config import SmokestackConfig  # noqa: E402
 from repro.core.pipeline import compile_source  # noqa: E402
+from repro.obs.gate import Gate, run as run_report  # noqa: E402
+
+SCHEME = "aes-10"
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scheme", default="aes-10",
-                        help="randomness scheme to measure (default aes-10)")
-    parser.add_argument("--out", default="BENCH_selective.json",
-                        help="output artifact path")
-    args = parser.parse_args(argv)
-
-    scheme = args.scheme
+def run():
+    started = time.perf_counter()
     rows = {}
     for name, workload in WORKLOADS.items():
         module = compile_source(workload.source, name)
@@ -57,17 +53,17 @@ def main(argv=None) -> int:
             if discover_function(fn).count or discover_function(fn).vla_allocas
         ]
         full = measure_workload(
-            name, schemes=(scheme,),
-            config=SmokestackConfig(scheme=scheme),
+            name, schemes=(SCHEME,),
+            config=SmokestackConfig(scheme=SCHEME),
         )
         selective = measure_workload(
-            name, schemes=(scheme,),
-            config=SmokestackConfig(scheme=scheme, selective=True),
+            name, schemes=(SCHEME,),
+            config=SmokestackConfig(scheme=SCHEME, selective=True),
         )
         row = {
-            "full_overhead_pct": round(full.overhead_pct(scheme), 4),
+            "full_overhead_pct": round(full.overhead_pct(SCHEME), 4),
             "selective_overhead_pct": round(
-                selective.overhead_pct(scheme), 4
+                selective.overhead_pct(SCHEME), 4
             ),
             "proven_functions": proven,
             "functions_with_slots": len(with_slots),
@@ -91,8 +87,8 @@ def main(argv=None) -> int:
         return round(sum(values) / len(values), 4) if values else 0.0
 
     summary = {
-        "scheme": scheme,
-        "proven_workloads": sum(1 for r in rows.values() if r["fully_proven"]),
+        "scheme": SCHEME,
+        "proven_workloads": len(proven_rows),
         "workloads": len(rows),
         "mean_full_overhead_pct_proven": mean(
             [r["full_overhead_pct"] for r in proven_rows]
@@ -104,25 +100,30 @@ def main(argv=None) -> int:
             [r["delta_pct"] for r in unsafe_rows]
         ),
     }
-    artifact = {"summary": summary, "workloads": rows}
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(artifact, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"\nartifact -> {args.out}")
-    print(json.dumps(summary, indent=2, sort_keys=True))
 
     # A selective build must never cost more than the full build on a
     # fully proven workload, and must change nothing when nothing is
     # proven (identical observables are asserted by the harness).
-    regressions = [
-        name for name, r in rows.items()
-        if r["fully_proven"]
-        and r["selective_overhead_pct"] > r["full_overhead_pct"] + 1e-9
-    ]
-    if regressions:
-        print(f"selective slower than full on proven: {regressions}")
-        return 1
-    return 0
+    gate = Gate("selective")
+    gate.require(
+        [
+            f"{name}: selective slower than full"
+            for name, r in rows.items()
+            if r["fully_proven"]
+            and r["selective_overhead_pct"] > r["full_overhead_pct"] + 1e-9
+        ],
+        f"selective no slower than full on {len(proven_rows)} fully "
+        "proven workloads",
+    )
+    measurements = [("wall", "s", [time.perf_counter() - started])]
+    return [gate], measurements, {"summary": summary, "workloads": rows}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--out", default="BENCH_selective.json",
+                        help="output artifact path")
+    return run_report(parser.parse_args(argv).out, run)
 
 
 if __name__ == "__main__":

@@ -1,67 +1,55 @@
 #!/usr/bin/env python3
 """Self-speed benchmark: how fast is the reproduction's own machinery?
 
-Measures the three hot paths the fast-path engine targets and writes
-``BENCH_selfspeed.json`` so the performance trajectory is tracked across
-changes:
+Measures three hot paths and writes ``BENCH_selfspeed.json`` so the
+performance trajectory is tracked across changes:
 
-* **interpreter** — interpreted instructions/sec under the predecoded
-  dispatch, against the ``engine="slow"`` executor-table path
-  (identical ExecutionResult required; the script asserts it);
-* **jit** — the IR→Python JIT against both interpreter paths
-  (bit-identical results asserted), with the JIT's own recorded compile
-  time and the amortization over 1 and 10 real runs of the same build;
+* **engines** — one workload on every engine: the ``slow`` executor
+  table, the predecoded ``fast`` dispatch, the eager JIT cold (paying
+  compilation, whose time the JIT itself records) and warm
+  (:data:`JIT_WARM_RUNS` reruns on the shared code cache), and ``fast``
+  with a tracer attached.  Every result must equal the ``slow`` run's
+  ``result_fingerprint``, and the warm JIT's median must be at least
+  :data:`MIN_JIT_SPEEDUP` times the predecoded run;
 * **aes** — T-table AES blocks/sec against the byte-level FIPS-197
-  reference implementation;
+  reference implementation (identical ciphertexts required);
 * **restart** — per-attempt wall time of the canned CVE attacks under
   every defense, starting a fresh process per attempt against
-  restarting one process in place (identical ExecutionResult asserted),
-  as median and quartiles;
-* **suite** — wall-clock for a Figure-3-style measurement campaign
-  under the current harness (single parse per workload, the default
-  JIT engine, T-table AES, optional ``--jobs``) against an emulation of
-  the pre-fast-path harness (per-build re-parse, executor-table
-  dispatch, byte-level AES, serial).
+  restarting one process in place (identical results required).
 
 None of this touches the *measured* guest cycle counts, which are
 deterministic and dispatch-independent.
 
 Usage::
 
-    PYTHONPATH=src python scripts/bench_selfspeed.py [--quick] [--jobs N]
+    PYTHONPATH=src python scripts/bench_selfspeed.py [--quick]
+        [--out BENCH_selfspeed.json]
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import random
-import statistics
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.benchsuite import runner  # noqa: E402
 from repro.benchsuite.programs import get_workload  # noqa: E402
-from repro.core.pipeline import compile_source, harden_source  # noqa: E402
+from repro.core.pipeline import compile_source  # noqa: E402
+from repro.obs.gate import Gate, run as run_report, summarize  # noqa: E402
 from repro.rng import aes  # noqa: E402
-from repro.vm.interpreter import Machine  # noqa: E402
+from repro.vm.interpreter import Machine, result_fingerprint  # noqa: E402
 
 #: Workload exercising heavy straight-line interpretation.
-DISPATCH_WORKLOAD = "bzip2"
-DISPATCH_WORKLOAD_QUICK = "libquantum"
+ENGINES_WORKLOAD = "bzip2"
+ENGINES_WORKLOAD_QUICK = "libquantum"
 
-#: Suite subset: call-heavy (perlbench exercises the RNG via frequent
-#: prologues) plus loop-heavy, under schemes that include real AES.
-SUITE_WORKLOADS = ["perlbench", "bzip2", "sjeng", "libquantum"]
-SUITE_WORKLOADS_QUICK = ["sjeng", "libquantum"]
-SUITE_SCHEMES = ("pseudo", "aes-1", "aes-10")
-SUITE_SCHEMES_QUICK = ("aes-10",)
-
-#: real runs of one JIT build behind the amortization table
-AMORTIZATION_RUNS = 10
+#: warm eager-JIT reruns of one build behind the JIT median
+JIT_WARM_RUNS = 9
+#: warm eager JIT over the predecoded interpreter, at least
+MIN_JIT_SPEEDUP = 2.0
 AES_BLOCKS = 8192
 AES_BLOCKS_QUICK = 1024
 #: attack attempts per (canned victim, defense) behind the restart row
@@ -69,140 +57,88 @@ RESTART_ATTEMPTS = 8
 RESTART_ATTEMPTS_QUICK = 3
 
 
-def bench_interpreter(workload_name: str) -> dict:
-    workload = get_workload(workload_name)
-    module_fast = compile_source(workload.source, workload.name)
-    module_slow = compile_source(workload.source, workload.name)
+def bench_engines(workload_name: str):
+    """Every engine on one workload, each compared with ``slow``.
 
-    start = time.perf_counter()
-    fast = Machine(
-        module_fast, inputs=list(workload.inputs), engine="fast"
-    ).run()
-    fast_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    slow = Machine(
-        module_slow, inputs=list(workload.inputs), engine="slow"
-    ).run()
-    slow_seconds = time.perf_counter() - start
-
-    for field in ("outcome", "exit_code", "steps", "cycles", "int_outputs",
-                  "str_outputs", "max_rss"):
-        if getattr(fast, field) != getattr(slow, field):
-            raise SystemExit(
-                f"dispatch mismatch on {workload_name}.{field}: "
-                f"{getattr(fast, field)!r} != {getattr(slow, field)!r}"
-            )
-    return {
-        "workload": workload_name,
-        "steps": fast.steps,
-        "fast_seconds": round(fast_seconds, 4),
-        "slow_seconds": round(slow_seconds, 4),
-        "fast_instr_per_sec": round(fast.steps / fast_seconds),
-        "slow_instr_per_sec": round(slow.steps / slow_seconds),
-        "speedup": round(slow_seconds / fast_seconds, 2),
-    }
-
-
-def bench_jit(workload_name: str) -> dict:
-    """JIT vs predecoded dispatch vs executor table, plus amortization.
-
-    The first jit run pays compilation; reruns on the same module hit
-    the shared code cache.  ``compile_seconds`` is what the JIT itself
-    records in its ``jit_compile_seconds`` histogram during the cold
-    run.  The amortization table reports effective instr/sec over the
-    first 1 and 10 real runs of the workload (cold cache at run 1),
-    which is the number that matters for campaign-style callers —
-    attack brute-force, fuzzing, the defense tournament — that execute
-    one build many times.
+    Each leg gets its own freshly compiled module, so no leg inherits
+    another's caches; the JIT's warm runs share the cold run's module,
+    which is what makes them warm.  Only ``Machine.run`` is timed.
     """
     from repro.obs.metrics import get_registry
+    from repro.obs.trace import Tracer
     from repro.vm.jit import clear_code_cache
 
     workload = get_workload(workload_name)
-    module = compile_source(workload.source, workload.name)
 
-    def jit_run_seconds() -> tuple:
+    def timed(engine, module=None, **options):
         machine = Machine(
-            module, inputs=list(workload.inputs), engine="jit-eager"
+            module or compile_source(workload.source, workload.name),
+            inputs=list(workload.inputs),
+            engine=engine,
+            **options,
         )
         start = time.perf_counter()
         result = machine.run()
         return time.perf_counter() - start, result
 
+    slow_s, slow = timed("slow")
+    fast_s, fast = timed("fast")
+    module = compile_source(workload.source, workload.name)
     compiles = get_registry().histogram("jit_compile_seconds")
     clear_code_cache()
     compiled_before = compiles.total
-    cold_seconds, jit_result = jit_run_seconds()
-    compile_seconds = compiles.total - compiled_before
-    warm = [jit_run_seconds() for _ in range(AMORTIZATION_RUNS - 1)]
-    warm_seconds = statistics.median(seconds for seconds, _ in warm)
+    cold_s, cold = timed("jit-eager", module)
+    compile_s = compiles.total - compiled_before
+    warm = [timed("jit-eager", module) for _ in range(JIT_WARM_RUNS)]
+    traced_s, traced = timed("fast", tracer=Tracer(record_writes="none"))
 
-    fast = Machine(
-        compile_source(workload.source, workload.name),
-        inputs=list(workload.inputs),
-        engine="fast",
+    gate = Gate("engines")
+    reference = result_fingerprint(slow)
+    runs = [("fast", fast), ("jit-eager cold", cold), ("fast traced", traced)]
+    runs += [(f"jit-eager warm {i}", result) for i, (_, result) in enumerate(warm)]
+    gate.require(
+        [
+            f"{label} disagrees with slow on {workload_name}"
+            for label, result in runs
+            if result_fingerprint(result) != reference
+        ],
+        f"{len(runs)} runs of {workload_name} identical to slow",
     )
-    start = time.perf_counter()
-    fast_result = fast.run()
-    fast_seconds = time.perf_counter() - start
-
-    slow = Machine(
-        compile_source(workload.source, workload.name),
-        inputs=list(workload.inputs),
-        engine="slow",
+    warm_s = [seconds for seconds, _ in warm]
+    warm_median = summarize(warm_s)["median"]
+    speedup = fast_s / warm_median
+    gate.check(
+        speedup >= MIN_JIT_SPEEDUP,
+        f"warm eager JIT {speedup:.2f}x predecoded on {workload_name} "
+        f"(need {MIN_JIT_SPEEDUP:.1f}x)",
     )
-    start = time.perf_counter()
-    slow_result = slow.run()
-    slow_seconds = time.perf_counter() - start
-
-    others = [(fast_result, "fast"), (slow_result, "slow")] + [
-        (result, "jit-warm") for _, result in warm
+    steps = slow.steps
+    print(
+        f"engines:     {workload_name} {steps:,} steps; instr/sec slow "
+        f"{steps / slow_s:,.0f}, fast {steps / fast_s:,.0f}, warm jit "
+        f"{steps / warm_median:,.0f}; jit compile {compile_s:.4f}s, traced "
+        f"overhead {traced_s / fast_s - 1.0:+.1%}"
+    )
+    measurements = [
+        ("engines.slow", "s", [slow_s]),
+        ("engines.fast", "s", [fast_s]),
+        ("engines.jit_cold", "s", [cold_s]),
+        ("engines.jit_compile", "s", [compile_s]),
+        ("engines.jit_warm", "s", warm_s),
+        ("engines.fast_traced", "s", [traced_s]),
     ]
-    for other, label in others:
-        for field in ("outcome", "exit_code", "steps", "cycles",
-                      "int_outputs", "str_outputs", "max_rss"):
-            if getattr(jit_result, field) != getattr(other, field):
-                raise SystemExit(
-                    f"jit mismatch vs {label} on {workload_name}.{field}: "
-                    f"{getattr(jit_result, field)!r} != "
-                    f"{getattr(other, field)!r}"
-                )
-
-    steps = jit_result.steps
-    run_seconds = [cold_seconds] + [seconds for seconds, _ in warm]
-    amortization = {}
-    for runs in (1, AMORTIZATION_RUNS):
-        total = sum(run_seconds[:runs])
-        amortization[str(runs)] = {
-            "total_seconds": round(total, 4),
-            "instr_per_sec": round(steps * runs / total),
-        }
-    return {
+    payload = {
         "workload": workload_name,
         "steps": steps,
-        "jit_cold_seconds": round(cold_seconds, 4),
-        "jit_warm_seconds": round(warm_seconds, 4),
-        "compile_seconds": round(compile_seconds, 4),
-        "jit_instr_per_sec": round(steps / warm_seconds),
-        "fast_instr_per_sec": round(fast_result.steps / fast_seconds),
-        "slow_instr_per_sec": round(slow_result.steps / slow_seconds),
-        "speedup_vs_fast": round(fast_seconds / warm_seconds, 2),
-        "speedup_vs_slow": round(slow_seconds / warm_seconds, 2),
-        "amortization_runs": amortization,
+        "fast_speedup_vs_slow": round(slow_s / fast_s, 2),
+        "jit_speedup_vs_fast": round(speedup, 2),
+        "jit_speedup_vs_slow": round(slow_s / warm_median, 2),
+        "traced_overhead": round(traced_s / fast_s - 1.0, 3),
     }
+    return gate, measurements, payload
 
 
-def _quartiles_ms(samples) -> dict:
-    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
-    return {
-        "median": round(median * 1000, 3),
-        "q1": round(q1 * 1000, 3),
-        "q3": round(q3 * 1000, 3),
-    }
-
-
-def bench_restart(attempts: int) -> dict:
+def bench_restart(attempts: int):
     """A fresh process per attack attempt vs one process restarted.
 
     Each canned CVE scenario attacks each defense on two builds with the
@@ -216,7 +152,6 @@ def bench_restart(attempts: int) -> dict:
     """
     from repro.attacks import dop, librelp, proftpd, wireshark
     from repro.defenses.registry import defense_names, make_defense
-    from repro.vm.interpreter import result_fingerprint
 
     scenarios = [
         dop.Listing1DopAttack(),
@@ -224,7 +159,7 @@ def bench_restart(attempts: int) -> dict:
         proftpd.ProftpdDopAttack(),
         librelp.LibrelpDopAttack(),
     ]
-    fresh_seconds, restart_seconds = [], []
+    fresh_seconds, restart_seconds, mismatches = [], [], []
     for scenario in scenarios:
         for name in defense_names():
             fresh_build, restart_build = (
@@ -244,26 +179,37 @@ def bench_restart(attempts: int) -> dict:
                 restarted = machine.run()
                 restart_elapsed = time.perf_counter() - start
                 if result_fingerprint(fresh) != result_fingerprint(restarted):
-                    raise SystemExit(
-                        f"restart mismatch: {scenario.name} under {name}, "
-                        f"attempt {attempt}: {fresh!r} != {restarted!r}"
+                    mismatches.append(
+                        f"{scenario.name} under {name}, attempt {attempt}"
                     )
                 if attempt:
                     fresh_seconds.append(fresh_elapsed)
                     restart_seconds.append(restart_elapsed)
-    fresh_ms = _quartiles_ms(fresh_seconds)
-    restart_ms = _quartiles_ms(restart_seconds)
-    return {
+    gate = Gate("restart")
+    gate.require(
+        mismatches,
+        f"{len(scenarios)} victims x {len(defense_names())} defenses x "
+        f"{attempts} attempts restarted identical to fresh",
+    )
+    fresh_ms = summarize(fresh_seconds)["median"] * 1000
+    restart_ms = summarize(restart_seconds)["median"] * 1000
+    print(
+        f"restart:     {restart_ms:.3f} ms per restarted attempt vs "
+        f"{fresh_ms:.3f} ms fresh (median of {len(restart_seconds)})"
+    )
+    measurements = [
+        ("restart.fresh_attempt", "s", fresh_seconds),
+        ("restart.restarted_attempt", "s", restart_seconds),
+    ]
+    payload = {
         "victims": [scenario.name for scenario in scenarios],
         "defenses": len(defense_names()),
-        "timed_attempts": len(restart_seconds),
-        "fresh_ms": fresh_ms,
-        "restart_ms": restart_ms,
-        "speedup": round(fresh_ms["median"] / restart_ms["median"], 2),
+        "speedup": round(fresh_ms / restart_ms, 2),
     }
+    return gate, measurements, payload
 
 
-def bench_aes(block_count: int) -> dict:
+def bench_aes(block_count: int):
     key = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
     blocks = [i.to_bytes(16, "little") for i in range(block_count)]
     cipher = aes.AES128(key)
@@ -277,183 +223,55 @@ def bench_aes(block_count: int) -> dict:
     reference_out = [aes.encrypt_block(block, round_keys) for block in blocks]
     reference_seconds = time.perf_counter() - start
 
-    if fast_out != reference_out:
-        raise SystemExit("T-table AES disagrees with the reference implementation")
-    return {
+    gate = Gate("aes")
+    gate.check(
+        fast_out == reference_out,
+        f"T-table AES equals the reference on {block_count} blocks",
+    )
+    print(
+        f"aes:         {block_count / fast_seconds:,.0f} blocks/sec "
+        f"({reference_seconds / fast_seconds:.2f}x over byte-level reference)"
+    )
+    measurements = [
+        ("aes.ttable", "s", [fast_seconds]),
+        ("aes.reference", "s", [reference_seconds]),
+    ]
+    payload = {
         "blocks": block_count,
-        "ttable_blocks_per_sec": round(block_count / fast_seconds),
-        "reference_blocks_per_sec": round(block_count / reference_seconds),
         "speedup": round(reference_seconds / fast_seconds, 2),
     }
+    return gate, measurements, payload
 
 
-def bench_tracing(workload_name: str) -> dict:
-    """Tracing-off overhead: a machine built *without* a tracer must run
-    as fast as one built before the observability layer existed.
-
-    The design promise is stronger than "cheap": an untraced machine
-    decodes exactly the closures it always did and carries no
-    per-instruction tracer checks, so the delta here is pure noise.  The
-    report records it so a regression (someone adding a hot-path check)
-    shows up in the trajectory.
-    """
-    workload = get_workload(workload_name)
-    module_off = compile_source(workload.source, workload.name)
-    module_on = compile_source(workload.source, workload.name)
-
-    start = time.perf_counter()
-    off = Machine(
-        module_off, inputs=list(workload.inputs), engine="fast"
-    ).run()
-    off_seconds = time.perf_counter() - start
-
-    from repro.obs.trace import Tracer
-
-    tracer = Tracer(record_writes="none")
-    start = time.perf_counter()
-    on = Machine(
-        module_on,
-        inputs=list(workload.inputs),
-        engine="fast",
-        tracer=tracer,
-    ).run()
-    on_seconds = time.perf_counter() - start
-
-    for field in ("outcome", "exit_code", "steps", "cycles", "int_outputs",
-                  "str_outputs", "max_rss"):
-        if getattr(off, field) != getattr(on, field):
-            raise SystemExit(
-                f"tracing changed {workload_name}.{field}: "
-                f"{getattr(off, field)!r} != {getattr(on, field)!r}"
-            )
-    return {
-        "workload": workload_name,
-        "steps": off.steps,
-        "untraced_seconds": round(off_seconds, 4),
-        "traced_seconds": round(on_seconds, 4),
-        "untraced_instr_per_sec": round(off.steps / off_seconds),
-        "traced_instr_per_sec": round(on.steps / on_seconds),
-        #: tracing-ON cost relative to off (opcode histogram updates);
-        #: tracing-OFF overhead is by construction zero — no tracer code
-        #: exists on the untraced path — so "off" equals the interpreter
-        #: benchmark above.
-        "traced_overhead": round(on_seconds / off_seconds - 1.0, 3),
+def run(quick: bool):
+    rows = {
+        "engines": bench_engines(
+            ENGINES_WORKLOAD_QUICK if quick else ENGINES_WORKLOAD
+        ),
+        "aes": bench_aes(AES_BLOCKS_QUICK if quick else AES_BLOCKS),
+        "restart": bench_restart(
+            RESTART_ATTEMPTS_QUICK if quick else RESTART_ATTEMPTS
+        ),
     }
-
-
-def _measure_suite_legacy(names, schemes) -> None:
-    """The pre-fast-path harness, faithfully re-enacted.
-
-    Per-build re-parse (baseline and hardened each compile from source),
-    executor-table dispatch, serial execution — and byte-level AES, which
-    the caller arranges by patching ``AES128.encrypt`` around this call.
-    """
-    for name in names:
-        workload = get_workload(name)
-        baseline = runner.run_baseline(workload, engine="slow")
-        hardened = harden_source(workload.source, None, workload.name)
-        for scheme in schemes:
-            run = runner.run_hardened(
-                hardened, workload, scheme, engine="slow"
-            )
-            assert run.int_outputs == baseline.int_outputs
-
-
-def bench_suite(names, schemes, jobs: int) -> dict:
-    start = time.perf_counter()
-    results = runner.measure_suite(names, schemes=schemes, jobs=jobs)
-    fast_seconds = time.perf_counter() - start
-
-    original_encrypt = aes.AES128.encrypt
-    aes.AES128.encrypt = lambda self, block: aes.encrypt_block(
-        block, self._round_keys
-    )
-    try:
-        start = time.perf_counter()
-        _measure_suite_legacy(names, schemes)
-        legacy_seconds = time.perf_counter() - start
-    finally:
-        aes.AES128.encrypt = original_encrypt
-
-    return {
-        "workloads": list(names),
-        "schemes": list(schemes),
-        "jobs": jobs,
-        "fast_seconds": round(fast_seconds, 3),
-        "legacy_seconds": round(legacy_seconds, 3),
-        "speedup": round(legacy_seconds / fast_seconds, 2),
-        "phase_seconds": {
-            phase: round(seconds, 3)
-            for phase, seconds in results.phase_seconds.items()
-        },
-    }
+    gates = [gate for gate, _, _ in rows.values()]
+    measurements = [m for _, row, _ in rows.values() for m in row]
+    payload = {name: row for name, (_, _, row) in rows.items()}
+    return gates, measurements, dict(payload, quick=quick)
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--quick", action="store_true",
-        help="smaller workloads/schemes for CI smoke runs",
+        help="smaller workload and fewer blocks/attempts for CI smoke runs",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="process-pool width for the suite measurement (default serial)",
-    )
-    parser.add_argument(
-        "--output", type=Path,
+        "--out", type=Path,
         default=Path(__file__).resolve().parent.parent / "BENCH_selfspeed.json",
         help="where to write the JSON report",
     )
     args = parser.parse_args()
-
-    dispatch_workload = (
-        DISPATCH_WORKLOAD_QUICK if args.quick else DISPATCH_WORKLOAD
-    )
-    suite_names = SUITE_WORKLOADS_QUICK if args.quick else SUITE_WORKLOADS
-    suite_schemes = SUITE_SCHEMES_QUICK if args.quick else SUITE_SCHEMES
-    aes_blocks = AES_BLOCKS_QUICK if args.quick else AES_BLOCKS
-    restart_attempts = (
-        RESTART_ATTEMPTS_QUICK if args.quick else RESTART_ATTEMPTS
-    )
-
-    report = {
-        "quick": args.quick,
-        "interpreter": bench_interpreter(dispatch_workload),
-        "jit": bench_jit(dispatch_workload),
-        "aes": bench_aes(aes_blocks),
-        "restart": bench_restart(restart_attempts),
-        "tracing": bench_tracing(dispatch_workload),
-        "suite": bench_suite(suite_names, suite_schemes, args.jobs),
-    }
-
-    args.output.write_text(json.dumps(report, indent=2) + "\n")
-    interp = report["interpreter"]
-    aes_report = report["aes"]
-    suite = report["suite"]
-    print(f"interpreter: {interp['fast_instr_per_sec']:,} instr/sec "
-          f"({interp['speedup']}x over executor-table dispatch)")
-    jit = report["jit"]
-    amort = jit["amortization_runs"]
-    print(f"jit:         {jit['jit_instr_per_sec']:,} instr/sec warm "
-          f"({jit['speedup_vs_fast']}x over predecoded dispatch, "
-          f"{jit['speedup_vs_slow']}x over executor table); compile "
-          f"{jit['compile_seconds']}s, amortized instr/sec over 1/10 "
-          f"runs: {amort['1']['instr_per_sec']:,} / "
-          f"{amort[str(AMORTIZATION_RUNS)]['instr_per_sec']:,}")
-    print(f"aes:         {aes_report['ttable_blocks_per_sec']:,} blocks/sec "
-          f"({aes_report['speedup']}x over byte-level reference)")
-    restart = report["restart"]
-    print(f"restart:     {restart['restart_ms']['median']} ms per restarted "
-          f"attempt vs {restart['fresh_ms']['median']} ms fresh "
-          f"({restart['speedup']}x, median of {restart['timed_attempts']})")
-    tracing = report["tracing"]
-    print(f"tracing:     untraced {tracing['untraced_instr_per_sec']:,} "
-          f"instr/sec, traced (writes=none) overhead "
-          f"{tracing['traced_overhead']:+.1%}")
-    print(f"suite:       {suite['fast_seconds']}s vs legacy "
-          f"{suite['legacy_seconds']}s ({suite['speedup']}x)")
-    print(f"report:      {args.output}")
-    return 0
+    return run_report(args.out, lambda: run(args.quick))
 
 
 if __name__ == "__main__":

@@ -22,6 +22,10 @@ and verifies four contracts, any failure of which exits non-zero:
 * only ``trace`` jobs run traced: the merged ``vm_traced_machines_total``
   equals the merged ``serve_worker_jobs_total{op=trace}`` (``harden``
   fingerprints its run from the RNG draws and stays on the JIT).
+
+Usage::
+
+    python scripts/bench_serve.py [--smoke] [--out BENCH_serve.json]
 """
 
 import argparse
@@ -36,9 +40,14 @@ sys.path.insert(
 )
 
 from repro.benchsuite.programs import get_workload  # noqa: E402
+from repro.obs.gate import Gate, run as run_report  # noqa: E402
 from repro.serve.server import ServeConfig, ServerThread  # noqa: E402
 
 TENANTS = ("proftpd-ops", "wireshark-lab", "shared-ci")
+REQUESTS = 2000
+SMOKE_REQUESTS = 240
+CONCURRENCY = 8
+WORKERS = 2
 
 
 def build_deck():
@@ -152,70 +161,79 @@ async def soak(host, port, deck, total_requests, concurrency):
 
 
 def percentile(sorted_values, fraction):
-    if not sorted_values:
-        return None
     index = min(
         len(sorted_values) - 1, int(fraction * (len(sorted_values) - 1))
     )
     return sorted_values[index]
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="reduced budget for CI (240 requests)")
-    parser.add_argument("--requests", type=int, default=2000)
-    parser.add_argument("--concurrency", type=int, default=8)
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--out", default="BENCH_serve.json")
-    args = parser.parse_args(argv)
-    total = 240 if args.smoke else args.requests
-
+def run(smoke):
+    total = SMOKE_REQUESTS if smoke else REQUESTS
+    hit_floor = 0.0 if smoke else 0.5
     deck = build_deck()
     config = ServeConfig(
-        workers=args.workers, max_inflight=6, request_timeout=120.0
+        workers=WORKERS, max_inflight=6, request_timeout=120.0
     )
-    started = time.time()
+    started = time.perf_counter()
     with ServerThread(config) as thread:
         host, port = thread.address
-        stats = asyncio.run(
-            soak(host, port, deck, total, args.concurrency)
-        )
+        stats = asyncio.run(soak(host, port, deck, total, CONCURRENCY))
         # post-soak consistency: worker-side counters vs parent-side count
         from repro.serve.client import connect
 
         with connect(host, port) as client:
             metrics = client.metrics()["snapshot"]
             server_stats = client.stats()
-    wall = time.time() - started
+    wall = time.perf_counter() - started
 
     worker_jobs_merged = sum(
         value
         for name, value in metrics["counters"].items()
         if name.startswith("serve_worker_jobs_total")
     )
+    completed_jobs = server_stats["worker_jobs_completed"]
     traced_machines = metrics["counters"].get("vm_traced_machines_total", 0)
     trace_jobs = metrics["counters"].get("serve_worker_jobs_total{op=trace}", 0)
     latencies = sorted(stats.latencies)
     hit_rate = stats.cached / stats.ok if stats.ok else 0.0
-    hit_floor = 0.0 if args.smoke else 0.5
-    gates = {
-        "completed": stats.ok >= total,
-        "zero_protocol_errors": len(stats.protocol_errors) == 0,
-        "zero_cache_mismatches": stats.cache_mismatches == 0,
-        "hit_rate_above_floor": hit_rate > hit_floor,
-        "metrics_match_completed_jobs": (
-            worker_jobs_merged == server_stats["worker_jobs_completed"]
-        ),
-        "only_trace_jobs_traced": traced_machines == trace_jobs,
-    }
-    report = {
+
+    print(f"serve soak: {stats.ok}/{total} ok in {wall:.1f}s "
+          f"({stats.ok / wall:.1f} req/s), "
+          f"hit rate {hit_rate:.1%}, "
+          f"{stats.rejected} rejections retried")
+    print(f"latency p50 {percentile(latencies, 0.50)*1000:.1f}ms  "
+          f"p90 {percentile(latencies, 0.90)*1000:.1f}ms  "
+          f"p99 {percentile(latencies, 0.99)*1000:.1f}ms")
+    gate = Gate("serve")
+    gate.check(stats.ok >= total, f"{stats.ok}/{total} requests completed")
+    gate.require(stats.protocol_errors, "protocol errors")
+    gate.check(
+        stats.cache_mismatches == 0,
+        f"{stats.cache_mismatches} cache mismatches",
+    )
+    gate.check(
+        hit_rate > hit_floor,
+        f"cache hit rate {hit_rate:.4f} above {hit_floor}",
+    )
+    gate.check(
+        worker_jobs_merged == completed_jobs,
+        f"merged worker-job counters {worker_jobs_merged} == "
+        f"{completed_jobs} completed jobs",
+    )
+    gate.check(
+        traced_machines == trace_jobs,
+        f"{traced_machines} traced machines == {trace_jobs} trace jobs",
+    )
+    measurements = [
+        ("request_latency", "s", latencies),
+        ("wall", "s", [wall]),
+    ]
+    payload = {
         "requests": total,
-        "concurrency": args.concurrency,
-        "workers": args.workers,
+        "concurrency": CONCURRENCY,
+        "workers": WORKERS,
         "deck_size": len(deck),
-        "wall_seconds": round(wall, 3),
-        "throughput_rps": round(stats.ok / wall, 1) if wall else None,
+        "throughput_rps": round(stats.ok / wall, 1),
         "ok": stats.ok,
         "cached": stats.cached,
         "cache_hit_rate": round(hit_rate, 4),
@@ -223,35 +241,27 @@ def main(argv=None):
         "protocol_errors": stats.protocol_errors[:10],
         "cache_mismatches": stats.cache_mismatches,
         "latency_seconds": {
-            "p50": percentile(latencies, 0.50),
             "p90": percentile(latencies, 0.90),
             "p99": percentile(latencies, 0.99),
-            "max": latencies[-1] if latencies else None,
+            "max": latencies[-1],
         },
         "worker_jobs_merged": worker_jobs_merged,
-        "worker_jobs_completed": server_stats["worker_jobs_completed"],
+        "worker_jobs_completed": completed_jobs,
         "traced_machines": traced_machines,
         "trace_jobs": trace_jobs,
         "server_rejections": server_stats["rejections_total"],
-        "gates": gates,
     }
-    with open(args.out, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    return [gate], measurements, payload
 
-    print(f"serve soak: {stats.ok}/{total} ok in {wall:.1f}s "
-          f"({report['throughput_rps']} req/s), "
-          f"hit rate {hit_rate:.1%}, "
-          f"{stats.rejected} rejections retried")
-    lat = report["latency_seconds"]
-    print(f"latency p50 {lat['p50']*1000:.1f}ms  "
-          f"p90 {lat['p90']*1000:.1f}ms  p99 {lat['p99']*1000:.1f}ms")
-    failed = [name for name, passed in gates.items() if not passed]
-    if failed:
-        print(f"GATE FAILURES: {', '.join(failed)}")
-        return 1
-    print("all gates passed; report written to", args.out)
-    return 0
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--smoke", action="store_true",
+                        help=f"reduced budget for CI ({SMOKE_REQUESTS} "
+                        "requests)")
+    parser.add_argument("--out", default="BENCH_serve.json")
+    args = parser.parse_args(argv)
+    return run_report(args.out, lambda: run(args.smoke))
 
 
 if __name__ == "__main__":

@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""CI soundness gate for the bounds prover (ISSUE 4 acceptance).
+"""CI soundness gate for the bounds prover.
 
 Three checks, any failure exits nonzero:
 
-1. ``repro analyze --prove --benchsuite --json <artifact>`` runs over
-   the examples plus the whole benchsuite and the artifact is written
-   (CI uploads it);
+1. ``analyze --prove`` over the examples plus the whole benchsuite
+   finds nothing at error severity; its per-program reports are the
+   artifact's ``reports`` (CI uploads it);
 2. every canned attack's corrupted buffer is verdict **UNSAFE** — the
    prover must flag all four real-world victims (librelp CVE-2018-1000140,
-   wireshark CVE-2018-11360, proftpd CVE-2006-5815, RIPE);
+   wireshark CVE-2018-11360, proftpd CVE-2006-5815, RIPE), named by
+   :data:`repro.obs.forensics.CANNED_ATTACKS`;
 3. no PROVEN_SAFE slot appears in any possible-reach set of the attack
    or example modules (``proven_reach_conflicts``) — the static half of
    the soundness contract.
@@ -26,78 +27,66 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.analysis import analyze_program, exit_status  # noqa: E402
 from repro.analysis.safety import (  # noqa: E402
     UNSAFE,
     analyze_module_safety,
     proven_reach_conflicts,
 )
-from repro.attacks import librelp, proftpd, ripe, wireshark  # noqa: E402
-from repro.cli import main as repro_main  # noqa: E402
+from repro.benchsuite import WORKLOADS  # noqa: E402
 from repro.core.pipeline import compile_source  # noqa: E402
+from repro.obs.forensics import CANNED_ATTACKS  # noqa: E402
+from repro.obs.gate import Gate, run as run_report  # noqa: E402
 
 REPO = Path(__file__).resolve().parent.parent
 EXAMPLES = REPO / "examples" / "minic"
 
-#: attack name -> (victim source, function, overflowed buffer slot)
-CANNED_ATTACKS = {
-    "librelp": (librelp.SOURCE, "relp_chk_peer_name", "all_names"),
-    "wireshark": (wireshark.SOURCE, "dissect_record", "pd"),
-    "proftpd": (proftpd.SOURCE, "sreplace", "buf"),
-    "ripe": (ripe.StackDirectBruteForce.source, "victim", "buff"),
-}
 
-
-def run(out: str) -> int:
-    failures = []
-
-    status = repro_main(
-        [
-            "analyze",
-            str(EXAMPLES / "checksum_clean.c"),
-            str(EXAMPLES / "vulnerable_logger.c"),
-            "--benchsuite",
-            "--prove",
-            "--fail-on",
-            "error",
-            "--json",
-            out,
-        ]
+def run():
+    gate = Gate("prove-gate")
+    sources = [
+        (str(EXAMPLES / name), (EXAMPLES / name).read_text())
+        for name in ("checksum_clean.c", "vulnerable_logger.c")
+    ] + [
+        (f"benchsuite:{name}", workload.source)
+        for name, workload in sorted(WORKLOADS.items())
+    ]
+    reports = [
+        analyze_program(source, name, prove=True) for name, source in sources
+    ]
+    status = exit_status(reports, "error")
+    gate.check(
+        status == 0,
+        f"analyze --prove on {len(reports)} programs exited {status}",
     )
-    if status != 0:
-        failures.append(f"analyze --prove --benchsuite exited {status}")
 
     modules = {}
-    for name, (source, function, buffer) in CANNED_ATTACKS.items():
-        module = compile_source(source, name)
+    for name, target in CANNED_ATTACKS.items():
+        module = compile_source(target.scenario_class.source, name)
         modules[name] = module
-        verdict = analyze_module_safety(module).verdict(function, buffer)
-        marker = "ok" if verdict == UNSAFE else "GATE FAILURE"
-        print(f"prove-gate: {name}: {function}/{buffer} -> {verdict} [{marker}]")
-        if verdict != UNSAFE:
-            failures.append(
-                f"{name}: corrupted slot {function}/{buffer} is "
-                f"{verdict}, expected UNSAFE"
-            )
+        verdict = analyze_module_safety(module).verdict(
+            target.victim, target.buffer
+        )
+        gate.check(
+            verdict == UNSAFE,
+            f"{name}: {target.victim}/{target.buffer} -> {verdict}",
+            f"{name}: corrupted slot {target.victim}/{target.buffer} is "
+            f"{verdict}, expected UNSAFE",
+        )
 
     for path in sorted(EXAMPLES.glob("*.c")):
         modules[path.stem] = compile_source(path.read_text(), path.stem)
     for name, module in modules.items():
         conflicts = proven_reach_conflicts(module)
-        if conflicts:
-            failures.append(f"{name}: PROVEN_SAFE inside reach: {conflicts}")
-        else:
-            print(f"prove-gate: {name}: 0 proven/reach conflicts [ok]")
-
-    if failures:
-        print("prove-gate: FAILED")
-        for failure in failures:
-            print(f"  - {failure}")
-        return 1
-    print(f"prove-gate: all checks passed; artifact at {out}")
-    return 0
+        gate.check(
+            not conflicts,
+            f"{name}: {len(conflicts)} proven/reach conflicts",
+            f"{name}: PROVEN_SAFE inside reach: {conflicts}",
+        )
+    return [gate], [], {"reports": [r.to_dict() for r in reports]}
 
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="prove-report.json")
-    sys.exit(run(parser.parse_args().out))
+    sys.exit(run_report(parser.parse_args().out, run))

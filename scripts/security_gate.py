@@ -57,10 +57,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
-import os
-import platform
-import subprocess
 import sys
 import time
 from dataclasses import replace
@@ -81,6 +77,7 @@ from repro.analysis.exploit import (  # noqa: E402
 )
 from repro.core.pipeline import compile_source  # noqa: E402
 from repro.defenses.registry import DEFENSE_ORDER, make_defense  # noqa: E402
+from repro.obs.gate import Gate, run as run_report  # noqa: E402
 from repro.synth.campaign import (  # noqa: E402
     SynthConfig,
     SynthSummary,
@@ -118,21 +115,6 @@ CROSSCHECK_CASES = (
 #: the cycle range plus both I/O apps (the paper's deployment targets)
 OVERHEAD_WORKLOADS = ("bzip2", "mcf", "proftpd", "wireshark")
 BENCH_MAX_STEPS = 30_000_000
-
-
-def environment() -> dict:
-    try:
-        sha = subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=REPO, capture_output=True,
-            text=True, timeout=10,
-        ).stdout.strip() or "unknown"
-    except (OSError, subprocess.TimeoutExpired):
-        sha = "unknown"
-    return {
-        "git_sha": sha,
-        "python": platform.python_version(),
-        "cpus": os.cpu_count(),
-    }
 
 
 def corpus_summary(cases) -> dict:
@@ -193,25 +175,6 @@ def view(summary, names, attempts=None) -> SynthSummary:
             for r in results
         ],
     )
-
-
-class Gate:
-    """One gate's checks: prints each with its mark, collects failures."""
-
-    def __init__(self, name):
-        self.name = name
-        self.failures = []
-
-    def check(self, ok, line, *failures):
-        print(f"{self.name}: {line} [{'ok' if ok else 'GATE FAILURE'}]")
-        if not ok:
-            self.failures.extend(failures or (line,))
-
-    def require(self, failures, line):
-        self.check(not failures, f"{line}: {len(failures)} failures", *failures)
-
-    def to_json(self) -> dict:
-        return {"passed": not self.failures, "failures": self.failures}
 
 
 def synth_gate(cases, matrix, summary):
@@ -463,7 +426,7 @@ def assignment_phase():
     return per_workload, demo
 
 
-def run(out: str, jobs: int) -> int:
+def run(jobs: int):
     cases = (
         canned_cases() + example_cases(str(EXAMPLES)) + fuzz_cases(FUZZ_VICTIMS)
     )
@@ -487,45 +450,30 @@ def run(out: str, jobs: int) -> int:
         cases, matrix, summary, pairs, static_s, dynamic_s
     )
     tournament, tournament_view = tournament_gate(cases, matrix, summary)
-    gates = (synth, exploit, tournament)
 
+    measurements = [
+        ("static_proof_matrix", "s", [static_s]),
+        ("dynamic_campaign", "s", [dynamic_s]),
+    ]
     payload = {
-        "environment": environment(),
         "corpus": corpus_summary(cases),
         "restarts": RESTARTS,
         "seed": SEED,
         "defenses": summary.config.defense_list(),
         "static": {
-            "seconds": round(static_s, 3),
             "ms_per_pair": round(static_s / pairs * 1000, 3),
             "distribution": distribution(matrix),
             "verdicts": matrix,
         },
-        "dynamic": {
-            "seconds": round(dynamic_s, 3),
-            "ms_per_pair": round(dynamic_s / pairs * 1000, 3),
-        },
+        "dynamic": {"ms_per_pair": round(dynamic_s / pairs * 1000, 3)},
         "triage_speedup": speedup,
         "views": {
             "synth": synth_view,
             "exploit": exploit_view,
             "tournament": tournament_view,
         },
-        "gates": {gate.name: gate.to_json() for gate in gates},
     }
-    with open(out, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-    failed = [gate for gate in gates if gate.failures]
-    for gate in failed:
-        print(f"security-gate: {gate.name} FAILED")
-        for failure in gate.failures:
-            print(f"  - {failure}")
-    if failed:
-        return 1
-    print(f"security-gate: all gates passed; summary at {out}")
-    return 0
+    return (synth, exploit, tournament), measurements, payload
 
 
 if __name__ == "__main__":
@@ -533,4 +481,4 @@ if __name__ == "__main__":
     parser.add_argument("--out", default="BENCH_security.json")
     parser.add_argument("--jobs", type=int, default=2)
     args = parser.parse_args()
-    sys.exit(run(args.out, args.jobs))
+    sys.exit(run_report(args.out, lambda: run(args.jobs)))

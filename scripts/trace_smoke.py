@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""CI trace smoke: forensics-trace one canned attack, validate the
-event stream against the schema, and leave the JSONL as an artifact.
+"""CI trace smoke: forensics-trace the canned RIPE attack (the fastest),
+validate the event stream against the schema, and leave the events as
+the artifact's ``events``.
 
 Exit status is nonzero when the trace is schema-invalid, the campaign
 is inconsistent with the bounds prover, or no boundary-crossing write
@@ -9,8 +10,7 @@ observability layer regressed).
 
 Usage::
 
-    PYTHONPATH=src python scripts/trace_smoke.py [--attack NAME]
-        [--output PATH]
+    PYTHONPATH=src python scripts/trace_smoke.py [--out trace-smoke.json]
 """
 
 from __future__ import annotations
@@ -22,56 +22,39 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.obs.forensics import CANNED_ATTACKS, attack_forensics  # noqa: E402
+from repro.obs.forensics import attack_forensics  # noqa: E402
+from repro.obs.gate import Gate, run as run_report  # noqa: E402
 from repro.obs.trace import validate_events  # noqa: E402
 
+ATTACK = "ripe"
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--attack", default="ripe", choices=sorted(CANNED_ATTACKS),
-        help="which canned attack to trace (default ripe: the fastest)",
-    )
-    parser.add_argument(
-        "--output", type=Path, default=Path("trace_smoke.jsonl"),
-        help="where the JSONL event stream lands (CI uploads this)",
-    )
-    args = parser.parse_args()
 
-    report = attack_forensics(args.attack, defense="none", restarts=2)
+def run():
+    gate = Gate("trace-smoke")
+    report = attack_forensics(ATTACK, defense="none", restarts=2)
     print(report.format_text())
     print()
 
     tracer = report.decisive_tracer()
-    if tracer is None:
-        print("FAIL: campaign produced no attempts")
-        return 1
-    tracer.write_jsonl(str(args.output))
-    print(f"jsonl trace -> {args.output} ({len(tracer.events)} events)")
-
-    # Re-read from disk: validate what the artifact actually contains.
-    events = [
-        json.loads(line)
-        for line in args.output.read_text().splitlines()
-        if line.strip()
-    ]
+    gate.check(tracer is not None, "campaign produced attempts")
+    # Validate the events as the artifact serializes them.
+    events = json.loads(json.dumps(tracer.events if tracer else []))
     problems = validate_events(events)
-    if problems:
-        print("FAIL: schema-invalid event stream:")
-        for problem in problems:
-            print(f"  {problem}")
-        return 1
-    print(f"schema: {len(events)} events valid")
-
-    if report.first_crossing() is None:
-        print("FAIL: undefended attack produced no boundary-crossing write")
-        return 1
-    if not report.consistent():
-        print("FAIL: first crossing is inconsistent with the bounds prover")
-        return 1
-    print("trace smoke OK")
-    return 0
+    gate.check(
+        not problems, f"schema: {len(events)} events, {len(problems)} invalid",
+        *problems,
+    )
+    gate.check(
+        report.first_crossing() is not None,
+        "undefended attack recorded a boundary-crossing write",
+    )
+    gate.check(
+        report.consistent(), "first crossing consistent with the bounds prover"
+    )
+    return [gate], [], {"attack": ATTACK, "events": events}
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", default="trace-smoke.json")
+    sys.exit(run_report(parser.parse_args().out, run))

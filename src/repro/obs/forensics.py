@@ -33,7 +33,7 @@ class ForensicTarget(NamedTuple):
     buffer: str  #: the overflowed slot
 
 
-#: The four canned attacks (mirrors scripts/prove_gate.py).
+#: The four canned attacks; the prove gate checks their buffers UNSAFE.
 CANNED_ATTACKS: Dict[str, ForensicTarget] = {
     "librelp": ForensicTarget(
         librelp.LibrelpDopAttack, "relp_chk_peer_name", "all_names"
@@ -45,9 +45,8 @@ CANNED_ATTACKS: Dict[str, ForensicTarget] = {
     "ripe": ForensicTarget(ripe.StackDirectBruteForce, "victim", "buff"),
 }
 
-#: bonus: the paper's Listing 1 example is traceable too, but has no
-#: prove_gate entry; kept out of CANNED_ATTACKS so acceptance stays on
-#: the canonical four.
+#: bonus: the paper's Listing 1 example is traceable too, but is kept
+#: out of CANNED_ATTACKS so the prove gate stays on the canonical four.
 EXTRA_ATTACKS: Dict[str, ForensicTarget] = {
     "listing1": ForensicTarget(dop.Listing1DopAttack, "server_loop", "buf"),
 }

@@ -19,6 +19,7 @@ from repro.core import SmokestackConfig, harden_source
 from repro.errors import BenchmarkError
 from repro.rng import DeterministicEntropy
 from repro.vm import Machine
+from tests.workload_engines import HARDENED_WORKLOADS, slow_reference
 
 
 class TestWorkloadRegistry:
@@ -58,6 +59,12 @@ class TestHardenedCorrectness:
         measurement = measure_workload(name, schemes=("aes-1",))
         hardened = measurement.hardened["aes-1"]
         assert hardened.int_outputs == measurement.baseline.int_outputs
+
+    @pytest.mark.parametrize("name", HARDENED_WORKLOADS)
+    def test_slow_hardened_output_matches_baseline(self, name):
+        # the executor-table engine keeps hardened output too
+        hardened = slow_reference(name, True)
+        assert hardened.int_outputs == slow_reference(name, False).int_outputs
 
     def test_output_mismatch_raises(self, monkeypatch):
         from repro.benchsuite import runner
