@@ -30,7 +30,7 @@ re-validates the analyzer against the VM on fresh random programs.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, NamedTuple, Optional, Sequence
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.analysis.reach import (
     FrameLayout,
@@ -38,7 +38,7 @@ from repro.analysis.reach import (
     overflow_reach,
     unique_slot_names,
 )
-from repro.core.allocations import discover_function
+from repro.core.allocations import FrameDescriptor, discover_function
 from repro.ir.module import Function, Module
 from repro.vm.interpreter import Machine
 
@@ -112,28 +112,39 @@ def crosscheck_function(
     machine: Optional[Machine] = None,
 ) -> List[CrosscheckResult]:
     """Execute deliberate overflows for every buffer of ``function``."""
-    descriptor = discover_function(function)
-    if not descriptor.allocations:
+    if not discover_function(function).allocations:
         return []
-    layout = baseline_layout(function, canary=canary)
-    own_machine = machine is None
     if machine is None:
         machine = Machine(module, stack_protector=canary)
-    results: List[CrosscheckResult] = []
-    names = unique_slot_names(descriptor.allocations)
-    buffers = [
+    return _probe_function(
+        machine, function, baseline_layout(function, canary=canary)
+    )
+
+
+def _buffers(descriptor: FrameDescriptor, names: Dict[int, str]) -> List[str]:
+    """Slot names of the overflowable (array, source-level) allocations,
+    in declaration order."""
+    return [
         names[id(allocation)]
         for allocation in descriptor.allocations
         if allocation.alloca is not None
         and allocation.alloca.allocated_type.is_array()
         and not allocation.name.startswith("__")
     ]
-    for buffer in buffers:
-        for length in probe_lengths(layout, buffer):
-            results.append(
-                _probe_once(machine, function, layout, buffer, length)
-            )
-    return results
+
+
+def _probe_function(
+    machine: Machine, function: Function, layout: FrameLayout
+) -> List[CrosscheckResult]:
+    """Every buffer of ``function`` at every :func:`probe_lengths`
+    length, executed on ``machine`` and compared with ``layout``."""
+    descriptor = discover_function(function)
+    names = unique_slot_names(descriptor.allocations)
+    return [
+        _probe_once(machine, function, layout, buffer, length)
+        for buffer in _buffers(descriptor, names)
+        for length in probe_lengths(layout, buffer)
+    ]
 
 
 def crosscheck_module(
@@ -151,6 +162,51 @@ def crosscheck_module(
     return results
 
 
+def _slot_addresses(
+    frame, descriptor: FrameDescriptor, names: Dict[int, str]
+) -> Dict[str, Tuple[int, int]]:
+    """slot name -> (address, size) in a pushed probe frame."""
+    return {
+        names[id(allocation)]: (
+            frame.alloca_addresses[allocation.alloca],
+            allocation.size,
+        )
+        for allocation in descriptor.allocations
+    }
+
+
+def _overflow(
+    memory,
+    frame,
+    addresses: Dict[str, Tuple[int, int]],
+    buffer: str,
+    length: Optional[int],
+) -> Tuple[int, FrozenSet[str]]:
+    """Fill every slot with the sentinel, write ``length`` overflow bytes
+    from ``buffer``'s base (capped at the frame top; ``None`` writes up
+    to it) and read the slots back.
+
+    Returns the bytes written and the other source-level slots that
+    lost their sentinel.
+    """
+    for address, size in addresses.values():
+        memory.write_bytes(address, bytes([SENTINEL]) * size)
+    base_address, _ = addresses[buffer]
+    writable = frame.frame_top - base_address
+    concrete = writable if length is None else min(length, writable)
+    if concrete <= 0:
+        return concrete, frozenset()
+    memory.write_bytes(base_address, bytes([OVERFLOW_BYTE]) * concrete)
+    corrupted = frozenset(
+        name
+        for name, (address, size) in addresses.items()
+        if name != buffer
+        and not name.startswith("__")
+        and memory.read_bytes(address, size) != bytes([SENTINEL]) * size
+    )
+    return concrete, corrupted
+
+
 def _probe_once(
     machine: Machine,
     function: Function,
@@ -163,43 +219,27 @@ def _probe_once(
     frame = machine.push_probe_frame(function.name)
     memory = machine.memory
     try:
+        addresses = _slot_addresses(frame, descriptor, names)
         # Model-vs-VM layout agreement: every slot's predicted offset must
         # equal the concrete address _push_frame chose.
         layout_match = True
-        addresses = {}
-        for allocation in descriptor.allocations:
-            name = names[id(allocation)]
-            address = frame.alloca_addresses[allocation.alloca]
-            addresses[name] = (address, allocation.size)
+        for name, (address, _) in addresses.items():
             if layout.slot(name).lo != address - frame.frame_top:
                 layout_match = False
-
-        for address, size in addresses.values():
-            memory.write_bytes(address, bytes([SENTINEL]) * size)
         cookie_before = memory.read_bytes(frame.ret_slot, 8)
         canary_before = (
             memory.read_bytes(frame.canary_addr, 8)
             if frame.canary_addr is not None
             else None
         )
-
-        base_address, _ = addresses[buffer]
-        writable = frame.frame_top - base_address
-        concrete = min(length, writable)
-        memory.write_bytes(base_address, bytes([OVERFLOW_BYTE]) * concrete)
-
-        observed = frozenset(
-            name
-            for name, (address, size) in addresses.items()
-            if name != buffer
-            and not name.startswith("__")
-            and memory.read_bytes(address, size) != bytes([SENTINEL]) * size
+        concrete, observed = _overflow(
+            memory, frame, addresses, buffer, length
         )
         cookie_observed = memory.read_bytes(frame.ret_slot, 8) != cookie_before
         prediction = overflow_reach(layout, buffer, concrete)
-        # The capped tail (length > writable) is the escape case; the
+        # The capped tail (length > concrete) is the escape case; the
         # model must agree that those bytes leave the frame.
-        escape_consistent = (length > writable) == (
+        escape_consistent = (length > concrete) == (
             overflow_reach(layout, buffer, length).escapes
         )
         if canary_before is not None:
@@ -260,8 +300,7 @@ def crosscheck_dualstack(
             module, clean_partition=unclean, unsafe_stack_offset=offset
         )
         for name, function in module.functions.items():
-            descriptor = discover_function(function)
-            if not descriptor.allocations:
+            if not discover_function(function).allocations:
                 continue
             part = partitions.get(name)
             deltas = None
@@ -272,19 +311,7 @@ def crosscheck_dualstack(
             layout = cleanstack_layouts(
                 function, module, partition=part, deltas=deltas
             )[0]
-            names = unique_slot_names(descriptor.allocations)
-            buffers = [
-                names[id(allocation)]
-                for allocation in descriptor.allocations
-                if allocation.alloca is not None
-                and allocation.alloca.allocated_type.is_array()
-                and not allocation.name.startswith("__")
-            ]
-            for buffer in buffers:
-                for length in probe_lengths(layout, buffer):
-                    results.append(
-                        _probe_once(machine, function, layout, buffer, length)
-                    )
+            results.extend(_probe_function(machine, function, layout))
     return results
 
 
@@ -345,44 +372,23 @@ def crosscheck_safety(module: Module, report=None) -> List[SafetyProbe]:
         proven = {
             s.slot for s in safety.slots if s.verdict == PROVEN_SAFE
         }
-        for allocation in descriptor.allocations:
-            alloca = allocation.alloca
-            if alloca is None or not alloca.allocated_type.is_array():
-                continue
-            if allocation.name.startswith("__"):
-                continue
-            buffer = names[id(allocation)]
+        for buffer in _buffers(descriptor, names):
             record = safety.slot(buffer)
             bound = record.write_bound if record is not None else None
             if bound == 0:
                 continue  # nothing ever writes to this buffer
             frame = machine.push_probe_frame(name)
-            memory = machine.memory
             try:
-                addresses = {
-                    names[id(a)]: (frame.alloca_addresses[a.alloca], a.size)
-                    for a in descriptor.allocations
-                }
-                for address, size in addresses.values():
-                    memory.write_bytes(address, bytes([SENTINEL]) * size)
-                base_address, _ = addresses[buffer]
-                writable = frame.frame_top - base_address
-                concrete = (
-                    writable if bound is None else min(bound, writable)
+                concrete, corrupted = _overflow(
+                    machine.memory,
+                    frame,
+                    _slot_addresses(frame, descriptor, names),
+                    buffer,
+                    bound,
                 )
-                if concrete <= 0:
-                    continue
-                memory.write_bytes(
-                    base_address, bytes([OVERFLOW_BYTE]) * concrete
-                )
-                corrupted = frozenset(
-                    slot
-                    for slot, (address, size) in addresses.items()
-                    if slot != buffer
-                    and not slot.startswith("__")
-                    and memory.read_bytes(address, size)
-                    != bytes([SENTINEL]) * size
-                )
+            finally:
+                machine.pop_probe_frame()
+            if concrete > 0:
                 results.append(
                     SafetyProbe(
                         name,
@@ -392,6 +398,4 @@ def crosscheck_safety(module: Module, report=None) -> List[SafetyProbe]:
                         frozenset(corrupted & proven),
                     )
                 )
-            finally:
-                machine.pop_probe_frame()
     return results

@@ -30,9 +30,10 @@ counts, which are deterministic and unaffected):
   serial: results are deterministic either way (each workload is
   self-contained), but serial keeps the harness dependency-free for
   debugging and profiling;
-* every measurement records wall-clock per phase (compile / harden /
-  execute) via :class:`repro.perf.PhaseTimer`; the suite aggregates
-  them into :attr:`SuiteResults.phase_seconds`.
+* every measurement times its phases (compile / harden / execute)
+  into the ``benchsuite_phase_seconds{phase=...}`` histograms of the
+  metrics registry; pool workers ship theirs home, so a suite's totals
+  are the same at any ``jobs``.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from repro.core.pipeline import (
 )
 from repro.errors import BenchmarkError
 from repro.minic import compile_to_ast
-from repro.perf import PhaseTimer
+from repro.obs.metrics import get_registry
 from repro.rng.entropy import DeterministicEntropy
 from repro.rng.sources import SCHEME_NAMES, make_source
 from repro.benchsuite.programs import WORKLOADS, Workload, get_workload
@@ -76,8 +77,6 @@ class WorkloadMeasurement:
         self.baseline: Optional[RunMeasurement] = None
         self.hardened: Dict[str, RunMeasurement] = {}
         self.pbox_bytes = 0
-        #: host wall-clock seconds by phase: compile / harden / execute.
-        self.timings: Dict[str, float] = {}
 
     def overhead_pct(self, scheme: str) -> float:
         """Runtime overhead of ``scheme`` vs baseline, in percent."""
@@ -177,15 +176,15 @@ def measure_workload(
     """
     workload = get_workload(workload_name)
     measurement = WorkloadMeasurement(workload)
-    timer = PhaseTimer()
-    with timer.phase("compile"):
+    registry = get_registry()
+    with registry.timed("benchsuite_phase_seconds", phase="compile"):
         ast = compile_to_ast(workload.source, workload.name)
         baseline_module = lower_ast(ast, workload.name, opt_level=opt_level)
         hardened_module = lower_ast(ast, workload.name, opt_level=opt_level)
-    with timer.phase("harden"):
+    with registry.timed("benchsuite_phase_seconds", phase="harden"):
         hardened = harden_module(hardened_module, config)
     measurement.pbox_bytes = hardened.pbox_bytes()
-    with timer.phase("execute"):
+    with registry.timed("benchsuite_phase_seconds", phase="execute"):
         measurement.baseline = run_baseline(
             workload,
             scheduling_effects,
@@ -207,7 +206,6 @@ def measure_workload(
                     f"{measurement.baseline.int_outputs}"
                 )
             measurement.hardened[scheme] = run
-    measurement.timings = timer.totals()
     return measurement
 
 
@@ -216,16 +214,14 @@ class SuiteResults:
 
     def __init__(self, schemes: Sequence[str]):
         self.schemes = list(schemes)
+        #: workload name -> measurement.  Host time per phase is in the
+        #: ``benchsuite_phase_seconds`` histograms, not here: parallel
+        #: runs sum child-process time, so it tracks work done, not
+        #: elapsed wall-clock.
         self.measurements: Dict[str, WorkloadMeasurement] = {}
-        #: aggregated host wall-clock seconds per phase across workloads
-        #: (compile / harden / execute); parallel runs sum child-process
-        #: time, so this tracks work done, not elapsed wall-clock.
-        self.phase_seconds: Dict[str, float] = {}
 
     def add(self, measurement: WorkloadMeasurement) -> None:
         self.measurements[measurement.workload.name] = measurement
-        for phase, seconds in measurement.timings.items():
-            self.phase_seconds[phase] = self.phase_seconds.get(phase, 0.0) + seconds
 
     def workloads(self) -> List[str]:
         return list(self.measurements)
@@ -260,7 +256,7 @@ class SuiteResults:
 def _measure_workload_pooled(name: str, kwargs: dict):
     """Pool-worker wrapper: ship this job's metrics delta home.
 
-    Pipeline phase timings and compile/harden counters recorded inside a
+    Phase timings and compile/harden counters recorded inside a
     worker live in that process's registry; the parent merges the
     returned delta so jobs=1 and jobs=N suites report identical totals.
     """
@@ -297,8 +293,6 @@ def measure_suite(
         engine=engine,
     )
     if jobs > 1 and len(names) > 1:
-        from repro.obs.metrics import get_registry
-
         # Imported here, not at module level: the pool pulls in
         # multiprocessing, socket and logging, which a serial run never
         # needs but every ``repro bench`` start would otherwise compile.

@@ -24,26 +24,14 @@ from repro.lowering import lower
 from repro.minic import compile_to_ast
 from repro.minic.astnodes import TranslationUnit
 from repro.obs.metrics import get_registry
-from repro.perf.timer import PhaseTimer
 from repro.rng.entropy import EntropySource
 from repro.rng.sources import make_source
 from repro.vm.interpreter import Machine
 
 
-def _observe_phase(name: str, seconds: float) -> None:
-    get_registry().histogram("pipeline_phase_seconds", phase=name).observe(
-        seconds
-    )
-
-
-def _phase_timer() -> PhaseTimer:
-    """A fresh per-call timer feeding the metrics registry.
-
-    Per call (not module-global) so recursive/pipelined builds — an
-    oracle compiling inside an analysis that is itself being compiled —
-    can never trip the timer's re-entrancy guard.
-    """
-    return PhaseTimer(observer=_observe_phase)
+def _phase(name: str):
+    """A timed region of ``pipeline_phase_seconds{phase=name}``."""
+    return get_registry().timed("pipeline_phase_seconds", phase=name)
 
 
 #: Sema'd ASTs :func:`frontend` keeps; the oldest entry is evicted first.
@@ -87,13 +75,12 @@ def lower_ast(ast, name: str = "program", opt_level: int = 0) -> Module:
     AST once for the baseline and once for the build it hands to the
     hardening passes (which *do* mutate their module).
     """
-    timer = _phase_timer()
-    with timer.phase("lower"):
+    with _phase("lower"):
         module = lower(ast, name)
     if opt_level:
         from repro.opt import optimize
 
-        with timer.phase("optimize"):
+        with _phase("optimize"):
             optimize(module, opt_level)
     return module
 
@@ -106,8 +93,7 @@ def compile_source(source: str, name: str = "program", opt_level: int = 0) -> Mo
     register-resident frames of the paper's ``-O2`` testbed.  The front
     end is cached (:func:`frontend`); the module is always fresh.
     """
-    timer = _phase_timer()
-    with timer.phase("compile"):
+    with _phase("compile"):
         module = lower_ast(frontend(source, name), name, opt_level=opt_level)
     get_registry().counter("pipeline_compiles_total").inc()
     return module
@@ -184,8 +170,7 @@ def harden_module(
 ) -> HardenedProgram:
     """Apply Smokestack to an already-lowered module (mutates it)."""
     config = config or SmokestackConfig()
-    timer = _phase_timer()
-    with timer.phase("harden"):
+    with _phase("harden"):
         pbox = instrument_module(module, config)
         verify_module(module)
     get_registry().counter("pipeline_hardens_total").inc()

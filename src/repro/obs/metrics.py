@@ -15,6 +15,12 @@ is a deep copy suitable for JSON, and ``reset()`` restores a pristine
 registry (tests rely on this; the module-level default registry is
 process-global).
 
+Host time is measured one way: ``with registry.timed(name, **labels):``
+observes the seconds its block took into that histogram, also when the
+block raises.  The ``*_seconds`` series are these timed regions, plus
+three explicit ``observe`` calls whose recording depends on the
+outcome (DESIGN.md §Metrics lists them).
+
 This module deliberately imports nothing from the rest of ``repro`` so
 every layer (pipeline, fuzz, analysis, VM) can populate it without
 import cycles.
@@ -22,7 +28,12 @@ import cycles.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import time
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Tuple
+
+#: The clock :meth:`MetricsRegistry.timed` reads; tests replace it.
+clock = time.perf_counter
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
@@ -121,6 +132,20 @@ class MetricsRegistry:
         if series is None:
             series = self._histograms[key] = Histogram()
         return series
+
+    @contextmanager
+    def timed(self, name: str, **labels: str) -> Iterator[None]:
+        """Observe the seconds the ``with`` block took into the
+        ``name{labels}`` histogram, also when an exception escapes it.
+
+        The series is looked up on exit, so the observation lands even
+        when the block resets the registry.
+        """
+        started = clock()
+        try:
+            yield
+        finally:
+            self.histogram(name, **labels).observe(clock() - started)
 
     # -- export --------------------------------------------------------------------
 

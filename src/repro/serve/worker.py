@@ -267,37 +267,32 @@ def handle_job(job: dict) -> dict:
     in an ``internal`` protocol error.
     """
     registry = worker_job_metrics()
-    started = time.perf_counter()
+    op = job.get("op", "unknown")
     out: dict = {"events": None}
-    try:
-        op = job["op"]
-        if op == "sleep":  # debug op: simulates a hung worker
-            time.sleep(job["seconds"])
-            out["result"] = {"slept": job["seconds"]}
-        elif op == "compile":
-            out["result"] = _handle_compile(job)
-        elif op == "harden":
-            out["result"] = _handle_harden(job)
-        elif op == "analyze":
-            out["result"] = _handle_analyze(job, prove=False)
-        elif op == "prove":
-            out["result"] = _handle_analyze(job, prove=True)
-        elif op == "trace":
-            header, lines = _handle_trace(job)
-            out["result"] = header
-            out["events"] = lines
-        elif op == "synth":
-            out["result"] = _handle_synth(job)
-        else:  # pragma: no cover - validate_request gates the op set
-            out["error"] = f"unhandled op '{op}'"
-    except Exception as exc:  # noqa: BLE001 - shipped home as an error
-        out["error"] = f"{type(exc).__name__}: {exc}"
-    registry.counter(
-        "serve_worker_jobs_total", op=job.get("op", "unknown")
-    ).inc()
-    registry.histogram("serve_worker_seconds", op=job.get("op", "unknown")).observe(
-        time.perf_counter() - started
-    )
+    with registry.timed("serve_worker_seconds", op=op):
+        try:
+            if op == "sleep":  # debug op: simulates a hung worker
+                time.sleep(job["seconds"])
+                out["result"] = {"slept": job["seconds"]}
+            elif op == "compile":
+                out["result"] = _handle_compile(job)
+            elif op == "harden":
+                out["result"] = _handle_harden(job)
+            elif op == "analyze":
+                out["result"] = _handle_analyze(job, prove=False)
+            elif op == "prove":
+                out["result"] = _handle_analyze(job, prove=True)
+            elif op == "trace":
+                header, lines = _handle_trace(job)
+                out["result"] = header
+                out["events"] = lines
+            elif op == "synth":
+                out["result"] = _handle_synth(job)
+            else:  # pragma: no cover - validate_request gates the op set
+                out["error"] = f"unhandled op '{op}'"
+        except Exception as exc:  # noqa: BLE001 - shipped home as an error
+            out["error"] = f"{type(exc).__name__}: {exc}"
+    registry.counter("serve_worker_jobs_total", op=op).inc()
     out["metrics"] = registry.dump()
     return out
 

@@ -45,7 +45,7 @@ from repro.ir.module import Function, Module
 from repro.ir.values import Argument, Constant, GlobalVariable, Value
 from repro.minic import types as ct
 from repro.vm.costs import CostModel
-from repro.vm.decode import Decoder, FellOffBlock
+from repro.vm.decode import Decoder, FellOffBlock, HotCall, HotLoop
 from repro.vm.floatmath import float_to_int_operand, round_f32
 from repro.vm.jit import (
     HOT_THRESHOLDS,
@@ -308,10 +308,11 @@ class Machine:
         Optional observability sink (duck-typed; see
         :class:`repro.obs.trace.Tracer`).  Receives call/return events
         with concrete frame layouts, every memory write, ``__ss_rand``
-        draws and a per-opcode cycle histogram.  Tracing never changes a
-        run's observables or cycle counts, and a ``tracer=None`` machine
-        executes exactly the untraced code paths (no per-instruction
-        check anywhere).
+        draws and a per-opcode cycle histogram.  It is the machine's one
+        frame log: each ``call`` event carries the frame's ``frame_top``
+        and slot ``layout``.  Tracing never changes a run's observables
+        or cycle counts, and a ``tracer=None`` machine executes exactly
+        the untraced code paths (no per-instruction check anywhere).
     """
 
     def __init__(
@@ -329,7 +330,6 @@ class Machine:
         clean_partition: Optional[Dict[str, FrozenSet[int]]] = None,
         unsafe_stack_offset: int = 0,
         shadow_stack: bool = False,
-        record_frames: bool = False,
         engine: str = "jit",
         tracer=None,
     ):
@@ -385,7 +385,6 @@ class Machine:
             canary_value=canary_value,
             stack_base_offset=stack_base_offset,
             unsafe_stack_offset=unsafe_stack_offset,
-            record_frames=record_frames,
         )
         if tracer is not None:
             # Installs the memory write observer and wraps the
@@ -414,7 +413,6 @@ class Machine:
         canary_value: int = DEFAULT_CANARY,
         stack_base_offset: int = 0,
         unsafe_stack_offset: int = 0,
-        record_frames: bool = False,
     ) -> None:
         """The per-start half: everything one process start draws or
         accumulates.  ``__init__`` and :meth:`restart` both end here."""
@@ -445,8 +443,6 @@ class Machine:
             unsafe_stack_offset & ~0xF
         )
         self._usp = self._unsafe_top
-        self.record_frames = record_frames
-        self.frame_trace: List[Tuple[str, int, Dict[str, int]]] = []
         self._steps = 0
         self._sp = self._stack_top
         self._cookie_seed = 0x5EED_0001
@@ -460,13 +456,13 @@ class Machine:
         the memory returns to its just-loaded state
         (:meth:`Memory.reset`) and every per-start option — ``inputs``,
         ``input_hook``, ``rng_source``, ``max_steps``, ``canary_value``,
-        ``stack_base_offset``, ``unsafe_stack_offset``,
-        ``record_frames`` — takes the value given here or its default,
-        exactly as for a fresh ``Machine``.  What a restart keeps is the
-        code: the loaded image, the decoded blocks and the JIT bindings,
-        so a restarted run decodes nothing it decoded before.  The next
-        :meth:`run` gives the same :class:`ExecutionResult` as a fresh
-        machine with the same options.
+        ``stack_base_offset``, ``unsafe_stack_offset`` — takes the value
+        given here or its default, exactly as for a fresh ``Machine``.
+        What a restart keeps is the code: the loaded image, the decoded
+        blocks and the JIT bindings, so a restarted run decodes nothing
+        it decoded before.  The next :meth:`run` gives the same
+        :class:`ExecutionResult` as a fresh machine with the same
+        options.
 
         The options that shape the code (``stack_protector``,
         ``scheduling_effects``, ``clean_partition``, ``shadow_stack``,
@@ -693,10 +689,6 @@ class Machine:
             frame.code = self._decoder.code_for(frame.block, function)
         self.frames.append(frame)
         self._sp = frame.frame_base
-        if self.record_frames:
-            self.frame_trace.append(
-                (function.name, frame.frame_top, frame.local_addresses())
-            )
         if self._tracer is not None:
             self._tracer.on_call(self, frame)
 
@@ -798,40 +790,65 @@ class Machine:
         Semantically identical to :meth:`_execute_loop`; the per-step
         executor lookup, cost computation and operand resolution have all
         been folded into the step closures by :class:`repro.vm.decode.Decoder`.
-        The step counter lives in a local and is synced back on every exit
-        path so ``run()`` (and fault results) still see an exact count.
         """
         self._final_return: Optional[object] = None
-        frames = self.frames
-        max_steps = self.max_steps
-        steps = self._steps
-        try:
-            while frames:
-                frame = frames[-1]
-                index = frame.inst_index
-                frame.inst_index = index + 1
-                steps += 1
-                if steps > max_steps:
-                    raise VMLimitExceeded(
-                        f"step limit of {self.max_steps} exceeded "
-                        f"(runaway loop or corrupted counter)"
-                    )
-                frame.code[index](frame)
-        except FellOffBlock:
-            # The sentinel fetch is not an executed instruction; undo its
-            # step so the count matches the slow path's bounds check.
-            steps -= 1
-            frame = frames[-1]
-            raise VMError(
-                f"fell off block '{frame.block.label}' in "
-                f"'{frame.function.name}'"
-            ) from None
-        finally:
-            self._steps = steps
+        self._run_steps(0)
         value = self._final_return
         if value is None:
             return 0
         return int(value)
+
+    def _run_steps(self, depth: int) -> None:
+        """Run predecoded steps until the frame stack drops back to
+        ``depth``: the whole of a ``"fast"`` or traced run (depth 0), and
+        the tiered JIT's cold path and deopt continuation.
+
+        On a tiered machine (``_hot`` set) a hot call site or loop
+        back-edge raises :class:`HotCall`/:class:`HotLoop` out of a step
+        and the frame is handed to compiled code
+        (:meth:`JitEngine._tier_up`); on any other machine no step
+        raises them.  The step counter lives in a local and is synced
+        back on every exit path so ``run()`` (and fault results) still
+        see an exact count.
+        """
+        frames = self.frames
+        max_steps = self.max_steps
+        while len(frames) > depth:
+            steps = self._steps
+            try:
+                while len(frames) > depth:
+                    frame = frames[-1]
+                    index = frame.inst_index
+                    frame.inst_index = index + 1
+                    steps += 1
+                    if steps > max_steps:
+                        raise VMLimitExceeded(
+                            f"step limit of {max_steps} exceeded "
+                            f"(runaway loop or corrupted counter)"
+                        )
+                    frame.code[index](frame)
+            except FellOffBlock:
+                # The sentinel fetch is not an executed instruction; undo
+                # its step so the count matches the slow path's bounds
+                # check.
+                steps -= 1
+                frame = frames[-1]
+                raise VMError(
+                    f"fell off block '{frame.block.label}' in "
+                    f"'{frame.function.name}'"
+                ) from None
+            except HotCall:
+                at_loop_header = False
+            except HotLoop:
+                at_loop_header = True
+            else:
+                return
+            finally:
+                self._steps = steps
+            # Outside the try: compiled code keeps _steps exact itself,
+            # and an exception it raises must not be followed by a stale
+            # write-back of ``steps``.
+            self._jit_engine._tier_up(frames[-1], at_loop_header)
 
     def _execute_loop_jit(self) -> Optional[int]:
         """The JIT path: compiled function bodies, fused-block accounting.

@@ -74,18 +74,11 @@ import time
 from typing import Dict, List, Optional, Tuple
 from weakref import WeakKeyDictionary
 
-from repro.errors import IRError, VMError, VMFault, VMLimitExceeded, VMTrap
+from repro.errors import IRError, VMError, VMFault, VMTrap
 from repro.ir import instructions as ir
 from repro.ir.values import Constant, GlobalVariable, Value
 from repro.vm.costs import DYNAMIC_ALLOCA_UNITS
-from repro.vm.decode import (
-    FellOffBlock,
-    HotCall,
-    HotLoop,
-    _binop_impl,
-    _cast_impl,
-    _int_wrap,
-)
+from repro.vm.decode import _binop_impl, _cast_impl, _int_wrap
 from repro.vm.floatmath import round_f32
 from repro.vm.memory import DATA_BASE, HEAP_BASE
 
@@ -1033,12 +1026,12 @@ class JitEngine:
             frame = machine.frames[-1]
             body = None if machine._hot else self.body_for(frame.function)
             if body is None:
-                self._interp_until(0)
+                machine._run_steps(0)
             else:
                 try:
                     body(frame)
                 except _Deopt:
-                    self._interp_until(0)
+                    machine._run_steps(0)
         except BaseException as exc:
             self._fix_accounting(exc.__traceback__)
             if isinstance(exc, UnboundLocalError):
@@ -1072,60 +1065,15 @@ class JitEngine:
             if body is _MISSING:
                 body = self.body_for(target)
             if body is None:
-                self._interp_until(depth)
+                machine._run_steps(depth)
             else:
                 try:
                     body(frames[-1])
                 except _Deopt:
-                    self._interp_until(depth)
+                    machine._run_steps(depth)
         finally:
             machine._steps += over_steps
             cost.cycle_units += over_units
-
-    def _interp_until(self, depth: int) -> None:
-        """Interpret (predecoded step lists) until the frame stack drops
-        back to ``depth``: the deopt continuation, and on a tiered
-        machine the cold path.  A bounded copy of
-        ``Machine._execute_loop_fast``, except that a hot call site or
-        loop back-edge hands its frame to compiled code
-        (:meth:`_tier_up`)."""
-        machine = self.machine
-        frames = machine.frames
-        max_steps = machine.max_steps
-        while len(frames) > depth:
-            steps = machine._steps
-            try:
-                while len(frames) > depth:
-                    frame = frames[-1]
-                    index = frame.inst_index
-                    frame.inst_index = index + 1
-                    steps += 1
-                    if steps > max_steps:
-                        raise VMLimitExceeded(
-                            f"step limit of {max_steps} exceeded "
-                            f"(runaway loop or corrupted counter)"
-                        )
-                    frame.code[index](frame)
-            except FellOffBlock:
-                # The sentinel fetch is not an executed instruction.
-                steps -= 1
-                frame = frames[-1]
-                raise VMError(
-                    f"fell off block '{frame.block.label}' in "
-                    f"'{frame.function.name}'"
-                ) from None
-            except HotCall:
-                at_loop_header = False
-            except HotLoop:
-                at_loop_header = True
-            else:
-                return
-            finally:
-                machine._steps = steps
-            # Outside the try: compiled code keeps machine._steps exact
-            # itself, and an exception it raises must not be followed
-            # by a stale write-back of ``steps``.
-            self._tier_up(frames[-1], at_loop_header)
 
     def _tier_up(self, frame, at_loop_header: bool) -> None:
         """Run an interpreted frame on, compiled, until it returns.

@@ -1,15 +1,17 @@
-"""Harness-performance layer: PhaseTimer, single-parse builds, jobs=N.
+"""Harness-performance layer: timed regions, single-parse builds, jobs=N.
 
-Timing *arithmetic* is asserted exactly against an injected fake clock —
-never against wall-clock thresholds, which flake on loaded CI runners.
-Real-clock tests only check structure (which phases exist, aggregation
-identities), never magnitudes.
+Timing *arithmetic* is asserted exactly against a fake clock
+monkeypatched into :mod:`repro.obs.metrics` — never against wall-clock
+thresholds, which flake on loaded CI runners.  Real-clock tests only
+check structure (which series exist, aggregation identities), never
+magnitudes.
 """
 
 import pytest
 
 from repro.benchsuite import runner
-from repro.perf import PhaseTimer, PhaseTimerError
+from repro.obs import metrics
+from repro.obs.metrics import MetricsRegistry, get_registry
 
 
 class FakeClock:
@@ -25,137 +27,145 @@ class FakeClock:
         return self._now
 
 
+@pytest.fixture
+def fake_clock(monkeypatch):
+    def install(steps):
+        monkeypatch.setattr(metrics, "clock", FakeClock(steps))
+
+    return install
+
+
+def _sums(registry, name):
+    """``label text -> sum`` of every ``name`` histogram."""
+    return {
+        key[len(name):]: stats["sum"]
+        for key, stats in registry.snapshot()["histograms"].items()
+        if key.startswith(name + "{") or key == name
+    }
+
+
 class TestPhaseTimer:
-    def test_accumulates_per_phase_exactly(self):
-        # Each phase() makes exactly two clock calls (enter, exit); the
+    """``MetricsRegistry.timed``, the one timing mechanism.  The class
+    keeps the name of the timer it replaced, so its tests keep theirs."""
+
+    def test_accumulates_per_phase_exactly(self, fake_clock):
+        # Each timed() makes exactly two clock calls (enter, exit); the
         # scripted steps make the elapsed times 1.5, 2.25, and 4.0.
-        timer = PhaseTimer(clock=FakeClock([0.0, 1.5, 0.0, 2.25, 0.0, 4.0]))
-        with timer.phase("a"):
+        fake_clock([0.0, 1.5, 0.0, 2.25, 0.0, 4.0])
+        registry = MetricsRegistry()
+        with registry.timed("t_seconds", phase="a"):
             pass
-        with timer.phase("a"):
+        with registry.timed("t_seconds", phase="a"):
             pass
-        with timer.phase("b"):
+        with registry.timed("t_seconds", phase="b"):
             pass
-        assert timer.totals() == {"a": 3.75, "b": 4.0}
-        assert timer.seconds("a") == 3.75
-        assert timer.seconds("never-entered") == 0.0
-        assert timer.total() == 7.75
+        assert _sums(registry, "t_seconds") == {
+            "{phase=a}": 3.75,
+            "{phase=b}": 4.0,
+        }
+        assert registry.histogram("t_seconds", phase="a").count == 2
+        assert registry.histogram("t_seconds", phase="never").count == 0
 
-    def test_accumulates_on_exception(self):
-        timer = PhaseTimer(clock=FakeClock([0.0, 0.5]))
+    def test_accumulates_on_exception(self, fake_clock):
+        fake_clock([0.0, 0.5])
+        registry = MetricsRegistry()
         with pytest.raises(ValueError):
-            with timer.phase("broken"):
+            with registry.timed("t_seconds", phase="broken"):
                 raise ValueError("boom")
-        assert timer.totals() == {"broken": 0.5}
+        assert _sums(registry, "t_seconds") == {"{phase=broken}": 0.5}
 
-    def test_nested_phases_both_charged(self):
-        # Outer phase spans the inner one plus its own clock overhead:
+    def test_nested_phases_both_charged(self, fake_clock):
+        # Outer region spans the inner one plus its own clock overhead:
         # inner elapsed is 2.0, outer sees 1.0 + 2.0 + 1.0 = 4.0.
-        timer = PhaseTimer(clock=FakeClock([0.0, 1.0, 2.0, 1.0]))
-        with timer.phase("outer"):
-            with timer.phase("inner"):
+        fake_clock([0.0, 1.0, 2.0, 1.0])
+        registry = MetricsRegistry()
+        with registry.timed("t_seconds", phase="outer"):
+            with registry.timed("t_seconds", phase="inner"):
                 pass
-        assert timer.totals() == {"inner": 2.0, "outer": 4.0}
+        assert _sums(registry, "t_seconds") == {
+            "{phase=inner}": 2.0,
+            "{phase=outer}": 4.0,
+        }
 
-    def test_merge_sums_overlapping_phases(self):
-        one = PhaseTimer(clock=FakeClock([0.0, 1.0]))
-        two = PhaseTimer(clock=FakeClock([0.0, 2.0, 0.0, 3.0]))
-        with one.phase("x"):
+    def test_merge_sums_overlapping_phases(self, fake_clock):
+        fake_clock([0.0, 1.0, 0.0, 2.0, 0.0, 3.0])
+        one, two = MetricsRegistry(), MetricsRegistry()
+        with one.timed("t_seconds", phase="x"):
             pass
-        with two.phase("x"):
+        with two.timed("t_seconds", phase="x"):
             pass
-        with two.phase("y"):
+        with two.timed("t_seconds", phase="y"):
             pass
-        one.merge(two)
-        assert one.totals() == {"x": 3.0, "y": 3.0}
-        # merge() folded a copy: the source timer is untouched.
-        assert two.totals() == {"x": 2.0, "y": 3.0}
+        one.merge(two.dump())
+        assert _sums(one, "t_seconds") == {"{phase=x}": 3.0, "{phase=y}": 3.0}
+        assert one.histogram("t_seconds", phase="x").count == 2
+        # merge() folded a copy: the source registry is untouched.
+        assert _sums(two, "t_seconds") == {"{phase=x}": 2.0, "{phase=y}": 3.0}
 
     def test_real_clock_default_is_monotonic(self):
         # Structural check only with the real clock — elapsed times are
         # non-negative, but no thresholds.
-        timer = PhaseTimer()
-        with timer.phase("a"):
+        registry = MetricsRegistry()
+        with registry.timed("t_seconds", phase="a"):
             pass
-        assert set(timer.totals()) == {"a"}
-        assert timer.seconds("a") >= 0.0
+        assert list(_sums(registry, "t_seconds")) == ["{phase=a}"]
+        assert registry.histogram("t_seconds", phase="a").total >= 0.0
+
+    def test_series_looked_up_on_exit(self, fake_clock):
+        # A reset inside a timed region must not lose the observation
+        # to the series object the reset dropped.
+        fake_clock([0.0, 1.0])
+        registry = MetricsRegistry()
+        registry.histogram("t_seconds")
+        with registry.timed("t_seconds"):
+            registry.reset()
+        assert _sums(registry, "t_seconds") == {"": 1.0}
+
+    def test_lex_error_still_observes_compile_once(self):
+        from repro.core.pipeline import compile_source
+        from repro.errors import LexError
+
+        registry = get_registry()
+        registry.reset()
+        with pytest.raises(LexError):
+            compile_source("int main() { return 0 @ 1; }", "lex-error")
+        phases = registry.snapshot()["histograms"]
+        assert phases["pipeline_phase_seconds{phase=compile}"]["count"] == 1
+        # The front end raised before lowering began.
+        assert "pipeline_phase_seconds{phase=lower}" not in phases
 
 
 class TestPhaseTimerMisuse:
-    """Misuse raises instead of silently double-counting (the old bug)."""
+    """Re-entry and exception paths of ``timed``."""
 
-    def test_reentering_running_phase_raises(self):
-        timer = PhaseTimer(clock=FakeClock([0.0, 1.0, 1.0, 1.0]))
-        with pytest.raises(PhaseTimerError, match="already running"):
-            with timer.phase("x"):
-                with timer.phase("x"):
-                    pass
-
-    def test_reentry_leaves_totals_uncorrupted(self):
-        # The outer phase() still charges its interval via the finally
-        # block; the rejected inner start never reads the clock and must
-        # not add a second interval.
-        timer = PhaseTimer(clock=FakeClock([0.0, 1.0]))
-        with pytest.raises(PhaseTimerError):
-            with timer.phase("x"):
-                timer.start("x")
-        assert timer.totals() == {"x": 1.0}
-        assert timer.running() == ()
-
-    def test_stop_without_start_raises(self):
-        timer = PhaseTimer(clock=FakeClock([0.0]))
-        with pytest.raises(PhaseTimerError, match="without a matching"):
-            timer.stop("never-started")
-        assert timer.totals() == {}
-
-    def test_stop_twice_raises_on_second(self):
-        timer = PhaseTimer(clock=FakeClock([0.0, 1.0]))
-        timer.start("x")
-        assert timer.stop("x") == 1.0
-        with pytest.raises(PhaseTimerError):
-            timer.stop("x")
-
-    def test_explicit_start_stop_interleaved_names(self):
-        # Different names may overlap freely; stop order is unordered.
-        timer = PhaseTimer(clock=FakeClock([0.0, 1.0, 1.0, 1.0]))
-        timer.start("a")
-        timer.start("b")
-        assert timer.running() == ("a", "b")
-        assert timer.stop("a") == 2.0
-        assert timer.stop("b") == 2.0
-        assert timer.totals() == {"a": 2.0, "b": 2.0}
-
-    def test_finished_phase_may_be_reentered(self):
-        # The accumulate-across-loop-iterations contract is unchanged.
-        timer = PhaseTimer(clock=FakeClock([0.0, 1.0, 0.0, 2.0]))
-        with timer.phase("x"):
+    def test_finished_phase_may_be_reentered(self, fake_clock):
+        # The accumulate-across-loop-iterations contract.
+        fake_clock([0.0, 1.0, 0.0, 2.0])
+        registry = MetricsRegistry()
+        with registry.timed("t_seconds", phase="x"):
             pass
-        with timer.phase("x"):
+        with registry.timed("t_seconds", phase="x"):
             pass
-        assert timer.totals() == {"x": 3.0}
+        assert _sums(registry, "t_seconds") == {"{phase=x}": 3.0}
 
-    def test_observer_sees_each_interval(self):
-        seen = []
-        timer = PhaseTimer(
-            clock=FakeClock([0.0, 1.5, 0.0, 2.5]),
-            observer=lambda name, elapsed: seen.append((name, elapsed)),
-        )
-        with timer.phase("a"):
+    def test_observer_sees_each_interval(self, fake_clock):
+        fake_clock([0.0, 1.5, 0.0, 2.5])
+        registry = MetricsRegistry()
+        with registry.timed("t_seconds", phase="a"):
             pass
-        with timer.phase("a"):
+        with registry.timed("t_seconds", phase="a"):
             pass
-        assert seen == [("a", 1.5), ("a", 2.5)]
+        series = registry.histogram("t_seconds", phase="a")
+        assert (series.count, series.min, series.max) == (2, 1.5, 2.5)
 
-    def test_observer_fires_on_exception_path(self):
-        seen = []
-        timer = PhaseTimer(
-            clock=FakeClock([0.0, 0.5]),
-            observer=lambda name, elapsed: seen.append((name, elapsed)),
-        )
+    def test_observer_fires_on_exception_path(self, fake_clock):
+        fake_clock([0.0, 0.5])
+        registry = MetricsRegistry()
         with pytest.raises(ValueError):
-            with timer.phase("broken"):
+            with registry.timed("t_seconds", phase="broken"):
                 raise ValueError("boom")
-        assert seen == [("broken", 0.5)]
+        series = registry.histogram("t_seconds", phase="broken")
+        assert (series.count, series.min, series.max) == (1, 0.5, 0.5)
 
 
 class TestSingleParse:
@@ -174,9 +184,13 @@ class TestSingleParse:
         assert "pseudo" in measurement.hardened
 
     def test_timings_recorded(self):
-        measurement = runner.measure_workload("libquantum", schemes=("pseudo",))
-        assert set(measurement.timings) == {"compile", "harden", "execute"}
-        assert all(seconds >= 0.0 for seconds in measurement.timings.values())
+        registry = get_registry()
+        registry.reset()
+        runner.measure_workload("libquantum", schemes=("pseudo",))
+        phases = _phase_histograms(registry)
+        assert set(phases) == {"compile", "harden", "execute"}
+        assert all(stats["count"] == 1 for stats in phases.values())
+        assert all(stats["sum"] >= 0.0 for stats in phases.values())
 
     def test_run_baseline_accepts_prebuilt_module(self):
         from repro.core.pipeline import compile_source
@@ -204,11 +218,26 @@ class TestParallelSuite:
             assert s.pbox_bytes == p.pbox_bytes
 
     def test_suite_aggregates_phase_seconds(self):
-        results = runner.measure_suite(self.NAMES, schemes=self.SCHEMES)
-        assert set(results.phase_seconds) == {"compile", "harden", "execute"}
-        # Aggregate equals the per-workload sums.
-        for phase, total in results.phase_seconds.items():
-            parts = sum(
-                m.timings[phase] for m in results.measurements.values()
-            )
-            assert total == pytest.approx(parts)
+        registry = get_registry()
+        counts = []
+        for jobs in (1, 2):
+            registry.reset()
+            runner.measure_suite(self.NAMES, schemes=self.SCHEMES, jobs=jobs)
+            phases = _phase_histograms(registry)
+            assert set(phases) == {"compile", "harden", "execute"}
+            counts.append({p: stats["count"] for p, stats in phases.items()})
+        # One observation per workload and phase, shipped home from the
+        # pool workers at jobs=2.
+        assert counts[0] == counts[1] == {
+            "compile": 2, "harden": 2, "execute": 2
+        }
+
+
+def _phase_histograms(registry):
+    """phase -> stats of the ``benchsuite_phase_seconds`` histograms."""
+    prefix = "benchsuite_phase_seconds{phase="
+    return {
+        key[len(prefix):-1]: stats
+        for key, stats in registry.snapshot()["histograms"].items()
+        if key.startswith(prefix)
+    }

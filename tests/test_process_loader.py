@@ -93,24 +93,30 @@ class TestGlobalPlacement:
 
 
 class TestFrameRecording:
+    """Frames are recorded by the Tracer's ``call`` events only."""
+
     def test_record_frames_collects_local_addresses(self):
+        from repro.obs import Tracer
         from repro.vm import Machine
 
         source = (
             "int helper(int x) { char buf[8]; buf[0] = (char)x; return buf[0]; }"
             "int main() { return helper(1) + helper(2); }"
         )
-        machine = Machine(compile_source(source), record_frames=True)
-        machine.run()
-        helper_frames = [f for f in machine.frame_trace if f[0] == "helper"]
-        assert len(helper_frames) == 2
-        name, top, locals_ = helper_frames[0]
-        assert "buf" in locals_
-        assert locals_["buf"] < top
+        tracer = Tracer()
+        Machine(compile_source(source), tracer=tracer).run()
+        helper_calls = [
+            event for event in tracer.events
+            if event["ev"] == "call" and event["fn"] == "helper"
+        ]
+        assert len(helper_calls) == 2
+        layout = helper_calls[0]["layout"]
+        assert "buf" in layout
+        assert layout["buf"] < helper_calls[0]["frame_top"]
 
     def test_recording_off_by_default(self):
         from repro.vm import Machine
 
         machine = Machine(compile_source("int main() { return 0; }"))
-        machine.run()
-        assert machine.frame_trace == []
+        assert not machine.traced
+        assert machine.run().outcome == "exit"
