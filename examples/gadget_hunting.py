@@ -14,12 +14,13 @@ Run:  python examples/gadget_hunting.py
 from repro.analysis import analyze_module, render_entropy_report
 from repro.attacks.dop import Listing1DopAttack
 from repro.attacks.librelp import LibrelpDopAttack
-from repro.core import compile_source, harden_source
+from repro.core import harden_source
+from repro.synth.facts import ProgramFacts
 
 
 def census(title: str, source: str) -> None:
     print(f"--- {title} ---")
-    report = analyze_module(compile_source(source))
+    report = analyze_module(ProgramFacts(source))
     print(f"gadgets: {report.kinds()}")
     for gadget in report.gadgets:
         print(f"  [{gadget.kind:<6}] in {gadget.function} ({gadget.block})")
@@ -41,7 +42,7 @@ def main() -> None:
 
     print("--- what hardening changes ---")
     hardened = harden_source(LibrelpDopAttack.source)
-    hardened_report = analyze_module(hardened.module)
+    hardened_report = analyze_module(ProgramFacts(module=hardened.module))
     print(f"gadget census of the HARDENED module: {hardened_report.kinds()}")
     print("(identical kinds: Smokestack does not remove gadgets, it breaks")
     print(" the attacker's knowledge of where their operands live)")

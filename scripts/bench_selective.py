@@ -30,13 +30,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.analysis.safety import analyze_module_safety  # noqa: E402
 from repro.benchsuite.programs import WORKLOADS  # noqa: E402
 from repro.benchsuite.runner import measure_workload  # noqa: E402
-from repro.core.allocations import discover_function  # noqa: E402
 from repro.core.config import SmokestackConfig  # noqa: E402
-from repro.core.pipeline import compile_source  # noqa: E402
 from repro.obs.gate import Gate, run as run_report  # noqa: E402
+from repro.synth.facts import ProgramFacts  # noqa: E402
 
 SCHEME = "aes-10"
 
@@ -45,12 +43,12 @@ def run():
     started = time.perf_counter()
     rows = {}
     for name, workload in WORKLOADS.items():
-        module = compile_source(workload.source, name)
-        report = analyze_module_safety(module)
-        proven = sorted(report.proven_functions())
+        facts = ProgramFacts(workload.source, name)
+        proven = sorted(facts.safety.proven_functions())
         with_slots = [
-            fn.name for fn in module.functions.values()
-            if discover_function(fn).count or discover_function(fn).vla_allocas
+            fn.name for fn in facts.functions()
+            if facts.of(fn).descriptor.count
+            or facts.of(fn).descriptor.vla_allocas
         ]
         full = measure_workload(
             name, schemes=(SCHEME,),

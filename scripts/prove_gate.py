@@ -28,15 +28,11 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.analysis import analyze_program, exit_status  # noqa: E402
-from repro.analysis.safety import (  # noqa: E402
-    UNSAFE,
-    analyze_module_safety,
-    proven_reach_conflicts,
-)
+from repro.analysis.safety import UNSAFE, proven_reach_conflicts  # noqa: E402
 from repro.benchsuite import WORKLOADS  # noqa: E402
-from repro.core.pipeline import compile_source  # noqa: E402
 from repro.obs.forensics import CANNED_ATTACKS  # noqa: E402
 from repro.obs.gate import Gate, run as run_report  # noqa: E402
+from repro.synth.facts import ProgramFacts  # noqa: E402
 
 REPO = Path(__file__).resolve().parent.parent
 EXAMPLES = REPO / "examples" / "minic"
@@ -60,13 +56,10 @@ def run():
         f"analyze --prove on {len(reports)} programs exited {status}",
     )
 
-    modules = {}
+    programs = {}
     for name, target in CANNED_ATTACKS.items():
-        module = compile_source(target.scenario_class.source, name)
-        modules[name] = module
-        verdict = analyze_module_safety(module).verdict(
-            target.victim, target.buffer
-        )
+        facts = programs[name] = ProgramFacts(target.scenario_class.source, name)
+        verdict = facts.safety.verdict(target.victim, target.buffer)
         gate.check(
             verdict == UNSAFE,
             f"{name}: {target.victim}/{target.buffer} -> {verdict}",
@@ -75,9 +68,9 @@ def run():
         )
 
     for path in sorted(EXAMPLES.glob("*.c")):
-        modules[path.stem] = compile_source(path.read_text(), path.stem)
-    for name, module in modules.items():
-        conflicts = proven_reach_conflicts(module)
+        programs[path.stem] = ProgramFacts(path.read_text(), path.stem)
+    for name, facts in programs.items():
+        conflicts = proven_reach_conflicts(facts)
         gate.check(
             not conflicts,
             f"{name}: {len(conflicts)} proven/reach conflicts",

@@ -75,7 +75,6 @@ from repro.analysis.exploit import (  # noqa: E402
     UNDECIDED,
     ExploitProver,
 )
-from repro.core.pipeline import compile_source  # noqa: E402
 from repro.defenses.registry import DEFENSE_ORDER, make_defense  # noqa: E402
 from repro.obs.gate import Gate, run as run_report  # noqa: E402
 from repro.synth.campaign import (  # noqa: E402
@@ -361,7 +360,7 @@ def crosscheck_phase(by_name):
     failures = []
     for name, source in sources:
         results = crosscheck_dualstack(
-            compile_source(source, name.replace(":", "_"))
+            ProgramFacts(source, name.replace(":", "_"))
         )
         bad = [r for r in results if not r.ok]
         report["programs"][name] = {"probes": len(results), "mismatches": len(bad)}

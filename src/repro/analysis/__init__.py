@@ -34,7 +34,6 @@ from repro.analysis.exposure import (
     ExposureScore,
     apply_exploit_verdicts,
     score_function,
-    score_module,
 )
 from repro.analysis.gadgets import (
     Dispatcher,
@@ -49,8 +48,6 @@ from repro.analysis.reach import (
     BufferReach,
     FrameLayout,
     Slot,
-    baseline_layout,
-    buffer_names,
     frame_height,
     overflow_reach,
     reach_under_defense,
@@ -65,8 +62,8 @@ from repro.analysis.taintflow import (
     SinkHit,
     TaintAnalysis,
     TaintFlowAnalysis,
-    analyze_taint_flow,
     attacker_param_indices,
+    input_deriving_functions,
 )
 
 # driver.py, safety.py and exploit.py read the defense registry, whose
@@ -140,11 +137,8 @@ __all__ = [
     "analyze_module",
     "analyze_module_safety",
     "analyze_program",
-    "analyze_taint_flow",
     "apply_exploit_verdicts",
     "attacker_param_indices",
-    "baseline_layout",
-    "buffer_names",
     "crosscheck_function",
     "crosscheck_module",
     "crosscheck_safety",
@@ -161,8 +155,8 @@ __all__ = [
     "render_entropy_report",
     "reports_to_json",
     "score_function",
-    "score_module",
     "frame_height",
+    "input_deriving_functions",
     "solve_forward",
     "stacked_layout",
 ]

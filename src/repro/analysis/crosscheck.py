@@ -30,17 +30,24 @@ re-validates the analyzer against the VM on fresh random programs.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
-
-from repro.analysis.reach import (
-    FrameLayout,
-    baseline_layout,
-    overflow_reach,
-    unique_slot_names,
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
 )
-from repro.core.allocations import FrameDescriptor, discover_function
-from repro.ir.module import Function, Module
+
+from repro.analysis.reach import FrameLayout, overflow_reach
+from repro.core.allocations import FrameDescriptor
+from repro.ir.module import Function
 from repro.vm.interpreter import Machine
+
+if TYPE_CHECKING:
+    from repro.synth.facts import FunctionFacts, ProgramFacts
 
 SENTINEL = 0xAA
 OVERFLOW_BYTE = 0x55
@@ -105,20 +112,14 @@ def probe_lengths(layout: FrameLayout, buffer: str) -> List[int]:
 
 
 def crosscheck_function(
-    module: Module,
-    function: Function,
-    *,
-    canary: bool = False,
-    machine: Optional[Machine] = None,
+    machine: Machine, facts: FunctionFacts, *, canary: bool = False
 ) -> List[CrosscheckResult]:
-    """Execute deliberate overflows for every buffer of ``function``."""
-    if not discover_function(function).allocations:
+    """Execute deliberate overflows for every buffer of the function
+    ``facts`` describes on ``machine`` (a stack protector iff
+    ``canary``), against its declaration-order layout."""
+    if not facts.descriptor.allocations:
         return []
-    if machine is None:
-        machine = Machine(module, stack_protector=canary)
-    return _probe_function(
-        machine, function, baseline_layout(function, canary=canary)
-    )
+    return _probe_function(machine, facts, facts.layout(canary))
 
 
 def _buffers(descriptor: FrameDescriptor, names: Dict[int, str]) -> List[str]:
@@ -134,30 +135,31 @@ def _buffers(descriptor: FrameDescriptor, names: Dict[int, str]) -> List[str]:
 
 
 def _probe_function(
-    machine: Machine, function: Function, layout: FrameLayout
+    machine: Machine, facts: FunctionFacts, layout: FrameLayout
 ) -> List[CrosscheckResult]:
-    """Every buffer of ``function`` at every :func:`probe_lengths`
-    length, executed on ``machine`` and compared with ``layout``."""
-    descriptor = discover_function(function)
-    names = unique_slot_names(descriptor.allocations)
+    """Every buffer of the function ``facts`` describes at every
+    :func:`probe_lengths` length, executed on ``machine`` and compared
+    with ``layout``."""
+    descriptor = facts.descriptor
+    names = facts.allocation_names
     return [
-        _probe_once(machine, function, layout, buffer, length)
+        _probe_once(
+            machine, facts.function, descriptor, names, layout, buffer, length
+        )
         for buffer in _buffers(descriptor, names)
         for length in probe_lengths(layout, buffer)
     ]
 
 
 def crosscheck_module(
-    module: Module, *, canary: bool = False
+    program: ProgramFacts, *, canary: bool = False
 ) -> List[CrosscheckResult]:
-    """Cross-check every function of a (non-instrumented) module."""
-    machine = Machine(module, stack_protector=canary)
+    """Cross-check every function of a (non-instrumented) program."""
+    machine = Machine(program.module, stack_protector=canary)
     results: List[CrosscheckResult] = []
-    for function in module.functions.values():
+    for function in program.functions():
         results.extend(
-            crosscheck_function(
-                module, function, canary=canary, machine=machine
-            )
+            crosscheck_function(machine, program.of(function), canary=canary)
         )
     return results
 
@@ -210,12 +212,15 @@ def _overflow(
 def _probe_once(
     machine: Machine,
     function: Function,
+    descriptor: FrameDescriptor,
+    names: Dict[int, str],
     layout: FrameLayout,
     buffer: str,
     length: int,
 ) -> CrosscheckResult:
-    descriptor = discover_function(function)
-    names = unique_slot_names(descriptor.allocations)
+    """One overflow of ``length`` bytes from ``buffer`` in a probe frame
+    of ``function`` (whose frame ``descriptor`` and slot ``names`` the
+    caller read from its fact bundle)."""
     frame = machine.push_probe_frame(function.name)
     memory = machine.memory
     try:
@@ -268,7 +273,7 @@ def failing(results: Sequence[CrosscheckResult]) -> List[CrosscheckResult]:
 
 
 def crosscheck_dualstack(
-    module: Module, *, offsets: Sequence[int] = (0, 4096, 65520)
+    program: ProgramFacts, *, offsets: Sequence[int] = (0, 4096, 65520)
 ) -> List[CrosscheckResult]:
     """Byte-exactness probes for the dual-stack layout families.
 
@@ -280,17 +285,19 @@ def crosscheck_dualstack(
     family is anchored to exactly that delta via
     ``cleanstack_layouts(..., deltas=[delta])``, and the ordinary
     sentinel/overflow machinery then checks every slot offset and reach
-    set against the VM, byte for byte.
+    set against the VM, byte for byte.  The model is anchored to the
+    deployed build's (seeded) partition, not the analyses' own.
     """
     from repro.analysis.partition import machine_partition, partition_module
     from repro.analysis.reach import cleanstack_layouts
 
+    module = program.module
     results: List[CrosscheckResult] = []
 
     shadow_machine = Machine(module, shadow_stack=True)
-    for function in module.functions.values():
+    for function in program.functions():
         results.extend(
-            crosscheck_function(module, function, machine=shadow_machine)
+            crosscheck_function(shadow_machine, program.of(function))
         )
 
     partitions = partition_module(module)
@@ -300,18 +307,17 @@ def crosscheck_dualstack(
             module, clean_partition=unclean, unsafe_stack_offset=offset
         )
         for name, function in module.functions.items():
-            if not discover_function(function).allocations:
+            facts = program.of(function)
+            if not facts.descriptor.allocations:
                 continue
-            part = partitions.get(name)
+            part = partitions[name]
             deltas = None
-            if part is not None and part.unclean_indices:
+            if part.unclean_indices:
                 frame = machine.push_probe_frame(name)
                 deltas = [frame.unsafe_top - frame.frame_top]
                 machine.pop_probe_frame()
-            layout = cleanstack_layouts(
-                function, module, partition=part, deltas=deltas
-            )[0]
-            results.extend(_probe_function(machine, function, layout))
+            layout = cleanstack_layouts(facts, part, deltas=deltas)[0]
+            results.extend(_probe_function(machine, facts, layout))
     return results
 
 
@@ -345,9 +351,10 @@ class SafetyProbe(NamedTuple):
         )
 
 
-def crosscheck_safety(module: Module, report=None) -> List[SafetyProbe]:
-    """Execute each buffer's statically-feasible maximal write and check
-    that every slot the bytes actually reach is non-PROVEN_SAFE.
+def crosscheck_safety(program: ProgramFacts) -> List[SafetyProbe]:
+    """Execute each buffer's statically-feasible maximal write (per
+    ``program.safety``) and check that every slot the bytes actually
+    reach is non-PROVEN_SAFE.
 
     This is the dynamic half of the soundness gate: the static prover
     claims a write bound per buffer; here the bound is driven through a
@@ -355,20 +362,16 @@ def crosscheck_safety(module: Module, report=None) -> List[SafetyProbe]:
     so its probe must corrupt nothing; a breached buffer's probe may
     corrupt siblings — but only siblings the prover demoted.
     """
-    from repro.analysis.safety import PROVEN_SAFE, analyze_module_safety
+    from repro.analysis.safety import PROVEN_SAFE
 
-    if report is None:
-        report = analyze_module_safety(module)
-    machine = Machine(module, stack_protector=False)
+    machine = Machine(program.module, stack_protector=False)
     results: List[SafetyProbe] = []
-    for name, safety in report.functions.items():
-        function = module.functions.get(name)
-        if function is None:
-            continue
-        descriptor = discover_function(function)
+    for name, safety in program.safety.functions.items():
+        facts = program.of(program.function(name))
+        descriptor = facts.descriptor
         if not descriptor.allocations or descriptor.vla_allocas:
             continue  # VLA frames are all-UNKNOWN; nothing to validate
-        names = unique_slot_names(descriptor.allocations)
+        names = facts.allocation_names
         proven = {
             s.slot for s in safety.slots if s.verdict == PROVEN_SAFE
         }

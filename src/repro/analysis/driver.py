@@ -30,6 +30,13 @@ is informational, and ``--explain E00x`` prints the witness chain.  The
 baseline verdicts are also folded into the exposure ranking via
 :func:`repro.analysis.exposure.apply_exploit_verdicts`.
 
+Every pass reads one :class:`~repro.synth.facts.ProgramFacts` built
+over the module the report describes (compiled here at ``-O{opt_level}``
+or handed in by the caller): the sinks, lint and exposure read each
+function's seeded input taint, the reach rows its layout families and
+cleanstack partition, the cross-check its frame descriptor and slot
+names, and the bounds and exploitability provers the same bundles.
+
 Identifiers are assigned in deterministic program order, so ``repro
 analyze f.c --explain G003`` names the same finding on every run.
 """
@@ -43,18 +50,9 @@ from repro.analysis.crosscheck import CrosscheckResult, crosscheck_module
 from repro.analysis.exploit import EXPLOITABLE, ExploitProver, default_goals
 from repro.analysis.exposure import ExposureScore, score_function
 from repro.analysis.lint import Diagnostic, lint_function
-from repro.analysis.reach import BufferReach, buffer_names, reach_under_defense
-from repro.analysis.safety import (
-    PROVEN_SAFE,
-    UNSAFE,
-    analyze_module_safety,
-    proven_reach_conflicts,
-)
-from repro.analysis.taintflow import (
-    SinkHit,
-    TaintFlowAnalysis,
-    attacker_param_indices,
-)
+from repro.analysis.reach import BufferReach, reach_under_defense
+from repro.analysis.safety import PROVEN_SAFE, UNSAFE, proven_reach_conflicts
+from repro.analysis.taintflow import SinkHit, TaintFlowAnalysis
 from repro.core.pipeline import compile_source
 from repro.defenses.registry import DEFENSE_ORDER, defense_class
 from repro.ir.module import Module
@@ -288,27 +286,29 @@ def analyze_program(
     exploit_defenses: Optional[Sequence[str]] = None,
     module=None,
 ) -> ProgramReport:
-    """Compile ``source`` and run the full analyzer over it.
+    """Compile ``source`` (at ``-O{opt_level}``) and run the full
+    analyzer over it.
 
     ``module`` lets a caller that already compiled the source (the serve
     worker's per-process module cache) skip the front end; analysis
-    never mutates the module, so a cached one is safe to share.
+    never mutates the module, so a cached one is safe to share.  Every
+    pass, the exploit prover included, reads one :class:`ProgramFacts`
+    built over that module.
     """
     if module is None:
         module = compile_source(source, opt_level=opt_level)
+    facts = ProgramFacts(source, module=module)
     report = ProgramReport(name, module)
     counters = {"G": 0, "R": 0, "L": 0, "X": 0, "S": 0, "E": 0}
-    param_map = attacker_param_indices(module)
 
     def next_id(prefix: str) -> str:
         counters[prefix] += 1
         return f"{prefix}{counters[prefix]:03d}"
 
-    for function in module.functions.values():
-        taint = TaintFlowAnalysis(
-            function, module, tainted_params=param_map.get(function.name, ())
-        )
-        diagnostics = lint_function(function)
+    for function in facts.functions():
+        function_facts = facts.of(function)
+        taint = function_facts.input_taint
+        diagnostics = lint_function(function_facts)
         for sink in taint.sinks:
             finding_id = next_id("G")
             description = _SINK_DESCRIPTIONS.get(sink.kind, sink.kind)
@@ -336,10 +336,13 @@ def analyze_program(
                 )
             )
             report._diagnostics[finding_id] = diag
-        for buffer in buffer_names(function):
+        for buffer in function_facts.buffers:
             per_defense = [
                 reach_under_defense(
-                    function, buffer, defense_class(defense), samples=samples
+                    function_facts,
+                    buffer,
+                    defense_class(defense),
+                    samples=samples,
                 )
                 for defense in defenses
             ]
@@ -366,15 +369,11 @@ def analyze_program(
                     )
                 )
                 report._reach_ids[finding_id] = baseline
-        report.scores.append(
-            score_function(
-                function, module, taint=taint, diagnostics=diagnostics
-            )
-        )
+        report.scores.append(score_function(function_facts, diagnostics))
     report.scores.sort(key=lambda s: (-s.score, s.function))
 
     if crosscheck:
-        report.crosscheck = crosscheck_module(module)
+        report.crosscheck = crosscheck_module(facts)
         for probe in report.crosscheck:
             if not probe.ok:
                 report.findings.append(
@@ -389,7 +388,7 @@ def analyze_program(
                 )
 
     if prove:
-        report.safety = analyze_module_safety(module)
+        report.safety = facts.safety
         for safety in report.safety.functions.values():
             for record in safety.slots:
                 if record.verdict == PROVEN_SAFE:
@@ -412,7 +411,7 @@ def analyze_program(
                         f"{bound}) is {record.verdict}: {reason}",
                     )
                 )
-        for conflict in proven_reach_conflicts(module, report.safety):
+        for conflict in proven_reach_conflicts(facts):
             report.findings.append(
                 Finding(
                     next_id("S"),
@@ -426,7 +425,6 @@ def analyze_program(
             )
 
     if exploit:
-        facts = ProgramFacts(source, name)
         prover = ExploitProver(facts)
         goals = (
             [parse_goal(exploit_goal)]

@@ -20,12 +20,13 @@ it is what the ``repro analyze`` text report sorts by.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional
 
-from repro.analysis.lint import Diagnostic, lint_function
-from repro.analysis.reach import baseline_layout, buffer_names, intra_frame_reach
-from repro.analysis.taintflow import SinkHit, TaintFlowAnalysis
-from repro.ir.module import Function, Module
+from repro.analysis.lint import Diagnostic
+from repro.analysis.reach import intra_frame_reach
+
+if TYPE_CHECKING:
+    from repro.synth.facts import FunctionFacts
 
 #: Sink-kind weights: write primitives dominate, reads/sends assist.
 SINK_WEIGHTS: Dict[str, float] = {
@@ -91,19 +92,14 @@ class ExposureScore(NamedTuple):
 
 
 def score_function(
-    function: Function,
-    module: Optional[Module] = None,
-    *,
-    taint: Optional[TaintFlowAnalysis] = None,
-    diagnostics: Optional[List[Diagnostic]] = None,
+    facts: FunctionFacts, diagnostics: List[Diagnostic]
 ) -> ExposureScore:
-    """Compute the exposure breakdown for one function.
-
-    Pass precomputed ``taint``/``diagnostics`` to avoid re-running the
-    underlying analyses when the driver already has them.
+    """The exposure breakdown of the function ``facts`` describes: reach
+    over its declaration-order layout, sinks of its seeded input taint,
+    and ``diagnostics`` (its :func:`~repro.analysis.lint.lint_function`).
     """
-    buffers = buffer_names(function)
-    layout = baseline_layout(function)
+    buffers = facts.buffers
+    layout = facts.layout()
     certain_slots = 0
     cookie_hits = 0
     for buffer in buffers:
@@ -112,14 +108,10 @@ def score_function(
         if reach.cookie:
             cookie_hits += 1
 
-    if taint is None:
-        taint = TaintFlowAnalysis(function, module)
     sink_counts: Dict[str, int] = {}
-    for sink in taint.sinks:
+    for sink in facts.input_taint.sinks:
         sink_counts[sink.kind] = sink_counts.get(sink.kind, 0) + 1
 
-    if diagnostics is None:
-        diagnostics = lint_function(function)
     lint_counts: Dict[str, int] = {}
     for diag in diagnostics:
         lint_counts[diag.severity] = lint_counts.get(diag.severity, 0) + 1
@@ -137,7 +129,7 @@ def score_function(
         )
     )
     return ExposureScore(
-        function=function.name,
+        function=facts.function.name,
         buffers=len(buffers),
         certain_reach_slots=certain_slots,
         cookie_reachable=cookie_hits,
@@ -145,16 +137,6 @@ def score_function(
         lint_counts=lint_counts,
         score=score,
     )
-
-
-def score_module(module: Module) -> List[ExposureScore]:
-    """Exposure scores for every function, highest first."""
-    scores = [
-        score_function(function, module)
-        for function in module.functions.values()
-    ]
-    scores.sort(key=lambda s: (-s.score, s.function))
-    return scores
 
 
 def apply_exploit_verdicts(

@@ -26,16 +26,15 @@ whether the operand storage is randomized (lives in a permuted frame).
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional
 
-from repro.analysis.taintflow import (
-    SinkHit,
-    TaintAnalysis,
-    collect_gadget_sinks,
-)
+from repro.analysis.taintflow import SinkHit, TaintAnalysis
 from repro.ir.instructions import Call, CondBr, Instruction
-from repro.ir.module import BasicBlock, Function, Module
-from repro.opt.cfg import DominatorTree, reachable_blocks, successors
+from repro.ir.module import BasicBlock, Function
+from repro.opt.cfg import successors
+
+if TYPE_CHECKING:
+    from repro.synth.facts import FunctionFacts, ProgramFacts
 
 #: Input builtins providing the corruption opportunity inside a loop.
 _INPUT_BUILTINS = frozenset(
@@ -121,33 +120,30 @@ def sink_to_gadget(hit: SinkHit, taint: TaintAnalysis) -> Optional[Gadget]:
     return Gadget(kind, hit.function, hit.block, inst)
 
 
-def find_gadgets(function: Function, taint: Optional[TaintAnalysis] = None) -> List[Gadget]:
+def find_gadgets(facts: FunctionFacts) -> List[Gadget]:
     """Classify the function's instructions into DOP gadgets.
 
     One projection of :func:`repro.analysis.taintflow.collect_gadget_sinks`
     — the same walk that produces ``TaintFlowAnalysis.sinks`` — run under
-    the flow-insensitive corruption-model predicate, so the two censuses
-    share a single implementation and cannot drift.
+    the bundle's flow-insensitive corruption-model taint
+    (:attr:`~repro.synth.facts.FunctionFacts.sinks`), so the two
+    censuses share a single implementation and cannot drift.
     """
-    taint = taint or TaintAnalysis(function)
-    hits = collect_gadget_sinks(
-        function, lambda value, _inst: taint.is_controlled(value)
-    )
     gadgets: List[Gadget] = []
-    for hit in hits:
-        gadget = sink_to_gadget(hit, taint)
+    for hit in facts.sinks:
+        gadget = sink_to_gadget(hit, facts.taint)
         if gadget is not None:
             gadgets.append(gadget)
     return gadgets
 
 
-def find_dispatchers(
-    function: Function, taint: Optional[TaintAnalysis] = None
-) -> List[Dispatcher]:
+def find_dispatchers(facts: FunctionFacts) -> List[Dispatcher]:
     """Natural loops usable as gadget dispatchers."""
-    taint = taint or TaintAnalysis(function)
-    reachable = reachable_blocks(function)
-    tree = DominatorTree(function)
+    function = facts.function
+    taint = facts.taint
+    reachable = facts.reachable
+    tree = facts.dominators
+    gadgets = find_gadgets(facts)
     dispatchers: List[Dispatcher] = []
     seen_headers = set()
     for block in function.blocks:
@@ -179,9 +175,7 @@ def find_dispatchers(
                 if isinstance(inst, Call) and not isinstance(inst.callee, str)
             )
             gadget_count = sum(
-                1
-                for gadget in find_gadgets(function, taint)
-                if gadget.instruction.block in body
+                1 for gadget in gadgets if gadget.instruction.block in body
             )
             dispatchers.append(
                 Dispatcher(
@@ -226,11 +220,11 @@ def _loop_condition_controlled(header, body, taint) -> bool:
     return False
 
 
-def analyze_module(module: Module) -> GadgetReport:
-    """Full gadget census for a module."""
+def analyze_module(program: ProgramFacts) -> GadgetReport:
+    """Full gadget census of a program's module."""
     report = GadgetReport()
-    for function in module.functions.values():
-        taint = TaintAnalysis(function)
-        report.gadgets.extend(find_gadgets(function, taint))
-        report.dispatchers.extend(find_dispatchers(function, taint))
+    for function in program.functions():
+        facts = program.of(function)
+        report.gadgets.extend(find_gadgets(facts))
+        report.dispatchers.extend(find_dispatchers(facts))
     return report

@@ -32,22 +32,26 @@ than generic style checks.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, NamedTuple, Optional, Set
+from typing import TYPE_CHECKING, FrozenSet, List, NamedTuple, Optional, Set
 
 from repro.analysis.dataflow import ForwardProblem, IntersectLattice, solve_forward
-from repro.analysis.taintflow import INPUT_BUILTINS, pointer_root
+from repro.analysis.taintflow import COPY_BUILTINS, mem, pointer_root
 from repro.ir.instructions import (
     Alloca,
     Call,
     Cast,
+    CondBr,
     ElemPtr,
     FieldPtr,
     Instruction,
     Load,
     Store,
 )
-from repro.ir.module import Function, Module
+from repro.ir.module import Function
 from repro.ir.values import Constant, GlobalVariable
+
+if TYPE_CHECKING:
+    from repro.synth.facts import FunctionFacts, ProgramFacts
 
 
 class Diagnostic(NamedTuple):
@@ -242,9 +246,7 @@ def _static_root(base, depth: int = 0):
     return None
 
 
-def check_unbounded_taint_copy(
-    function: Function, module: Optional[Module] = None
-) -> List[Diagnostic]:
+def check_unbounded_taint_copy(facts: FunctionFacts) -> List[Diagnostic]:
     """Tainted source into a copy builtin with no dominating guard.
 
     A copy call is *guarded* when some strictly-dominating block ends in
@@ -254,18 +256,15 @@ def check_unbounded_taint_copy(
     tainted-source copy with no such dominator runs with whatever length
     and content the input supplied, on every path.
     """
-    from repro.analysis.taintflow import COPY_BUILTINS, TaintFlowAnalysis, mem
-    from repro.ir.instructions import CondBr
-    from repro.opt.cfg import DominatorTree
-
+    function = facts.function
     has_copy = any(
         isinstance(inst, Call) and inst.callee_name() in COPY_BUILTINS
         for inst in function.instructions()
     )
     if not has_copy:
         return []
-    taint = TaintFlowAnalysis(function, module)
-    domtree = DominatorTree(function)
+    taint = facts.input_taint
+    domtree = facts.dominators
 
     def guarded(block) -> bool:
         for candidate in function.blocks:
@@ -320,18 +319,19 @@ def check_unbounded_taint_copy(
     return out
 
 
-def lint_function(
-    function: Function, module: Optional[Module] = None
-) -> List[Diagnostic]:
+def lint_function(facts: FunctionFacts) -> List[Diagnostic]:
+    """Every lint diagnostic of the function ``facts`` describes (the
+    copy check reads its seeded input taint)."""
+    function = facts.function
     return (
         check_uninitialized_loads(function)
         + check_constant_geps(function)
-        + check_unbounded_taint_copy(function, module)
+        + check_unbounded_taint_copy(facts)
     )
 
 
-def lint_module(module: Module) -> List[Diagnostic]:
+def lint_module(program: ProgramFacts) -> List[Diagnostic]:
     out: List[Diagnostic] = []
-    for function in module.functions.values():
-        out.extend(lint_function(function, module))
+    for function in program.functions():
+        out.extend(lint_function(program.of(function)))
     return out

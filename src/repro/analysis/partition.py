@@ -29,7 +29,7 @@ via its ``clean_partition`` argument.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, NamedTuple, Optional, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterable, NamedTuple, Set, Tuple
 
 from repro.analysis.taintflow import (
     COPY_BUILTINS,
@@ -38,6 +38,7 @@ from repro.analysis.taintflow import (
     TaintFlowAnalysis,
     UNKNOWN_MEMORY,
     attacker_param_indices,
+    input_deriving_functions,
     pointer_root,
 )
 from repro.ir.instructions import Alloca, Call, Store
@@ -70,9 +71,7 @@ def _slot_label(alloca: Alloca) -> str:
     return alloca.var_name or getattr(alloca, "name", None) or "<anon>"
 
 
-def _escaped_allocas(
-    function: Function, module: Optional[Module] = None
-) -> Set[Alloca]:
+def _escaped_allocas(function: Function) -> Set[Alloca]:
     """Allocas whose address leaves the analysis's field of view.
 
     Two escape routes: the address is *stored* into memory (anything may
@@ -110,19 +109,20 @@ _KNOWN_SAFE = frozenset({"print_int", "exit_", "abort_"})
 
 def partition_function(
     function: Function,
-    module: Optional[Module] = None,
-    *,
+    input_deriving: AbstractSet[str],
     tainted_params: Iterable[int] = (),
-    analysis: Optional[TaintFlowAnalysis] = None,
 ) -> FramePartition:
-    """Partition one frame.  ``analysis`` may be supplied to share work."""
-    if analysis is None:
-        analysis = TaintFlowAnalysis(
-            function,
-            module,
-            tainted_params=tainted_params,
-            collect_sinks=False,
-        )
+    """Partition one frame.  ``input_deriving`` is the module's
+    :func:`~repro.analysis.taintflow.input_deriving_functions`;
+    ``tainted_params`` seeds the parameters that receive attacker values
+    (:func:`partition_module` seeds them, the analyses' model in
+    :attr:`repro.synth.facts.FunctionFacts.partition` does not)."""
+    analysis = TaintFlowAnalysis(
+        function,
+        input_deriving,
+        tainted_params=tainted_params,
+        collect_sinks=False,
+    )
     statics = function.static_allocas()
 
     tainted_roots: Set[Alloca] = set()
@@ -139,7 +139,7 @@ def partition_function(
                     unknown_memory = True
                 elif isinstance(item[1], Alloca):
                     tainted_roots.add(item[1])
-    escaped = _escaped_allocas(function, module)
+    escaped = _escaped_allocas(function)
 
     unclean_indices: Set[int] = set()
     unclean_labels = []
@@ -179,11 +179,13 @@ def partition_function(
 
 
 def partition_module(module: Module) -> Dict[str, FramePartition]:
-    """Partition every function, with interprocedural taint seeding."""
-    param_map = attacker_param_indices(module)
+    """Partition every function, with interprocedural taint seeding —
+    the partition a CleanStack build deploys."""
+    input_deriving = input_deriving_functions(module)
+    param_map = attacker_param_indices(module, input_deriving)
     return {
         name: partition_function(
-            function, module, tainted_params=param_map.get(name, ())
+            function, input_deriving, param_map.get(name, ())
         )
         for name, function in module.functions.items()
     }

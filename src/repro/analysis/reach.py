@@ -32,6 +32,13 @@ geometry here:
                       inside the unified frame (plus fnid slot)
 ====================  ===========================================
 
+Every builder here takes the function's
+:class:`~repro.synth.facts.FunctionFacts`: the frame descriptor, slot
+names, declaration-order layout and cleanstack partition are its
+fields, computed once and shared with the defenses, the exploit prover
+and the ``analyze`` driver.  Only :func:`cleanstack_layouts` also takes
+a partition, since the VM cross-check anchors it to a deployed build's.
+
 ``certain`` facts hold in *every* layout of the family (what a blind,
 single-shot DOP exploit can rely on); ``possible`` facts hold in at
 least one (what a brute-forcing attacker can eventually hit).  The
@@ -43,13 +50,25 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-from repro.core.allocations import FrameDescriptor, StackAllocation, discover_function
+from repro.core.allocations import FrameDescriptor, StackAllocation
 from repro.core.config import SmokestackConfig
 from repro.core.instrument import FNID_SLOT_NAME
 from repro.core.permutation import generate_table
-from repro.ir.module import Function, Module
+
+if TYPE_CHECKING:  # the fact bundle is built over this module's geometry
+    from repro.analysis.partition import FramePartition
+    from repro.synth.facts import FunctionFacts
 
 COOKIE = "<return-cookie>"
 CANARY = "<canary>"
@@ -202,16 +221,6 @@ def layout_columns(layouts: Sequence[FrameLayout]) -> LayoutColumns:
     )
 
 
-def baseline_layout(function: Function, *, canary: bool = False) -> FrameLayout:
-    """Declaration-order layout — what the attacker's static analysis sees."""
-    descriptor = discover_function(function)
-    return FrameLayout(
-        function.name,
-        allocation_slots(descriptor.allocations, canary=canary),
-        has_canary=canary,
-    )
-
-
 def overflow_reach(
     layout: FrameLayout, buffer: str, length: int
 ) -> ReachSet:
@@ -256,8 +265,8 @@ def height_below(lowest: int, *, canary: bool) -> int:
 
 
 def stacked_layout(
-    caller: Function,
-    victim: Function,
+    caller: FunctionFacts,
+    victim: FunctionFacts,
     *,
     canary: bool = False,
     prefix: Optional[str] = None,
@@ -274,43 +283,19 @@ def stacked_layout(
     ``[-8, 0)``; the caller's own cookie is not modelled (corrupting it
     only matters after the caller returns).
     """
-    caller_frame = baseline_layout(caller, canary=canary)
-    victim_frame = baseline_layout(victim, canary=canary)
+    caller_frame = caller.layout(canary)
+    victim_frame = victim.layout(canary)
     height = frame_height(caller_frame)
-    tag = prefix if prefix is not None else f"{caller.name}:"
+    tag = prefix if prefix is not None else f"{caller.function.name}:"
     slots = victim_frame.slots + tuple(
         Slot(tag + slot.name, slot.lo + height, slot.size)
         for slot in caller_frame.slots
     )
-    return FrameLayout(victim.name, slots, has_canary=canary)
-
-
-def buffer_names(function: Function) -> List[str]:
-    """Source-named array locals — the overflowable objects.
-
-    Names match the slot names of :func:`baseline_layout` (duplicate
-    declarations carry their ``@N`` suffix).
-    """
-    descriptor = discover_function(function)
-    names = unique_slot_names(descriptor.allocations)
-    out: List[str] = []
-    for allocation in descriptor.allocations:
-        alloca = allocation.alloca
-        if alloca is None or not alloca.var_name:
-            continue
-        if alloca.var_name.startswith("__"):
-            continue
-        if alloca.allocated_type.is_array():
-            out.append(names[id(allocation)])
-    return out
+    return FrameLayout(victim.function.name, slots, has_canary=canary)
 
 
 def cleanstack_region_slots(
-    function: Function,
-    module: Optional[Module] = None,
-    *,
-    partition=None,
-    descriptor: Optional[FrameDescriptor] = None,
+    facts: FunctionFacts, partition: FramePartition
 ) -> Tuple[Tuple[Slot, ...], Tuple[Slot, ...]]:
     """The two halves of a cleanstack frame, each in its own coordinates.
 
@@ -318,28 +303,21 @@ def cleanstack_region_slots(
     (frame top = 0, first slot below the return cookie, unclean indices
     skipped); unclean slots are laid out by the unclean-stack cursor
     relative to *its* region top (= 0, no cookie/canary band — metadata
-    never moves to the unclean stack).  ``partition`` and ``descriptor``
-    may be supplied to reuse a computed
-    :class:`~repro.analysis.partition.FramePartition` and frame descriptor.
+    never moves to the unclean stack).  ``partition`` is the analyses'
+    :attr:`FunctionFacts.partition`, or a deployed build's.
     """
-    from repro.analysis.partition import partition_function
-
-    if partition is None:
-        partition = partition_function(function, module)
-    statics = function.static_allocas()
+    statics = facts.function.static_allocas()
     unclean_allocas = {
         statics[index]
         for index in partition.unclean_indices
         if index < len(statics)
     }
-    descriptor = descriptor or discover_function(function)
-    allocations = list(descriptor.allocations)
-    names = unique_slot_names(allocations)
+    names = facts.allocation_names
     main_slots: List[Slot] = []
     unsafe_slots: List[Slot] = []
     cursor = -8
     u_cursor = 0
-    for allocation in allocations:
+    for allocation in facts.descriptor.allocations:
         relocated = (
             allocation.alloca is not None
             and allocation.alloca in unclean_allocas
@@ -360,14 +338,12 @@ def cleanstack_region_slots(
 
 
 def cleanstack_layouts(
-    function: Function,
-    module: Optional[Module] = None,
+    facts: FunctionFacts,
+    partition: FramePartition,
     *,
     samples: int = 64,
     seed: int = 0,
-    partition=None,
     deltas: Optional[Sequence[int]] = None,
-    descriptor: Optional[FrameDescriptor] = None,
 ) -> List[FrameLayout]:
     """Taint-partitioned dual-stack layouts.
 
@@ -380,12 +356,11 @@ def cleanstack_layouts(
     defense's guarantee.  Pass an explicit ``deltas`` (e.g. one observed
     from a VM probe) to anchor the family for byte-exact cross-checking.
     """
-    main_slots, unsafe_slots = cleanstack_region_slots(
-        function, module, partition=partition, descriptor=descriptor
-    )
+    name = facts.function.name
+    main_slots, unsafe_slots = cleanstack_region_slots(facts, partition)
     if not unsafe_slots:
         # Fully clean frame: single exact layout, nothing relocated.
-        return [FrameLayout(function.name, main_slots, has_canary=False)]
+        return [FrameLayout(name, main_slots, has_canary=False)]
     if deltas is None:
         deltas = _cleanstack_deltas(samples, seed)
     layouts = []
@@ -394,9 +369,7 @@ def cleanstack_layouts(
             Slot(slot.name, slot.lo + delta, slot.size)
             for slot in unsafe_slots
         )
-        layouts.append(
-            FrameLayout(function.name, slots, has_canary=False)
-        )
+        layouts.append(FrameLayout(name, slots, has_canary=False))
     return layouts
 
 
@@ -413,11 +386,7 @@ def _cleanstack_deltas(samples: int, seed: int) -> Tuple[int, ...]:
 
 
 def smokestack_layouts(
-    function: Function,
-    *,
-    samples: int = 64,
-    seed: int = 0,
-    descriptor: Optional[FrameDescriptor] = None,
+    facts: FunctionFacts, *, samples: int = 64, seed: int = 0
 ) -> List[FrameLayout]:
     """Per-invocation layouts: permutation-table rows in the unified frame.
 
@@ -426,15 +395,14 @@ def smokestack_layouts(
     higher address.  The fnid slot participates in the permutation just
     as the real pass arranges (it replaces the stack protector).
     """
-    descriptor = descriptor or discover_function(function)
-    if not descriptor.allocations:
-        return [baseline_layout(function)]
+    if not facts.descriptor.allocations:
+        return [facts.layout()]
     allocations, names, rows, frame_lo = _smokestack_rows(
-        descriptor, samples, seed
+        facts.descriptor, samples, seed
     )
     return [
         FrameLayout(
-            function.name,
+            facts.function.name,
             tuple(
                 Slot(names[id(allocation)], frame_lo + offset, allocation.size)
                 for allocation, offset in zip(allocations, row)
@@ -446,18 +414,13 @@ def smokestack_layouts(
 
 
 def smokestack_columns(
-    function: Function,
-    *,
-    samples: int = 64,
-    seed: int = 0,
-    descriptor: Optional[FrameDescriptor] = None,
+    facts: FunctionFacts, *, samples: int = 64, seed: int = 0
 ) -> LayoutColumns:
     """:func:`smokestack_layouts` by column, read off the table rows."""
-    descriptor = descriptor or discover_function(function)
-    if not descriptor.allocations:
-        return layout_columns([baseline_layout(function)])
+    if not facts.descriptor.allocations:
+        return layout_columns([facts.layout()])
     allocations, names, rows, frame_lo = _smokestack_rows(
-        descriptor, samples, seed
+        facts.descriptor, samples, seed
     )
     return LayoutColumns(
         {
@@ -487,20 +450,17 @@ def _smokestack_rows(descriptor: FrameDescriptor, samples: int, seed: int):
 
 
 def reach_under_defense(
-    function: Function,
+    facts: FunctionFacts,
     buffer: str,
     defense,
     *,
     samples: int = 64,
     seed: int = 0,
-    module: Optional[Module] = None,
 ) -> BufferReach:
     """certain/possible intra-frame reach of ``buffer`` under ``defense``,
     a registered :class:`~repro.defenses.base.Defense` (its ``name`` and
     ``layouts`` are all this reads)."""
-    layouts = defense.layouts(
-        function, samples=samples, seed=seed, module=module
-    )
+    layouts = defense.layouts(facts, samples=samples, seed=seed)
     certain: Optional[FrozenSet[str]] = None
     possible: FrozenSet[str] = frozenset()
     cookie_certain = True
@@ -512,7 +472,7 @@ def reach_under_defense(
         possible = possible | reach.corrupted
         cookie_certain = cookie_certain and reach.cookie
     return BufferReach(
-        function=function.name,
+        function=facts.function.name,
         buffer=buffer,
         defense=defense.name,
         certain=certain or frozenset(),

@@ -40,32 +40,37 @@ Demotion rules (all conservative in the safe direction):
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    AbstractSet,
+    Dict,
+    FrozenSet,
+    List,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.analysis.intervals import (
     POS_INF,
     TOP,
     UNREACHABLE,
     Interval,
-    IntervalAnalysis,
     READONLY_BUILTINS,
     WRITE_BUILTINS,
     builtin_write_extent,
     resolve_pointer,
 )
-from repro.analysis.reach import overflow_reach, unique_slot_names
-from repro.analysis.taintflow import (
-    TaintFlowAnalysis,
-    UNKNOWN_MEMORY,
-    attacker_param_indices,
-    mem,
-    pointer_root,
-)
-from repro.core.allocations import discover_function
+from repro.analysis.reach import overflow_reach
+from repro.analysis.taintflow import UNKNOWN_MEMORY, mem, pointer_root
 from repro.defenses.registry import SCHEMES
 from repro.ir.instructions import Alloca, Call, Cast, Instruction, Store
-from repro.ir.module import Function, Module
+from repro.ir.module import Function
 from repro.ir.values import Argument, GlobalVariable, Value
+
+if TYPE_CHECKING:
+    from repro.synth.facts import FunctionFacts, ProgramFacts
 
 PROVEN_SAFE = "PROVEN_SAFE"
 UNSAFE = "UNSAFE"
@@ -194,7 +199,10 @@ class _CallThrough(NamedTuple):
     offset: Interval
 
 
-class _FunctionFacts:
+class _FrameWrites:
+    """What one function writes, lets escape and calls, per the bundle's
+    intervals and seeded input taint."""
+
     def __init__(self, function: Function):
         self.function = function
         self.events: List[WriteEvent] = []
@@ -206,11 +214,11 @@ class _FunctionFacts:
         self.tainted_sinks = False
 
 
-def _escape_root(facts: _FunctionFacts, root: Optional[Value]) -> None:
+def _escape_root(writes: _FrameWrites, root: Optional[Value]) -> None:
     if isinstance(root, Alloca):
-        facts.escaped_allocas.add(root)
+        writes.escaped_allocas.add(root)
     elif isinstance(root, Argument):
-        facts.escaped_params.add(root.index)
+        writes.escaped_params.add(root.index)
 
 
 def _builtin_write_tainted(name: str, call: Call, tstate: frozenset) -> bool:
@@ -240,17 +248,15 @@ def _builtin_write_tainted(name: str, call: Call, tstate: frozenset) -> bool:
     return False
 
 
-def _collect_facts(
-    function: Function,
-    module: Module,
-    tainted_params: Sequence[int],
-) -> Tuple[_FunctionFacts, IntervalAnalysis, TaintFlowAnalysis]:
-    intervals = IntervalAnalysis(function)
-    taint = TaintFlowAnalysis(function, module, tainted_params=tainted_params)
-    facts = _FunctionFacts(function)
-    facts.vla = bool(discover_function(function).vla_allocas)
-    facts.tainted_sinks = bool(taint.sinks)
-    module_functions = set(module.functions) if module is not None else set()
+def _collect_writes(
+    facts: FunctionFacts, module_functions: AbstractSet[str]
+) -> _FrameWrites:
+    function = facts.function
+    intervals = facts.intervals
+    taint = facts.input_taint
+    writes = _FrameWrites(function)
+    writes.vla = bool(facts.descriptor.vla_allocas)
+    writes.tainted_sinks = bool(taint.sinks)
 
     for block in function.blocks:
         pairs = zip(intervals.states_in(block), taint.result.states_in(block))
@@ -264,7 +270,7 @@ def _collect_facts(
             if isinstance(inst, Store):
                 root, offset = resolve_pointer(inst.pointer, evaluate)
                 size = inst.value.ctype.size()
-                facts.events.append(
+                writes.events.append(
                     WriteEvent(
                         function.name,
                         inst,
@@ -284,19 +290,19 @@ def _collect_facts(
                     dest, _ = resolve_pointer(inst.pointer, evaluate)
                     if not (isinstance(dest, Alloca) and dest.is_static()):
                         vroot, _ = resolve_pointer(inst.value, evaluate)
-                        _escape_root(facts, vroot)
+                        _escape_root(writes, vroot)
             elif isinstance(inst, Cast) and inst.kind == "ptrtoint":
                 vroot, _ = resolve_pointer(inst.value, evaluate)
-                _escape_root(facts, vroot)
+                _escape_root(writes, vroot)
             elif isinstance(inst, Call):
                 name = inst.callee_name()
                 if name in module_functions:
-                    facts.callees.add(name)
+                    writes.callees.add(name)
                     for arg_index, arg in enumerate(inst.args):
                         if not arg.ctype.is_pointer():
                             continue
                         root, offset = resolve_pointer(arg, evaluate)
-                        facts.call_throughs.append(
+                        writes.call_throughs.append(
                             _CallThrough(inst, name, arg_index, root, offset)
                         )
                 elif name in WRITE_BUILTINS:
@@ -305,7 +311,7 @@ def _collect_facts(
                         root, offset = resolve_pointer(inst.args[0], evaluate)
                     else:
                         root, offset = None, TOP
-                    facts.events.append(
+                    writes.events.append(
                         WriteEvent(
                             function.name,
                             inst,
@@ -324,8 +330,8 @@ def _collect_facts(
                     for arg in inst.args:
                         if arg.ctype.is_pointer():
                             root, _ = resolve_pointer(arg, evaluate)
-                            _escape_root(facts, root)
-                    facts.events.append(
+                            _escape_root(writes, root)
+                    writes.events.append(
                         WriteEvent(
                             function.name,
                             inst,
@@ -336,7 +342,7 @@ def _collect_facts(
                             f"builtin:{name}",
                         )
                     )
-    return facts, intervals, taint
+    return writes
 
 
 # ---------------------------------------------------------------------------
@@ -355,31 +361,31 @@ NO_WRITE = ParamSummary(False, 0, False, False)
 
 
 def _param_summaries(
-    facts_by_fn: Dict[str, _FunctionFacts],
+    writes_by_fn: Dict[str, _FrameWrites],
 ) -> Dict[str, Dict[int, ParamSummary]]:
     """Fixpoint over the call graph: what each function does through each
     pointer parameter.  Summaries only grow; a round limit plus a forced
     TOP keeps unbounded recursion (f passes p+8 to itself) sound."""
     summaries: Dict[str, Dict[int, ParamSummary]] = {}
-    for name, facts in facts_by_fn.items():
+    for name, frame in writes_by_fn.items():
         summaries[name] = {
             param.index: NO_WRITE
-            for param in facts.function.params
+            for param in frame.function.params
             if param.ctype.is_pointer()
         }
 
-    limit = 2 * len(facts_by_fn) + 4
+    limit = 2 * len(writes_by_fn) + 4
     changed = True
     rounds = 0
     while changed and rounds < limit:
         changed = False
         rounds += 1
-        for name, facts in facts_by_fn.items():
+        for name, frame in writes_by_fn.items():
             for index in summaries[name]:
                 old = summaries[name][index]
                 writes, end, tainted = old.writes, old.end, old.tainted
-                escapes = old.escapes or index in facts.escaped_params
-                for event in facts.events:
+                escapes = old.escapes or index in frame.escaped_params
+                for event in frame.events:
                     if (
                         isinstance(event.root, Argument)
                         and event.root.index == index
@@ -387,7 +393,7 @@ def _param_summaries(
                         writes = True
                         end = max(end, event.end())
                         tainted = tainted or event.tainted
-                for through in facts.call_throughs:
+                for through in frame.call_throughs:
                     if not (
                         isinstance(through.root, Argument)
                         and through.root.index == index
@@ -442,25 +448,24 @@ class _SlotRecord:
             self.reasons.append(reason)
 
 
-def analyze_module_safety(module: Module) -> SafetyReport:
-    """Run the full prover over every function of ``module``."""
-    param_map = attacker_param_indices(module)
-    facts_by_fn: Dict[str, _FunctionFacts] = {}
-    for function in module.functions.values():
-        facts, _, _ = _collect_facts(
-            function, module, param_map.get(function.name, ())
-        )
-        facts_by_fn[function.name] = facts
-    summaries = _param_summaries(facts_by_fn)
+def analyze_module_safety(program: ProgramFacts) -> SafetyReport:
+    """Run the full prover over every function of ``program``'s module,
+    from each function's fact bundle (read it as ``program.safety``)."""
+    module_functions = frozenset(program.module.functions)
+    writes_by_fn: Dict[str, _FrameWrites] = {
+        function.name: _collect_writes(program.of(function), module_functions)
+        for function in program.functions()
+    }
+    summaries = _param_summaries(writes_by_fn)
 
     # Transitive callers (victim frame -> every frame above it).
-    direct_callers: Dict[str, Set[str]] = {name: set() for name in facts_by_fn}
-    for name, facts in facts_by_fn.items():
-        for callee in facts.callees:
+    direct_callers: Dict[str, Set[str]] = {name: set() for name in writes_by_fn}
+    for name, writes in writes_by_fn.items():
+        for callee in writes.callees:
             if callee in direct_callers:
                 direct_callers[callee].add(name)
     transitive_callers: Dict[str, FrozenSet[str]] = {}
-    for name in facts_by_fn:
+    for name in writes_by_fn:
         seen: Set[str] = set()
         stack = list(direct_callers[name])
         while stack:
@@ -474,13 +479,12 @@ def analyze_module_safety(module: Module) -> SafetyReport:
     records_by_fn: Dict[str, Dict[str, _SlotRecord]] = {}
     escape_verdicts: Dict[str, str] = {}
 
-    for name, facts in facts_by_fn.items():
-        function = facts.function
-        descriptor = discover_function(function)
-        names = unique_slot_names(descriptor.allocations)
+    for name, writes in writes_by_fn.items():
+        facts = program.of(writes.function)
+        names = facts.allocation_names
         records: Dict[str, _SlotRecord] = {}
         by_alloca: Dict[int, _SlotRecord] = {}
-        for allocation in descriptor.allocations:
+        for allocation in facts.descriptor.allocations:
             record = _SlotRecord(names[id(allocation)], allocation.size)
             records[record.name] = record
             if allocation.alloca is not None:
@@ -493,7 +497,7 @@ def analyze_module_safety(module: Module) -> SafetyReport:
         def breach_verdict(event: WriteEvent) -> str:
             if event.tainted:
                 return UNSAFE
-            if event.end() == POS_INF and facts.tainted_sinks:
+            if event.end() == POS_INF and writes.tainted_sinks:
                 # The extent is not data-tainted but the function sits on
                 # a tainted input path and the write is unbounded — the
                 # librelp pattern (snprintf_sim with a wrapped offset).
@@ -501,13 +505,13 @@ def analyze_module_safety(module: Module) -> SafetyReport:
             return UNKNOWN
 
         # Argument-rooted writes materialised from callee summaries.
-        events = list(facts.events)
-        for through in facts.call_throughs:
+        events = list(writes.events)
+        for through in writes.call_throughs:
             summary = summaries.get(through.callee, {}).get(through.arg_index)
             if summary is None:
                 continue
             if summary.escapes:
-                _escape_root(facts, through.root)
+                _escape_root(writes, through.root)
             if summary.writes:
                 events.append(
                     WriteEvent(
@@ -527,7 +531,7 @@ def analyze_module_safety(module: Module) -> SafetyReport:
             if root is None:
                 verdict = (
                     UNSAFE
-                    if event.tainted or facts.tainted_sinks
+                    if event.tainted or writes.tainted_sinks
                     else UNKNOWN
                 )
                 reason = f"wild write ({event.kind}): unresolvable target"
@@ -580,12 +584,12 @@ def analyze_module_safety(module: Module) -> SafetyReport:
                             frame_escape or verdict, verdict
                         )
 
-        for alloca in facts.escaped_allocas:
+        for alloca in writes.escaped_allocas:
             record = by_alloca.get(id(alloca))
             if record is not None:
                 record.demote(UNKNOWN, "address escapes the frame")
 
-        if facts.vla:
+        if writes.vla:
             for record in records.values():
                 record.demote(UNKNOWN, "frame contains a VLA")
 
@@ -610,7 +614,7 @@ def analyze_module_safety(module: Module) -> SafetyReport:
                 )
 
     functions: Dict[str, FunctionSafety] = {}
-    for name, facts in facts_by_fn.items():
+    for name, writes in writes_by_fn.items():
         records = records_by_fn[name]
         slots = tuple(
             SlotSafety(
@@ -623,10 +627,10 @@ def analyze_module_safety(module: Module) -> SafetyReport:
             )
             for record in records.values()
         )
-        proven = not facts.vla and all(
+        proven = not writes.vla and all(
             record.verdict == PROVEN_SAFE for record in records.values()
         )
-        functions[name] = FunctionSafety(name, slots, facts.vla, proven)
+        functions[name] = FunctionSafety(name, slots, writes.vla, proven)
     return SafetyReport(functions, escape_verdicts, transitive_callers)
 
 
@@ -636,34 +640,27 @@ def analyze_module_safety(module: Module) -> SafetyReport:
 
 
 def proven_reach_conflicts(
-    module: Module,
-    report: Optional[SafetyReport] = None,
-    *,
-    samples: int = 16,
+    program: ProgramFacts, *, samples: int = 16
 ) -> List[str]:
     """PROVEN_SAFE slots that a statically-feasible overflow could reach.
 
-    For every slot whose feasible write bound exceeds its size, replay
-    the breach through the byte-exact reach model under *every* registered
-    defense and collect any PROVEN_SAFE slot inside a possible-reach
-    set; unbounded breaches additionally indict proven slots in any
-    transitive caller.  An empty return is the soundness gate.
+    For every slot of ``program.safety`` whose feasible write bound
+    exceeds its size, replay the breach through the byte-exact reach
+    model under *every* registered defense and collect any PROVEN_SAFE
+    slot inside a possible-reach set; unbounded breaches additionally
+    indict proven slots in any transitive caller.  An empty return is
+    the soundness gate.
     """
-    if report is None:
-        report = analyze_module_safety(module)
+    report = program.safety
     conflicts: List[str] = []
     for name, safety in report.functions.items():
-        function = module.functions.get(name)
-        if function is None:
-            continue
+        facts = program.of(program.function(name))
         proven = {s.slot for s in safety.slots if s.verdict == PROVEN_SAFE}
         for slot in safety.slots:
             if slot.write_bound is not None and slot.write_bound <= slot.size:
                 continue
             for scheme in SCHEMES:
-                for layout in scheme.layouts(
-                    function, samples=samples, module=module
-                ):
+                for layout in scheme.layouts(facts, samples=samples):
                     try:
                         base = layout.slot(slot.slot)
                     except Exception:

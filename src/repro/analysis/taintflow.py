@@ -33,7 +33,17 @@ def-use chain back to its source (``repro analyze --explain``).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.analysis.dataflow import ForwardProblem, UnionLattice, solve_forward
 from repro.ir.instructions import (
@@ -261,21 +271,20 @@ class TaintFlowAnalysis(ForwardProblem):
     def __init__(
         self,
         function: Function,
-        module: Optional[Module] = None,
+        input_deriving: AbstractSet[str] = frozenset(),
         tainted_params: Iterable[int] = (),
         corruption_model: bool = False,
         collect_sinks: bool = True,
     ):
         self.function = function
-        self.module = module
+        #: :func:`input_deriving_functions` of the enclosing module (empty
+        #: for a function analysed on its own): calls to these are sources
+        self.input_deriving = input_deriving
         self.lattice = UnionLattice()
         self.tainted_params = frozenset(tainted_params)
         #: corruption model: every load from writable storage is a source
         #: (the DOP attacker may have rewritten those bytes).
         self.corruption_model = corruption_model
-        #: input_deriving_functions(module), computed on the first call
-        #: to a module function (leaf functions never need it)
-        self._input_deriving: Optional[Set[str]] = None
         #: value/root -> (reason, parent locations) for --explain chains.
         self.provenance: Dict[object, Tuple[str, Tuple[object, ...]]] = {}
         self.result = solve_forward(function, self)
@@ -333,15 +342,6 @@ class TaintFlowAnalysis(ForwardProblem):
 
     # -- transfer helpers ----------------------------------------------------------
 
-    def _derives_input(self, name: str) -> bool:
-        """Is ``name`` a module function that can observe program input?"""
-        module = self.module
-        if module is None or name not in module.functions:
-            return False
-        if self._input_deriving is None:
-            self._input_deriving = input_deriving_functions(module)
-        return name in self._input_deriving
-
     def _is_tainted(self, value: Value, state: FrozenSet) -> bool:
         # The state holds SSA values, arguments and ``mem`` tokens (tuples),
         # so for any IR value this is plain membership; the hot transfer
@@ -391,7 +391,7 @@ class TaintFlowAnalysis(ForwardProblem):
                     return (f"return of input builtin '{name}'", ())
             elif name in INPUT_BUILTINS:
                 return (f"return of input builtin '{name}'", ())
-            if self._derives_input(name):
+            if name in self.input_deriving:
                 return (f"return of input-deriving function '{name}'", ())
             parents = tuple(op for op in inst.operands if op in state)
             if parents and not inst.ctype.is_void():
@@ -422,7 +422,7 @@ class TaintFlowAnalysis(ForwardProblem):
                 self._record(
                     token, f"copy builtin '{name}' with tainted source", ()
                 )
-        elif self._derives_input(name):
+        elif name in self.input_deriving:
             # An input-deriving callee may write input into any buffer we
             # hand it a pointer to.
             for op in inst.args:
@@ -507,16 +507,19 @@ class TaintFlowAnalysis(ForwardProblem):
         return lines
 
 
-def attacker_param_indices(module: Module) -> Dict[str, FrozenSet[int]]:
+def attacker_param_indices(
+    module: Module, input_deriving: AbstractSet[str]
+) -> Dict[str, FrozenSet[int]]:
     """Parameter indices that may carry attacker-controlled *values*.
 
     Downward interprocedural propagation: a callee parameter is a taint
     source if any call site in the module passes it a tainted value.
     Iterated to a fixpoint (the map only grows, bounded by the total
-    parameter count).  Deliberately value-taint only — a pointer whose
-    *pointee* is tainted does not mark the parameter, since that would
-    misclassify every load through the parameter as a dereference
-    gadget.
+    parameter count); every round's analyses share ``input_deriving``,
+    the module's :func:`input_deriving_functions`.  Deliberately
+    value-taint only — a pointer whose *pointee* is tainted does not
+    mark the parameter, since that would misclassify every load through
+    the parameter as a dereference gadget.
     """
     current: Dict[str, Set[int]] = {name: set() for name in module.functions}
     rounds = sum(len(f.params) for f in module.functions.values()) + 1
@@ -524,7 +527,7 @@ def attacker_param_indices(module: Module) -> Dict[str, FrozenSet[int]]:
         changed = False
         for name, function in module.functions.items():
             analysis = TaintFlowAnalysis(
-                function, module, tainted_params=current[name]
+                function, input_deriving, tainted_params=current[name]
             )
             for block in function.blocks:
                 for inst, state in analysis.result.states_in(block):
@@ -542,19 +545,6 @@ def attacker_param_indices(module: Module) -> Dict[str, FrozenSet[int]]:
         if not changed:
             break
     return {name: frozenset(indices) for name, indices in current.items()}
-
-
-def analyze_taint_flow(
-    module: Module,
-) -> Dict[str, TaintFlowAnalysis]:
-    """Run the input-taint analysis over every function of a module."""
-    param_map = attacker_param_indices(module)
-    return {
-        name: TaintFlowAnalysis(
-            function, module, tainted_params=param_map.get(name, ())
-        )
-        for name, function in module.functions.items()
-    }
 
 
 class TaintAnalysis:

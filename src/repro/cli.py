@@ -28,6 +28,7 @@ from repro.defenses.registry import DEFENSE_ORDER, defense_names, make_defense
 from repro.ir import print_module
 from repro.rng import DeterministicEntropy
 from repro.rng.sources import SCHEME_NAMES
+from repro.synth.facts import ProgramFacts
 from repro.vm import Machine
 
 _ATTACKS = {
@@ -114,7 +115,7 @@ def cmd_ir(args) -> int:
 
 def cmd_gadgets(args) -> int:
     module = compile_source(_read_source(args.file), opt_level=args.opt)
-    report = analyze_module(module)
+    report = analyze_module(ProgramFacts(module=module))
     print(f"gadget census: {report.kinds() or 'none'}")
     for gadget in report.gadgets:
         print(f"  [{gadget.kind:<6}] {gadget.function}:{gadget.block}")
@@ -216,7 +217,6 @@ def cmd_entropy(args) -> int:
 
 def cmd_assign(args) -> int:
     from repro.analysis.assign import assign_defenses, assignment_summary
-    from repro.synth.facts import ProgramFacts
 
     facts = ProgramFacts(_read_source(args.file), args.file)
     assignments = assign_defenses(

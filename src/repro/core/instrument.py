@@ -86,9 +86,9 @@ def instrument_module(
     if config.selective:
         # Imported lazily: analysis builds on core, not the other way
         # around, and only selective mode needs the prover.
-        from repro.analysis.safety import analyze_module_safety
+        from repro.synth.facts import ProgramFacts
 
-        report = analyze_module_safety(module)
+        report = ProgramFacts(module=module).safety
         proven = frozenset(report.proven_functions())
     for function in module.functions.values():
         if function.name in proven:

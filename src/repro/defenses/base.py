@@ -29,21 +29,22 @@ column through :meth:`Defense.columns`), the attacker's
 payload-coordinate hypotheses (:meth:`Defense.gap_models`), its
 deployment cost rank and the exploit prover's carve-outs.  The
 geometry those methods assemble lives in :mod:`repro.analysis.reach`
-and :mod:`repro.synth.layouts`, which know no defense by name.
+and :mod:`repro.synth.layouts`, which know no defense by name.  The
+layout and gap methods take the function's
+:class:`~repro.synth.facts.FunctionFacts`, whose frame descriptor, slot
+names, declaration-order layout and cleanstack partition every family
+starts from; the exploit prover, the ``analyze`` reach rows, the
+bounds prover's reach check and the attack scenarios all pass the
+bundle of the module they read.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.analysis.reach import (
-    FrameLayout,
-    LayoutColumns,
-    baseline_layout,
-    layout_columns,
-)
+from repro.analysis.reach import FrameLayout, LayoutColumns, layout_columns
 from repro.core.pipeline import compile_source
-from repro.ir.module import Function, Module
+from repro.ir.module import Module
 from repro.synth.facts import FunctionFacts
 from repro.synth.layouts import GapModel, gap_model
 from repro.vm.interpreter import Machine, baseline_frame_layout
@@ -141,55 +142,36 @@ class Defense:
 
     @classmethod
     def layouts(
-        cls,
-        function: Function,
-        *,
-        samples: int = 64,
-        seed: int = 0,
-        module: Optional[Module] = None,
-        facts: Optional[FunctionFacts] = None,
+        cls, facts: FunctionFacts, *, samples: int = 64, seed: int = 0
     ) -> List[FrameLayout]:
-        """The family of concrete layouts the scheme can deploy.
+        """The family of concrete layouts the scheme can deploy for the
+        function ``facts`` describes.
 
         Randomized families are sampled (seeded, deterministic), so
         ``certain`` facts computed from them are conservative in the
-        safe direction.  ``module`` feeds the cleanstack partition's
-        interprocedural taint seeding; other families ignore it.
-        ``facts`` (over ``function`` and ``module``) shares the frame
-        facts every family starts from; without it they are computed
-        here.
+        safe direction.  Every family starts from the bundle's frame
+        facts (descriptor, slot names, declaration-order layout; the
+        cleanstack family also its partition).
         """
-        facts = facts or FunctionFacts(function, module)
         return [facts.layout(cls.canary)]
 
     @classmethod
     def columns(
-        cls,
-        function: Function,
-        *,
-        samples: int = 64,
-        seed: int = 0,
-        module: Optional[Module] = None,
-        facts: Optional[FunctionFacts] = None,
+        cls, facts: FunctionFacts, *, samples: int = 64, seed: int = 0
     ) -> LayoutColumns:
         """:meth:`layouts` read by column — the exploit prover's view.
 
         Families drawn from a permutation table override this to read
         the rows directly instead of building a frame layout per row.
         """
-        return layout_columns(
-            cls.layouts(
-                function, samples=samples, seed=seed, module=module, facts=facts
-            )
-        )
+        return layout_columns(cls.layouts(facts, samples=samples, seed=seed))
 
     @classmethod
     def gap_models(
         cls,
-        victim: Function,
-        caller: Optional[Function],
+        victim: FunctionFacts,
+        caller: Optional[FunctionFacts],
         buffer: str,
-        module: Optional[Module] = None,
     ) -> List[GapModel]:
         """The attacker's payload-coordinate hypotheses, cycled by attempt.
 
@@ -199,10 +181,8 @@ class Defense:
         """
         return [
             gap_model(
-                baseline_layout(victim, canary=cls.canary),
-                None
-                if caller is None
-                else baseline_layout(caller, canary=cls.canary),
+                victim.layout(cls.canary),
+                None if caller is None else caller.layout(cls.canary),
                 buffer,
             )
         ]

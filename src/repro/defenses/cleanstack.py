@@ -32,7 +32,6 @@ from repro.analysis.partition import machine_partition, partition_module
 from repro.analysis.reach import FrameLayout, cleanstack_layouts
 from repro.core.pipeline import compile_source
 from repro.defenses.base import Defense, ProgramBuild, reference_layouts_of
-from repro.ir.module import Function, Module
 from repro.synth.facts import FunctionFacts
 from repro.synth.layouts import GapModel, cleanstack_gap_model
 
@@ -75,33 +74,20 @@ class CleanStackDefense(Defense):
 
     @classmethod
     def layouts(
-        cls,
-        function: Function,
-        *,
-        samples: int = 64,
-        seed: int = 0,
-        module: Optional[Module] = None,
-        facts: Optional[FunctionFacts] = None,
+        cls, facts: FunctionFacts, *, samples: int = 64, seed: int = 0
     ) -> List[FrameLayout]:
         """Clean slots fixed, unclean ones at sampled region deltas."""
-        facts = facts or FunctionFacts(function, module)
         return cleanstack_layouts(
-            function,
-            facts.module,
-            samples=samples,
-            seed=seed,
-            partition=facts.partition,
-            descriptor=facts.descriptor,
+            facts, facts.partition, samples=samples, seed=seed
         )
 
     @classmethod
     def gap_models(
         cls,
-        victim: Function,
-        caller: Optional[Function],
+        victim: FunctionFacts,
+        caller: Optional[FunctionFacts],
         buffer: str,
-        module: Optional[Module] = None,
     ) -> List[GapModel]:
         """The attacker's region-local view (cross-region targets have
         no payload coordinate)."""
-        return [cleanstack_gap_model(victim, caller, buffer, module)]
+        return [cleanstack_gap_model(victim, caller, buffer)]

@@ -97,27 +97,19 @@ class ForrestPadding(Defense):
 
     @classmethod
     def layouts(
-        cls,
-        function: Function,
-        *,
-        samples: int = 64,
-        seed: int = 0,
-        module: Optional[Module] = None,
-        facts: Optional[FunctionFacts] = None,
+        cls, facts: FunctionFacts, *, samples: int = 64, seed: int = 0
     ) -> List[FrameLayout]:
         """One layout per pad choice; unpadded frames keep the baseline."""
-        facts = facts or FunctionFacts(function, module)
         if not pads_frame(facts.descriptor):
             return [facts.layout()]
-        return padded_layouts(function, facts.descriptor)
+        return padded_layouts(facts)
 
     @classmethod
     def gap_models(
         cls,
-        victim: Function,
-        caller: Optional[Function],
+        victim: FunctionFacts,
+        caller: Optional[FunctionFacts],
         buffer: str,
-        module: Optional[Module] = None,
     ) -> List[GapModel]:
         """One hypothesis per distinct gap signature (§II-C brute force).
 
@@ -144,13 +136,11 @@ class ForrestPadding(Defense):
         return models
 
 
-def padded_layouts(
-    function: Function, descriptor: Optional[FrameDescriptor] = None
-) -> List[FrameLayout]:
+def padded_layouts(facts: FunctionFacts) -> List[FrameLayout]:
     """The reference layout under each pad choice (``PAD_CHOICES``
     order), the pad as the first allocation; a frame the scheme leaves
     unpadded keeps its baseline layout under every choice."""
-    descriptor = descriptor or discover_function(function)
+    descriptor = facts.descriptor
     allocations = list(descriptor.allocations)
     padded = pads_frame(descriptor)
     layouts = []
@@ -158,7 +148,7 @@ def padded_layouts(
         pad_slot = [StackAllocation(PAD_SLOT_NAME, pad, 8)] if padded else []
         layouts.append(
             FrameLayout(
-                function.name,
+                facts.function.name,
                 allocation_slots(pad_slot + allocations, canary=False),
                 has_canary=False,
             )

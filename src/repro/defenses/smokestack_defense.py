@@ -20,7 +20,6 @@ from repro.analysis.reach import (
 from repro.core.config import SmokestackConfig
 from repro.core.pipeline import harden_source
 from repro.defenses.base import Defense, ProgramBuild
-from repro.ir.module import Function, Module
 from repro.rng.entropy import DeterministicEntropy, EntropySource
 from repro.synth.facts import FunctionFacts
 
@@ -68,32 +67,14 @@ class SmokestackDefense(Defense):
 
     @classmethod
     def layouts(
-        cls,
-        function: Function,
-        *,
-        samples: int = 64,
-        seed: int = 0,
-        module: Optional[Module] = None,
-        facts: Optional[FunctionFacts] = None,
+        cls, facts: FunctionFacts, *, samples: int = 64, seed: int = 0
     ) -> List[FrameLayout]:
         """Sampled rows of the function's own permutation table."""
-        facts = facts or FunctionFacts(function, module)
-        return smokestack_layouts(
-            function, samples=samples, seed=seed, descriptor=facts.descriptor
-        )
+        return smokestack_layouts(facts, samples=samples, seed=seed)
 
     @classmethod
     def columns(
-        cls,
-        function: Function,
-        *,
-        samples: int = 64,
-        seed: int = 0,
-        module: Optional[Module] = None,
-        facts: Optional[FunctionFacts] = None,
+        cls, facts: FunctionFacts, *, samples: int = 64, seed: int = 0
     ) -> LayoutColumns:
         """The same rows, read by column."""
-        facts = facts or FunctionFacts(function, module)
-        return smokestack_columns(
-            function, samples=samples, seed=seed, descriptor=facts.descriptor
-        )
+        return smokestack_columns(facts, samples=samples, seed=seed)

@@ -11,7 +11,7 @@ layout, which is the weakness §II-C exploits: a single memory disclosure
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.analysis.reach import (
     FrameLayout,
@@ -86,23 +86,16 @@ class StaticPermutation(Defense):
 
     @classmethod
     def layouts(
-        cls,
-        function: Function,
-        *,
-        samples: int = 64,
-        seed: int = 0,
-        module: Optional[Module] = None,
-        facts: Optional[FunctionFacts] = None,
+        cls, facts: FunctionFacts, *, samples: int = 64, seed: int = 0
     ) -> List[FrameLayout]:
         """Sampled permutations of the declaration order."""
-        facts = facts or FunctionFacts(function, module)
         allocations = list(facts.descriptor.allocations)
         if len(allocations) < 2:
             return [facts.layout()]
         names = facts.allocation_names
         return [
             FrameLayout(
-                function.name,
+                facts.function.name,
                 allocation_slots(
                     [allocations[i] for i in placed], canary=False, names=names
                 ),
@@ -113,16 +106,9 @@ class StaticPermutation(Defense):
 
     @classmethod
     def columns(
-        cls,
-        function: Function,
-        *,
-        samples: int = 64,
-        seed: int = 0,
-        module: Optional[Module] = None,
-        facts: Optional[FunctionFacts] = None,
+        cls, facts: FunctionFacts, *, samples: int = 64, seed: int = 0
     ) -> LayoutColumns:
         """The same permutations, read by column."""
-        facts = facts or FunctionFacts(function, module)
         allocations = list(facts.descriptor.allocations)
         if len(allocations) < 2:
             return layout_columns([facts.layout()])

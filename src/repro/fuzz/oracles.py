@@ -303,9 +303,10 @@ def check_program(
 def _check_reach(verdict: ProgramVerdict, baseline_module) -> None:
     """Static overflow-reach predictions vs. executed probe overflows."""
     from repro.analysis.crosscheck import crosscheck_module
+    from repro.synth.facts import ProgramFacts
 
     try:
-        results = crosscheck_module(baseline_module)
+        results = crosscheck_module(ProgramFacts(module=baseline_module))
     except Exception as exc:  # noqa: BLE001 - escaping at all is the bug
         verdict.findings.append(
             OracleFinding(
@@ -377,15 +378,13 @@ def _check_exploit(verdict: ProgramVerdict, source: str, name: str) -> None:
 def _check_safety(verdict: ProgramVerdict, baseline_module) -> None:
     """Bounds-prover soundness: PROVEN_SAFE slots must be untouchable."""
     from repro.analysis.crosscheck import crosscheck_safety
-    from repro.analysis.safety import (
-        analyze_module_safety,
-        proven_reach_conflicts,
-    )
+    from repro.analysis.safety import proven_reach_conflicts
+    from repro.synth.facts import ProgramFacts
 
     try:
-        report = analyze_module_safety(baseline_module)
-        conflicts = proven_reach_conflicts(baseline_module, report)
-        probes = crosscheck_safety(baseline_module, report)
+        facts = ProgramFacts(module=baseline_module)
+        conflicts = proven_reach_conflicts(facts)
+        probes = crosscheck_safety(facts)
     except Exception as exc:  # noqa: BLE001 - escaping at all is the bug
         verdict.findings.append(
             OracleFinding(

@@ -18,13 +18,13 @@ from __future__ import annotations
 import random
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
-from repro.analysis.safety import UNSAFE, analyze_module_safety
+from repro.analysis.safety import UNSAFE
 from repro.attacks import dop, librelp, proftpd, ripe, wireshark
 from repro.attacks.model import classify_result
-from repro.core.pipeline import compile_source
 from repro.defenses import make_defense
 from repro.obs.metrics import get_registry
 from repro.obs.trace import CYCLE_SCALE, Tracer
+from repro.synth.facts import ProgramFacts
 
 
 class ForensicTarget(NamedTuple):
@@ -205,7 +205,7 @@ def attack_forensics(
     scenario = target.scenario_class()
     defense_obj = make_defense(defense)
     build = defense_obj.build(scenario.source, instance_seed=seed)
-    safety = analyze_module_safety(compile_source(scenario.source, name))
+    safety = ProgramFacts(scenario.source, name).safety
     unsafe = {
         (function.name, record.slot)
         for function in safety.functions.values()

@@ -17,7 +17,16 @@ gadgets the analyses would miss (or vice versa).
 from __future__ import annotations
 
 from functools import cached_property
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Set
+from typing import (
+    TYPE_CHECKING,
+    AbstractSet,
+    Dict,
+    FrozenSet,
+    List,
+    NamedTuple,
+    Optional,
+    Set,
+)
 
 from repro.analysis import reach
 from repro.analysis.intervals import IntervalAnalysis
@@ -25,7 +34,10 @@ from repro.analysis.taintflow import (
     INPUT_BUILTINS,
     SinkHit,
     TaintAnalysis,
+    TaintFlowAnalysis,
+    attacker_param_indices,
     collect_gadget_sinks,
+    input_deriving_functions,
 )
 from repro.core.allocations import FrameDescriptor, discover_function
 from repro.core.pipeline import compile_source
@@ -65,18 +77,22 @@ class CallerSite(NamedTuple):
 class FunctionFacts:
     """IR-derived facts about one function, each built on first use.
 
-    Every fact depends on the function's IR alone (the cleanstack
-    partition also reads the module's call graph), so one instance
-    serves the synth planner, every (defense, mode) planner of the
-    exploit prover and every defense's layout family.
-    :meth:`ProgramFacts.of` hands them out for the reference module and
-    drops them all when ``Module.version`` moves; a bare instance over
-    any function is a one-shot cache.
+    The one source of per-function facts: the frame descriptor, slot
+    names, buffers and declaration-order layout, the interval analysis,
+    the seeded input taint, the corruption-model taint, the cleanstack
+    partition and the CFG facts.  One instance serves the synth planner,
+    every (defense, mode) planner of the exploit prover, every defense's
+    layout family and every ``analyze`` pass (reach, lint, exposure,
+    safety, crosscheck).  :meth:`ProgramFacts.of` hands them out for its
+    module, whose module-wide facts (input-deriving functions, attacker
+    parameters) they read, and drops them all when ``Module.version``
+    moves; a bare instance (``program=None``) analyses its function
+    alone, as if no other function existed.
     """
 
-    def __init__(self, function: Function, module: Optional[Module] = None):
+    def __init__(self, function: Function, program: Optional[ProgramFacts] = None):
         self.function = function
-        self.module = module
+        self.program = program
         self._layouts: Dict[bool, reach.FrameLayout] = {}
         self._guards: Dict[BasicBlock, object] = {}
         #: (id(value), id(site)) -> planner expression (see ProgramFacts.expr)
@@ -122,7 +138,7 @@ class FunctionFacts:
         if site_block not in self._guards:
             from repro.synth.planner import guards_for
 
-            self._guards[site_block] = guards_for(self.function, site_block, self)
+            self._guards[site_block] = guards_for(self, site_block)
         return self._guards[site_block]
 
     @cached_property
@@ -155,8 +171,23 @@ class FunctionFacts:
             if allocation.alloca is not None
         }
 
+    @cached_property
+    def buffers(self) -> List[str]:
+        """Source-named array locals — the overflowable objects — by slot
+        name, in declaration order."""
+        names = self.allocation_names
+        return [
+            names[id(allocation)]
+            for allocation in self.descriptor.allocations
+            if allocation.alloca is not None
+            and allocation.alloca.var_name
+            and not allocation.alloca.var_name.startswith("__")
+            and allocation.alloca.allocated_type.is_array()
+        ]
+
     def layout(self, canary: bool = False) -> reach.FrameLayout:
-        """The declaration-order layout (:func:`reach.baseline_layout`)."""
+        """The declaration-order layout — what the attacker's static
+        analysis of the reference binary sees."""
         layout = self._layouts.get(canary)
         if layout is None:
             layout = reach.FrameLayout(
@@ -173,15 +204,34 @@ class FunctionFacts:
 
     @cached_property
     def partition(self):
-        """The cleanstack taint partition of the frame."""
+        """The cleanstack partition the analyses model: the module's
+        input-deriving callees are sources, parameters are not seeded
+        (a deployed build's ``partition_module`` seeds them)."""
         from repro.analysis.partition import partition_function
 
-        return partition_function(self.function, self.module)
+        return partition_function(self.function, self._input_deriving)
 
     # ------------------------------------------------------------- taint
 
+    @property
+    def _input_deriving(self) -> AbstractSet[str]:
+        program = self.program
+        return frozenset() if program is None else program.input_deriving
+
+    @cached_property
+    def input_taint(self) -> TaintFlowAnalysis:
+        """The seeded input-taint analysis (sinks, lint, exposure,
+        safety): input-deriving callees are sources and the parameters
+        :attr:`ProgramFacts.attacker_params` marks are seeded."""
+        program = self.program
+        params = (
+            () if program is None else program.attacker_params[self.function.name]
+        )
+        return TaintFlowAnalysis(self.function, self._input_deriving, params)
+
     @cached_property
     def taint(self) -> TaintAnalysis:
+        """The corruption-model taint (gadget census, planner)."""
         return TaintAnalysis(self.function)
 
     @cached_property
@@ -255,17 +305,31 @@ class FunctionFacts:
 
 
 class ProgramFacts:
-    """Static facts about one victim program."""
+    """Static facts about one victim program.
 
-    def __init__(self, source: str, name: str = "victim"):
+    Built over ``module`` when the caller already compiled ``source``
+    (at any ``-O`` level, or from a cache); otherwise ``source`` is
+    compiled at ``-O0`` as module ``name``.  ``source`` is what the
+    attack campaign deploys, so a fact base built from a module alone
+    serves analysis only.
+    """
+
+    def __init__(
+        self,
+        source: Optional[str] = None,
+        name: str = "victim",
+        *,
+        module: Optional[Module] = None,
+    ):
         self.source = source
-        self.module: Module = compile_source(source, name)
+        self.module: Module = (
+            module if module is not None else compile_source(source, name)
+        )
         self._functions: Dict[str, FunctionFacts] = {}
         self._functions_version = self.module.version
         self._callers: Optional[Dict[str, List[CallerSite]]] = None
         self._channels: "Optional[List[OverflowChannel]]" = None
         self._guard_env: Optional[tuple] = None
-        self._safety = None
 
     # ---------------------------------------------------------------- IR
 
@@ -282,9 +346,21 @@ class ProgramFacts:
             self._functions_version = self.module.version
         facts = self._functions.get(function.name)
         if facts is None or facts.function is not function:
-            facts = FunctionFacts(function, self.module)
+            facts = FunctionFacts(function, self)
             self._functions[function.name] = facts
         return facts
+
+    # -------------------------------------------------------- module-wide
+
+    @cached_property
+    def input_deriving(self) -> FrozenSet[str]:
+        """Functions that can (transitively) observe program input."""
+        return frozenset(input_deriving_functions(self.module))
+
+    @cached_property
+    def attacker_params(self) -> Dict[str, FrozenSet[int]]:
+        """function -> parameter indices that may receive attacker values."""
+        return attacker_param_indices(self.module, self.input_deriving)
 
     def taint(self, function: Function) -> TaintAnalysis:
         return self.of(function).taint
@@ -314,7 +390,7 @@ class ProgramFacts:
         return None
 
     def buffers(self, function: Function) -> List[str]:
-        return reach.buffer_names(function)
+        return self.of(function).buffers
 
     # ----------------------------------------------------------- globals
 
@@ -440,10 +516,10 @@ class ProgramFacts:
 
     # ------------------------------------------------------------ safety
 
-    @property
+    @cached_property
     def safety(self):
-        if self._safety is None:
-            from repro.analysis.safety import analyze_module_safety
+        """The bounds-safety report of this fact base
+        (``analyze_module_safety``), built once."""
+        from repro.analysis.safety import analyze_module_safety
 
-            self._safety = analyze_module_safety(self.module)
-        return self._safety
+        return analyze_module_safety(self)

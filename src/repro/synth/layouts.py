@@ -14,10 +14,12 @@ the caller's frame.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
 from repro.analysis import reach
-from repro.ir.module import Function
+
+if TYPE_CHECKING:  # facts imports the geometry this module builds on
+    from repro.synth.facts import FunctionFacts
 
 
 class GapModel(NamedTuple):
@@ -69,10 +71,9 @@ def gap_model(
 
 
 def cleanstack_gap_model(
-    victim: Function,
-    caller: Optional[Function],
+    victim: FunctionFacts,
+    caller: Optional[FunctionFacts],
     buffer: str,
-    module,
 ) -> GapModel:
     """Region-local gap model for the taint-partitioned dual stack.
 
@@ -86,17 +87,21 @@ def cleanstack_gap_model(
     *other* region has no coordinate here and fails to build — which is
     the defense's guarantee expressed in payload coordinates.
     """
-    v_main, v_unsafe = reach.cleanstack_region_slots(victim, module)
+    v_main, v_unsafe = reach.cleanstack_region_slots(victim, victim.partition)
     buffer_unsafe = any(slot.name == buffer for slot in v_unsafe)
     v_slots = v_unsafe if buffer_unsafe else v_main
-    victim_layout = reach.FrameLayout(victim.name, v_slots, has_canary=False)
+    victim_layout = reach.FrameLayout(
+        victim.function.name, v_slots, has_canary=False
+    )
     caller_layout = None
     height = 0
     if caller is not None:
-        c_main, c_unsafe = reach.cleanstack_region_slots(caller, module)
+        c_main, c_unsafe = reach.cleanstack_region_slots(
+            caller, caller.partition
+        )
         c_slots = c_unsafe if buffer_unsafe else c_main
         caller_layout = reach.FrameLayout(
-            caller.name, c_slots, has_canary=False
+            caller.function.name, c_slots, has_canary=False
         )
         if buffer_unsafe:
             # Unclean slices carry no cookie/canary band; the region

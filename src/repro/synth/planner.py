@@ -494,22 +494,17 @@ class Guard:
 
 
 def guards_for(
-    function: Function,
-    site_block: BasicBlock,
-    facts: Optional[FunctionFacts] = None,
+    facts: FunctionFacts, site_block: BasicBlock
 ) -> Optional[List[Guard]]:
-    """Branch conditions every path to ``site_block`` must satisfy.
-
-    ``facts`` supplies a cached dominator tree and reachable set; the
-    planners read the result through :meth:`FunctionFacts.guards`.
-    """
-    facts = facts or FunctionFacts(function)
+    """Branch conditions every path to ``site_block`` must satisfy, read
+    off the bundle's dominator tree and reachable set; the planners read
+    the result through :meth:`FunctionFacts.guards`."""
     tree = facts.dominators
     reachable = facts.reachable
     if site_block not in reachable:
         return None
     guards: List[Guard] = []
-    for block in function.blocks:
+    for block in facts.function.blocks:
         if block not in reachable or block is site_block:
             continue
         terminator = block.terminator()

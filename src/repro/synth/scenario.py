@@ -138,11 +138,11 @@ class SynthScenario(AttackScenario):
         self.name = name or f"synth-{self.victim_function}"
         self.description = f"synthesized: {plan.goal.describe()}"
         self.max_steps = max_steps
+        caller = plan.channel.caller
         self.models: List[GapModel] = defense_class(defense_name).gap_models(
-            plan.channel.function,
-            plan.channel.caller.function if plan.channel.caller else None,
+            facts.of(plan.channel.function),
+            facts.of(caller.function) if caller else None,
             plan.channel.buffer,
-            module=facts.module,
         )
         self.last_probe: Optional[SlotProbe] = None
         self.last_script_error: Optional[str] = None

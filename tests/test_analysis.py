@@ -12,6 +12,7 @@ from repro.analysis import (
     render_entropy_report,
 )
 from repro.core import SmokestackConfig, compile_source, harden_source
+from repro.synth.facts import FunctionFacts, ProgramFacts
 from repro.ir.instructions import Load, Store
 
 
@@ -82,7 +83,7 @@ class TestGadgets:
 
     def test_store_through_corruptible_pointer_is_gadget(self):
         fn = function_of(self.INDIRECT_WRITE)
-        gadgets = find_gadgets(fn)
+        gadgets = find_gadgets(FunctionFacts(fn))
         kinds = {g.kind for g in gadgets}
         assert "mov" in kinds or "store" in kinds
 
@@ -90,12 +91,12 @@ class TestGadgets:
         fn = function_of(
             "int main() { long a = 0; long *p = &a; return (int)*p; }"
         )
-        kinds = {g.kind for g in find_gadgets(fn)}
+        kinds = {g.kind for g in find_gadgets(FunctionFacts(fn))}
         assert "deref" in kinds
 
     def test_pure_constant_code_has_no_gadgets(self):
         fn = function_of("int main() { return 42; }")
-        assert find_gadgets(fn) == []
+        assert find_gadgets(FunctionFacts(fn)) == []
 
     def test_send_gadget(self):
         fn = function_of(
@@ -103,7 +104,7 @@ class TestGadgets:
             "int main() { char *p = g_s; long n = 4; output_bytes(p, n);"
             " return 0; }"
         )
-        kinds = {g.kind for g in find_gadgets(fn)}
+        kinds = {g.kind for g in find_gadgets(FunctionFacts(fn))}
         assert "send" in kinds
 
     def test_listing1_census_matches_paper_shape(self):
@@ -111,7 +112,7 @@ class TestGadgets:
         # a controlled dispatcher.
         from repro.attacks.dop import Listing1DopAttack
 
-        report = analyze_module(compile_source(Listing1DopAttack.source))
+        report = analyze_module(ProgramFacts(Listing1DopAttack.source))
         assert report.has_kinds("mov", "deref")
         assert report.kinds().get("add", 0) >= 1
         assert report.usable_dispatchers()
@@ -121,7 +122,7 @@ class TestGadgets:
         # STORE operations" plus the dispatcher loop.
         from repro.attacks.librelp import LibrelpDopAttack
 
-        report = analyze_module(compile_source(LibrelpDopAttack.source))
+        report = analyze_module(ProgramFacts(LibrelpDopAttack.source))
         assert report.has_kinds("store", "deref", "send")
         dispatchers = report.usable_dispatchers()
         assert any(d.function == "relp_lstn_init" for d in dispatchers)
@@ -131,9 +132,9 @@ class TestGadgets:
         # hardened module still finds them.
         from repro.attacks.dop import Listing1DopAttack
 
-        baseline = analyze_module(compile_source(Listing1DopAttack.source))
+        baseline = analyze_module(ProgramFacts(Listing1DopAttack.source))
         hardened = harden_source(Listing1DopAttack.source)
-        hardened_report = analyze_module(hardened.module)
+        hardened_report = analyze_module(ProgramFacts(module=hardened.module))
         assert hardened_report.has_kinds(*baseline.kinds().keys())
 
 
@@ -155,7 +156,7 @@ class TestDispatchers:
             }
             """
         )
-        dispatchers = find_dispatchers(fn)
+        dispatchers = find_dispatchers(FunctionFacts(fn))
         assert dispatchers
         assert any(
             d.condition_controlled and d.corruption_sites for d in dispatchers
@@ -169,7 +170,7 @@ class TestDispatchers:
         )
         # After mem2reg the counter is register-resident: the condition is
         # no longer attacker-controlled.
-        dispatchers = find_dispatchers(fn)
+        dispatchers = find_dispatchers(FunctionFacts(fn))
         assert all(not d.condition_controlled for d in dispatchers)
 
 

@@ -10,8 +10,8 @@ import pytest
 
 from repro.analysis import (
     TaintFlowAnalysis,
-    baseline_layout,
     frame_height,
+    input_deriving_functions,
     overflow_reach,
     reach_under_defense,
     stacked_layout,
@@ -20,6 +20,7 @@ from repro.analysis.reach import intra_frame_reach
 from repro.attacks import librelp, proftpd, ripe, wireshark
 from repro.core import compile_source
 from repro.defenses import NoDefense, SmokestackDefense
+from repro.synth.facts import FunctionFacts
 
 
 class TestLibrelp:
@@ -33,11 +34,13 @@ class TestLibrelp:
 
     def setup_method(self):
         self.module = compile_source(librelp.SOURCE)
-        self.victim = self.module.get_function("relp_chk_peer_name")
-        self.caller = self.module.get_function("relp_lstn_init")
+        self.victim = FunctionFacts(
+            self.module.get_function("relp_chk_peer_name")
+        )
+        self.caller = FunctionFacts(self.module.get_function("relp_lstn_init"))
 
     def test_overflow_escapes_victim_frame(self):
-        layout = baseline_layout(self.victim)
+        layout = self.victim.layout()
         reach = overflow_reach(layout, "all_names", 4096)
         assert reach.cookie  # plows through the return cookie
         assert reach.escapes  # and leaves the frame entirely
@@ -57,7 +60,9 @@ class TestLibrelp:
     def test_caller_contains_the_dop_gadgets(self):
         # The attack's MOV/DEREF/SEND gadgets are flagged by taint: the
         # dispatcher consumes the (attacker-observing) callee's result.
-        taint = TaintFlowAnalysis(self.caller, module=self.module)
+        taint = TaintFlowAnalysis(
+            self.caller.function, input_deriving_functions(self.module)
+        )
         kinds = {s.kind for s in taint.sinks}
         assert "deref" in kinds  # g_src = *p
         assert "send" in kinds  # output_bytes((char*)g_src, ...)
@@ -68,10 +73,10 @@ class TestWireshark:
 
     def setup_method(self):
         self.module = compile_source(wireshark.SOURCE)
-        self.victim = self.module.get_function("dissect_record")
+        self.victim = FunctionFacts(self.module.get_function("dissect_record"))
 
     def test_gadget_operands_in_intra_frame_reach(self):
-        layout = baseline_layout(self.victim)
+        layout = self.victim.layout()
         reach = intra_frame_reach(layout, "pd")
         # The attack sets col (destination selector) and cinfo (value).
         assert {"col", "cinfo"} <= reach.corrupted
@@ -91,8 +96,8 @@ class TestProftpd:
 
     def setup_method(self):
         self.module = compile_source(proftpd.SOURCE)
-        self.victim = self.module.get_function("sreplace")
-        self.caller = self.module.get_function("command_loop")
+        self.victim = FunctionFacts(self.module.get_function("sreplace"))
+        self.caller = FunctionFacts(self.module.get_function("command_loop"))
 
     def test_command_loop_state_in_stacked_reach(self):
         stacked = stacked_layout(self.caller, self.victim)
@@ -110,7 +115,7 @@ class TestProftpd:
         # The caller's frame top sits one caller-frame-height above the
         # victim's frame top (callee frame_top == caller frame_base).
         stacked = stacked_layout(self.caller, self.victim)
-        caller_frame = baseline_layout(self.caller)
+        caller_frame = self.caller.layout()
         height = frame_height(caller_frame)
         op = caller_frame.slot("op")
         assert stacked.slot("command_loop:op").lo == op.lo + height
@@ -121,10 +126,10 @@ class TestRipe:
 
     def setup_method(self):
         self.module = compile_source(ripe.StackDirectBruteForce.source)
-        self.victim = self.module.get_function("victim")
+        self.victim = FunctionFacts(self.module.get_function("victim"))
 
     def test_quota_and_session_state_reachable(self):
-        layout = baseline_layout(self.victim)
+        layout = self.victim.layout()
         reach = intra_frame_reach(layout, "buff")
         # The strike targets quota; the collateral the attack must
         # preserve byte-exactly is the s_* session state in between.
@@ -155,7 +160,7 @@ class TestDefenseOrdering:
     )
     def test_smokestack_certain_strictly_smaller(self, source, function,
                                                  buffer):
-        fn = compile_source(source).get_function(function)
+        fn = FunctionFacts(compile_source(source).get_function(function))
         base = reach_under_defense(fn, buffer, NoDefense)
         ss = reach_under_defense(fn, buffer, SmokestackDefense, samples=64)
         if base.certain:

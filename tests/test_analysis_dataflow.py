@@ -27,7 +27,7 @@ from repro.analysis.intervals import (
     const_interval,
 )
 from repro.analysis.lint import DefiniteInit
-from repro.analysis.taintflow import mem
+from repro.analysis.taintflow import input_deriving_functions, mem
 from repro.core import compile_source
 from repro.ir import Constant, Function, IRBuilder, Module
 from repro.opt.cfg import predecessors
@@ -352,7 +352,7 @@ def handwritten_taint_module():
 class TestKnownAnswerTaint:
     def test_handwritten_chain(self):
         module, fn, v = handwritten_taint_module()
-        taint = TaintFlowAnalysis(fn, module=module)
+        taint = TaintFlowAnalysis(fn, input_deriving_functions(module))
         exit_state = taint.result.block_out[fn.entry]
         assert fn.params[0] in exit_state          # source
         assert v["doubled"] in exit_state          # through arithmetic
@@ -413,12 +413,14 @@ class TestKnownAnswerTaint:
             }
             """
         )
-        taint = TaintFlowAnalysis(module.get_function("main"), module=module)
+        taint = TaintFlowAnalysis(
+            module.get_function("main"), input_deriving_functions(module)
+        )
         assert "conditional" in {s.kind for s in taint.sinks}
 
     def test_explain_chain_reaches_a_source(self):
         module, fn, v = handwritten_taint_module()
-        taint = TaintFlowAnalysis(fn, module=module)
+        taint = TaintFlowAnalysis(fn, input_deriving_functions(module))
         sink = next(s for s in taint.sinks if s.kind == "conditional")
         chain = taint.explain_chain(sink)
         assert chain  # non-empty, renders without raising
@@ -444,7 +446,9 @@ class TestInterproceduralParamTaint:
             }
             """
         )
-        param_map = attacker_param_indices(module)
+        param_map = attacker_param_indices(
+            module, input_deriving_functions(module)
+        )
         # got (index 1) is attacker data; the buffer *address* is not.
         assert 1 in param_map["consume"]
         assert 0 not in param_map["consume"]
@@ -464,10 +468,14 @@ class TestInterproceduralParamTaint:
             }
             """
         )
-        param_map = attacker_param_indices(module)
+        param_map = attacker_param_indices(
+            module, input_deriving_functions(module)
+        )
         fn = module.get_function("consume")
         taint = TaintFlowAnalysis(
-            fn, module, tainted_params=param_map["consume"]
+            fn,
+            input_deriving_functions(module),
+            tainted_params=param_map["consume"],
         )
         assert "conditional" in {s.kind for s in taint.sinks}
 
@@ -484,7 +492,9 @@ class TestInterproceduralParamTaint:
             }
             """
         )
-        param_map = attacker_param_indices(module)
+        param_map = attacker_param_indices(
+            module, input_deriving_functions(module)
+        )
         assert 0 in param_map["mid"]
         assert 0 in param_map["deep"]
 
@@ -497,5 +507,7 @@ class TestInterproceduralParamTaint:
             int main() { return helper(21); }
             """
         )
-        param_map = attacker_param_indices(module)
+        param_map = attacker_param_indices(
+            module, input_deriving_functions(module)
+        )
         assert param_map["helper"] == frozenset()

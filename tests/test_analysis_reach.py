@@ -6,7 +6,6 @@ import pytest
 
 from repro.analysis import (
     analyze_program,
-    baseline_layout,
     crosscheck_module,
     exit_status,
     lint_function,
@@ -19,6 +18,7 @@ from repro.analysis.reach import intra_frame_reach, unique_slot_names
 from repro.core import compile_source
 from repro.core.allocations import discover_function
 from repro.defenses.registry import SCHEMES, defense_class
+from repro.synth.facts import FunctionFacts, ProgramFacts
 from repro.vm.interpreter import Machine
 
 VICTIM = """
@@ -39,7 +39,7 @@ int main() {
 class TestLayoutModel:
     def test_declaration_order_stacks_downward(self):
         fn = compile_source(VICTIM).get_function("main")
-        layout = baseline_layout(fn)
+        layout = FunctionFacts(fn).layout()
         quota, level, line, i = (
             layout.slot(n) for n in ("quota", "level", "line", "i")
         )
@@ -50,7 +50,7 @@ class TestLayoutModel:
 
     def test_reach_is_the_slots_above(self):
         fn = compile_source(VICTIM).get_function("main")
-        layout = baseline_layout(fn)
+        layout = FunctionFacts(fn).layout()
         reach = intra_frame_reach(layout, "line")
         assert reach.corrupted == frozenset({"level", "quota"})
         assert reach.cookie
@@ -63,7 +63,7 @@ class TestLayoutModel:
     def test_model_matches_vm_frame(self):
         module = compile_source(VICTIM)
         fn = module.get_function("main")
-        layout = baseline_layout(fn)
+        layout = FunctionFacts(fn).layout()
         machine = Machine(module)
         frame = machine.push_probe_frame("main")
         try:
@@ -90,13 +90,13 @@ class TestLayoutModel:
             unique_slot_names(discover_function(fn).allocations).values()
         )
         assert "i" in names and "i@2" in names
-        layout = baseline_layout(fn)
+        layout = FunctionFacts(fn).layout()
         assert len({s.name for s in layout.slots}) == len(layout.slots)
 
     def test_canary_shifts_every_slot_down(self):
         fn = compile_source(VICTIM).get_function("main")
-        plain = baseline_layout(fn)
-        guarded = baseline_layout(fn, canary=True)
+        plain = FunctionFacts(fn).layout()
+        guarded = FunctionFacts(fn).layout(canary=True)
         for slot in plain.slots:
             assert guarded.slot(slot.name).lo == slot.lo - 8
 
@@ -105,11 +105,11 @@ class TestDefenseLayouts:
     def test_every_defense_has_layouts(self):
         fn = compile_source(VICTIM).get_function("main")
         for scheme in SCHEMES:
-            layouts = scheme.layouts(fn, samples=16)
+            layouts = scheme.layouts(FunctionFacts(fn), samples=16)
             assert layouts, scheme.name
 
     def test_randomizing_defenses_shrink_certainty(self):
-        fn = compile_source(VICTIM).get_function("main")
+        fn = FunctionFacts(compile_source(VICTIM).get_function("main"))
         base = reach_under_defense(fn, "line", defense_class("none"))
         assert base.certain == frozenset({"level", "quota"})
         for defense in ("static-permute", "smokestack"):
@@ -128,19 +128,19 @@ class TestDefenseLayouts:
 class TestCrosscheck:
     def test_victim_zero_mismatches(self):
         module = compile_source(VICTIM)
-        results = crosscheck_module(module)
+        results = crosscheck_module(ProgramFacts(module=module))
         assert results
         assert failing(results) == []
 
     def test_victim_zero_mismatches_with_canary(self):
         module = compile_source(VICTIM)
-        results = crosscheck_module(module, canary=True)
+        results = crosscheck_module(ProgramFacts(module=module), canary=True)
         assert results
         assert failing(results) == []
 
     def test_probe_lengths_cover_every_boundary(self):
         fn = compile_source(VICTIM).get_function("main")
-        layout = baseline_layout(fn)
+        layout = FunctionFacts(fn).layout()
         lengths = probe_lengths(layout, "line")
         base = layout.slot("line")
         # Probes the one-past-the-end write and the full frame height.
@@ -152,10 +152,17 @@ class TestCrosscheck:
         from repro.analysis import crosscheck as cc
 
         module = compile_source(VICTIM)
-        fn = module.get_function("main")
-        layout = baseline_layout(fn)
+        facts = FunctionFacts(module.get_function("main"))
         machine = Machine(module)
-        result = cc._probe_once(machine, fn, layout, "line", 65)
+        result = cc._probe_once(
+            machine,
+            facts.function,
+            facts.descriptor,
+            facts.allocation_names,
+            facts.layout(),
+            "line",
+            65,
+        )
         assert result.ok
         sabotaged = result._replace(predicted=frozenset({"quota"}))
         assert not sabotaged.ok
@@ -186,7 +193,7 @@ int main() {
 class TestLint:
     def test_maybe_uninitialized_is_warning(self):
         fn = compile_source(UNINIT).get_function("main")
-        diags = lint_function(fn)
+        diags = lint_function(FunctionFacts(fn))
         assert any(
             d.severity == "warning" and "ready" in d.message for d in diags
         )
@@ -195,7 +202,7 @@ class TestLint:
         fn = compile_source(
             "int main() { int x; return x; }"
         ).get_function("main")
-        diags = lint_function(fn)
+        diags = lint_function(FunctionFacts(fn))
         assert any(
             d.severity == "error" and "never initialized" in d.message
             for d in diags
@@ -203,7 +210,7 @@ class TestLint:
 
     def test_constant_oob_gep_is_error(self):
         fn = compile_source(OOB_GEP).get_function("main")
-        diags = lint_function(fn)
+        diags = lint_function(FunctionFacts(fn))
         assert any(
             d.severity == "error" and d.category == "oob-gep" for d in diags
         )
@@ -222,7 +229,7 @@ class TestLint:
             }
             """
         ).get_function("main")
-        diags = lint_function(fn)
+        diags = lint_function(FunctionFacts(fn))
         assert any(
             d.category == "oob-gep"
             and "index 9" in d.message
@@ -242,11 +249,11 @@ class TestLint:
             }
             """
         ).get_function("main")
-        assert [d for d in lint_function(fn) if d.category == "oob-gep"] == []
+        assert [d for d in lint_function(FunctionFacts(fn)) if d.category == "oob-gep"] == []
 
     def test_clean_program_is_clean(self):
         fn = compile_source(VICTIM).get_function("main")
-        assert lint_function(fn) == []
+        assert lint_function(FunctionFacts(fn)) == []
 
 
 class TestDriver:

@@ -28,6 +28,7 @@ from repro.analysis import (
 from repro.attacks import librelp, proftpd, ripe, wireshark
 from repro.core import SmokestackConfig, compile_source, harden_source
 from repro.rng import DeterministicEntropy
+from repro.synth.facts import ProgramFacts
 from repro.vm import Machine
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples" / "minic"
@@ -47,7 +48,7 @@ ATTACKS = [
 class TestExampleVerdicts:
     def test_checksum_clean_is_fully_proven(self):
         module = compile_source(CLEAN, "checksum_clean")
-        report = analyze_module_safety(module)
+        report = analyze_module_safety(ProgramFacts(module=module))
         counts = report.counts()
         assert counts.get(UNSAFE, 0) == 0
         assert counts.get(UNKNOWN, 0) == 0
@@ -56,14 +57,14 @@ class TestExampleVerdicts:
 
     def test_vulnerable_logger_overflow_slot_is_unsafe(self):
         module = compile_source(VULNERABLE, "vulnerable_logger")
-        report = analyze_module_safety(module)
+        report = analyze_module_safety(ProgramFacts(module=module))
         assert report.verdict("format_entry", "line") == UNSAFE
 
     def test_vulnerable_logger_breach_demotes_frame_siblings(self):
         # An unbounded write through `line` can land anywhere in the
         # frame, so no sibling slot may keep its proof.
         module = compile_source(VULNERABLE, "vulnerable_logger")
-        report = analyze_module_safety(module)
+        report = analyze_module_safety(ProgramFacts(module=module))
         for slot in ("quota", "level"):
             assert report.verdict("format_entry", slot) != PROVEN_SAFE
 
@@ -72,7 +73,7 @@ class TestExampleVerdicts:
         # caller) cannot be proven either — selective mode must still
         # permute it.
         module = compile_source(VULNERABLE, "vulnerable_logger")
-        report = analyze_module_safety(module)
+        report = analyze_module_safety(ProgramFacts(module=module))
         assert report.proven_functions() == []
 
 
@@ -80,7 +81,7 @@ class TestCannedAttacks:
     @pytest.mark.parametrize("source,function,buffer", ATTACKS)
     def test_corrupted_slot_is_unsafe(self, source, function, buffer):
         module = compile_source(source)
-        report = analyze_module_safety(module)
+        report = analyze_module_safety(ProgramFacts(module=module))
         assert report.verdict(function, buffer) == UNSAFE
 
 
@@ -100,7 +101,7 @@ class TestInterprocedural:
             """,
             opt_level=2,
         )
-        report = analyze_module_safety(module)
+        report = analyze_module_safety(ProgramFacts(module=module))
         assert report.verdict("main", "b") == PROVEN_SAFE
 
     def test_spilled_params_degrade_to_unknown_not_unsafe(self):
@@ -114,7 +115,7 @@ class TestInterprocedural:
             }
             """
         )
-        report = analyze_module_safety(module)
+        report = analyze_module_safety(ProgramFacts(module=module))
         assert report.verdict("main", "b") == UNKNOWN
 
     def test_attacker_bounded_callee_write_is_unsafe(self):
@@ -138,7 +139,7 @@ class TestInterprocedural:
             }
             """
         )
-        report = analyze_module_safety(module)
+        report = analyze_module_safety(ProgramFacts(module=module))
         assert report.verdict("main", "b") == UNSAFE
         assert report.verdict("smash", "p") == UNSAFE
 
@@ -161,7 +162,7 @@ class TestInterprocedural:
             """,
             opt_level=2,
         )
-        report = analyze_module_safety(module)
+        report = analyze_module_safety(ProgramFacts(module=module))
         assert report.verdict("main", "b") != PROVEN_SAFE
 
     def test_escaped_address_is_not_proven(self):
@@ -179,7 +180,7 @@ class TestInterprocedural:
             }
             """
         )
-        report = analyze_module_safety(module)
+        report = analyze_module_safety(ProgramFacts(module=module))
         assert report.verdict("main", "b") == UNKNOWN
 
 
@@ -199,7 +200,7 @@ class TestSoundnessGates:
     ])
     def test_proven_never_in_possible_reach(self, source):
         module = compile_source(source)
-        assert proven_reach_conflicts(module) == []
+        assert proven_reach_conflicts(ProgramFacts(module=module)) == []
 
     @pytest.mark.parametrize("source", [
         pytest.param(CLEAN, id="checksum_clean"),
@@ -211,7 +212,7 @@ class TestSoundnessGates:
     ])
     def test_vm_probe_never_corrupts_a_proven_slot(self, source):
         module = compile_source(source)
-        probes = crosscheck_safety(module)
+        probes = crosscheck_safety(ProgramFacts(module=module))
         bad = [p for p in probes if not p.ok]
         assert bad == [], [p.describe() for p in bad]
 

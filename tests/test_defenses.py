@@ -364,12 +364,8 @@ class TestLayoutColumns:
             facts = ProgramFacts(case.source, case.name)
             for function in facts.functions():
                 for samples, seed in ((16, 0), (64, 3)):
-                    kwargs = dict(
-                        samples=samples,
-                        seed=seed,
-                        module=facts.module,
-                        facts=facts.of(function),
-                    )
-                    assert scheme.columns(function, **kwargs) == layout_columns(
-                        scheme.layouts(function, **kwargs)
+                    kwargs = dict(samples=samples, seed=seed)
+                    bundle = facts.of(function)
+                    assert scheme.columns(bundle, **kwargs) == layout_columns(
+                        scheme.layouts(bundle, **kwargs)
                     ), (case.name, function.name)

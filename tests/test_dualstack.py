@@ -96,7 +96,7 @@ class DualStackVMTest(unittest.TestCase):
 
     def test_crosscheck_dualstack_is_byte_exact(self):
         module = compile_source(VICTIM, "victim")
-        results = crosscheck_dualstack(module)
+        results = crosscheck_dualstack(ProgramFacts(module=module))
         bad = [r for r in results if not r.ok]
         self.assertTrue(results)
         self.assertEqual(bad, [])
@@ -107,7 +107,8 @@ class DualStackVMTest(unittest.TestCase):
             "int main() { return (int)f(); }",
             "clean",
         )
-        layouts = cleanstack_layouts(module.functions["f"], module)
+        facts = ProgramFacts(module=module).of(module.functions["f"])
+        layouts = cleanstack_layouts(facts, facts.partition)
         self.assertEqual(len(layouts), 1)
 
     def test_shadowstack_skips_cookie_check(self):
@@ -185,7 +186,7 @@ class UnboundedCopyLintTest(unittest.TestCase):
             "unguarded",
         )
         findings = [
-            d for d in lint_module(module)
+            d for d in lint_module(ProgramFacts(module=module))
             if d.category == "unbounded-taint-copy"
         ]
         self.assertEqual(len(findings), 1)
@@ -201,7 +202,7 @@ class UnboundedCopyLintTest(unittest.TestCase):
             "guarded",
         )
         findings = [
-            d for d in lint_module(module)
+            d for d in lint_module(ProgramFacts(module=module))
             if d.category == "unbounded-taint-copy"
         ]
         self.assertEqual(findings, [])

@@ -17,6 +17,7 @@ import pytest
 import repro.vm.interpreter as interpreter
 from repro.benchsuite.programs import WORKLOADS, get_workload
 from repro.core.pipeline import compile_source
+from repro.synth.facts import ProgramFacts
 from repro.errors import VMError
 from repro.vm.interpreter import ENGINES, RESULT_FIELDS, Machine
 from tests.workload_engines import HARDENED_WORKLOADS, assert_engines_agree
@@ -303,7 +304,7 @@ class TestObservedRunsDeopt:
             " guard = 7; buf[0] = 1; return guard - 7; }"
         )
         Machine(module, engine="jit-eager").run()  # warm the shared code cache
-        results = crosscheck_module(module)
+        results = crosscheck_module(ProgramFacts(module=module))
         assert results and all(r.ok for r in results)
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.attacks.overflow import le64, overflow_payload, read_le64, relative_payload
 from repro.attacks.proftpd import stacked_writes
 from repro.core.pipeline import compile_source, harden_source
+from repro.synth.facts import ProgramFacts
 from repro.core import SmokestackConfig
 from repro.minic import types as ct
 from repro.minic.lexer import tokenize
@@ -408,13 +409,11 @@ def test_defense_layout_families_satisfy_frame_invariants(program, seed):
     8-aligned, the frame tall enough to hold them, and no declared
     variable ever dropped from the layout."""
     source, names = program
-    module = compile_source(source, "prop-frames")
-    function = module.functions["work"]
+    facts = ProgramFacts(source, "prop-frames")
+    function = facts.of(facts.function("work"))
     for scheme in SCHEMES:
         defense = scheme.name
-        layouts = scheme.layouts(
-            function, samples=6, seed=seed, module=module
-        )
+        layouts = scheme.layouts(function, samples=6, seed=seed)
         assert layouts, f"{defense}: empty layout family"
         for layout in layouts:
             named = {slot.name for slot in layout.named_slots()}

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from repro.analysis.exploit import EXPLOITABLE, ROBUST, UNDECIDED
 from repro.analysis.gadgets import find_gadgets, sink_to_gadget
 from repro.analysis.safety import PROVEN_SAFE
-from repro.analysis.taintflow import TaintAnalysis
 from repro.attacks.harness import run_campaign
 from repro.defenses.registry import defense_names, make_defense
 from repro.fuzz.victims import generate_victim, generate_victims
@@ -37,7 +36,7 @@ from repro.synth.campaign import (
     run_synth_campaign,
     run_victim,
 )
-from repro.synth.facts import ProgramFacts
+from repro.synth.facts import FunctionFacts, ProgramFacts
 from repro.synth.goals import CorruptGoal, ExfilGoal, parse_goal
 from repro.synth.planner import synthesize
 from repro.synth.scenario import SynthScenario
@@ -178,9 +177,9 @@ class CensusIdentityTest(unittest.TestCase):
         for name, source in sources:
             facts = ProgramFacts(source, name)
             for function in facts.functions():
-                taint = TaintAnalysis(function)
                 via_analyzer = {
-                    id(g.instruction): g.kind for g in find_gadgets(function, taint)
+                    id(g.instruction): g.kind
+                    for g in find_gadgets(FunctionFacts(function))
                 }
                 via_planner = {}
                 for hit in facts.sinks(function):
