@@ -13,7 +13,10 @@ oracles cross-check the builds:
     The IR→Python JIT (:mod:`repro.vm.jit`) on the same O0 module must
     also be bit-identical to the fast-dispatch reference — every field,
     including steps, cycles and max_rss — across compiled bodies,
-    per-function interpreter fallbacks, and step-limit deopts.
+    per-function interpreter fallbacks, and step-limit deopts: eagerly
+    compiled and tiered, and on the Smokestack-hardened build (whose
+    slot pointers take the JIT's guarded offset path) eagerly compiled
+    against that build's own fast-dispatch run.
 ``opt``
     O0 vs. optimized (O2) builds must agree on every *observable* field
     (outcome, exit code, fault kind, printed output).  Step counts
@@ -225,13 +228,33 @@ def check_program(
                 OracleFinding("dispatch", f"fast vs slow: {line}")
             )
 
+    hardened = None
+    if "jit" in program_oracles or "harden" in program_oracles:
+        hardened = harden_module(build(), SmokestackConfig(scheme="pseudo"))
+
     if "jit" in program_oracles:
-        jitted = _run_machine(
-            Machine(baseline_module, max_steps=max_steps, engine="jit-eager")
-        )
-        for line in _diff(reference, jitted, RESULT_FIELDS):
+        for engine in ("jit-eager", "jit"):
+            jitted = _run_machine(
+                Machine(baseline_module, max_steps=max_steps, engine=engine)
+            )
+            for line in _diff(reference, jitted, RESULT_FIELDS):
+                verdict.findings.append(
+                    OracleFinding("jit", f"fast vs {engine}: {line}")
+                )
+        hardened_runs = [
+            _run_machine(
+                hardened.make_machine(
+                    entropy=DeterministicEntropy(harden_seeds[0]),
+                    scheme="pseudo",
+                    max_steps=max_steps,
+                    engine=engine,
+                )
+            )
+            for engine in ("fast", "jit-eager")
+        ]
+        for line in _diff(*hardened_runs, RESULT_FIELDS):
             verdict.findings.append(
-                OracleFinding("jit", f"fast vs jit: {line}")
+                OracleFinding("jit", f"hardened fast vs jit-eager: {line}")
             )
 
     if "opt" in program_oracles:
@@ -256,9 +279,6 @@ def check_program(
         _check_exploit(verdict, source, name)
 
     if "harden" in program_oracles:
-        hardened = harden_module(
-            build(), SmokestackConfig(scheme="pseudo")
-        )
         # One process, restarted for every seed after the first: a
         # restart must give what a fresh process gives, so the seed
         # comparisons below also check restarts on generated programs.

@@ -21,6 +21,10 @@ cells:
   totals stay bit-identical);
 * blocks dispatch through a small ``while 1: if _b == N:`` loop;
   branch edges carry their phi parallel copies as tuple assignments;
+* a load or store is one ``struct`` ``unpack_from``/``pack_into`` call
+  on the stack or data buffer; through a stack slot of the running
+  frame it needs no segment test at all, at an offset computed once
+  where the slot pointer is defined (:meth:`_FunctionCompiler._plan_slots`);
 * guest calls recurse into the callee's compiled body through
   :meth:`JitEngine._call` (Python-to-Python recursion is heap-frame
   cheap on CPython 3.11+), keeping ``Machine._push_frame`` /
@@ -68,6 +72,7 @@ module share one compile.
 
 from __future__ import annotations
 
+import struct
 import sys
 import threading
 import time
@@ -80,7 +85,7 @@ from repro.ir.values import Constant, GlobalVariable, Value
 from repro.vm.costs import DYNAMIC_ALLOCA_UNITS
 from repro.vm.decode import _binop_impl, _cast_impl, _int_wrap
 from repro.vm.floatmath import round_f32
-from repro.vm.memory import DATA_BASE, HEAP_BASE
+from repro.vm.memory import DATA_BASE, FLOAT_STRUCTS, HEAP_BASE
 
 _U64 = (1 << 64) - 1
 
@@ -349,7 +354,6 @@ _STD_CELLS = (
     "_DEOM", # JitEngine._deopt_sync_mid (post-call, mid-block)
     "_CALL", # JitEngine._call
     "_POP",  # machine._pop_frame
-    "_FB",   # int.from_bytes
     "_F32",  # round_f32
     "_RD",   # memory.read_int
     "_WR",   # memory.write_int
@@ -366,6 +370,20 @@ _STD_CELLS = (
     "_NEG",  # _negative_alloca
     "_META", # this function's _FunctionMeta
 )
+
+
+#: (width, signed) -> the little-endian ``struct`` format of a load or
+#: store; ``signed`` is None for floats.  Compiled bodies bind the
+#: ``unpack_from``/``pack_into`` methods as const cells; integers are
+#: stored masked, through the unsigned formats.
+_STRUCTS = {
+    (size, signed): struct.Struct("<" + (code if signed else code.upper()))
+    for size, code in ((1, "b"), (2, "h"), (4, "i"), (8, "q"))
+    for signed in (True, False)
+}
+_STRUCTS.update(((size, None), fmt) for size, fmt in FLOAT_STRUCTS.items())
+_UNPACK = {key: fmt.unpack_from for key, fmt in _STRUCTS.items()}
+_PACK = {key: fmt.pack_into for key, fmt in _STRUCTS.items()}
 
 
 class _FunctionCompiler:
@@ -396,6 +414,11 @@ class _FunctionCompiler:
         #: instruction after the one being emitted — the mid-block deopt
         #: resume point for post-call limit checks.
         self._current_offset = 0
+        #: id(pointer) -> the statement defining its offset local
+        #: ``o<N>``, emitted right after the pointer's own definition
+        self._slot_defs: Dict[int, str] = {}
+        #: (id(pointer), access width) -> (offset local, guarded)
+        self._slot_access: Dict[Tuple[int, int], Tuple[str, bool]] = {}
 
     # -- cells and operand expressions ---------------------------------------------
 
@@ -465,6 +488,26 @@ class _FunctionCompiler:
     # -- compilation ----------------------------------------------------------------
 
     def compile(self) -> _CompiledFunction:
+        source, offset = self.generate()
+        function = self.function
+        filename = (
+            f"<jit {getattr(self.machine.module, 'name', 'module')}"
+            f".{function.name}>"
+        )
+        module_code = compile(source, filename, "exec")
+        linemap = {
+            offset + rel: over for rel, over in self.linemap_rel.items()
+        }
+        meta = _FunctionMeta(
+            function, self.value_by_name, tuple(self.leading), linemap
+        )
+        return _CompiledFunction(
+            module_code, tuple(self.bindings), meta, len(function.blocks)
+        )
+
+    def generate(self) -> Tuple[str, int]:
+        """The ``_bind``/``_body`` source and the line count of its
+        header (body line ``n`` is source line ``n + offset``)."""
         function = self.function
         if not function.blocks:
             raise _CompileUnsupported("no-blocks")
@@ -480,6 +523,7 @@ class _FunctionCompiler:
                 if inst.has_result():
                     self._name_value(inst)
 
+        self._plan_slots()
         for index, block in enumerate(function.blocks):
             self._emit_block(index, block)
 
@@ -490,6 +534,89 @@ class _FunctionCompiler:
         self.names[id(value)] = name
         self.value_by_name[name] = value
         return name
+
+    def _slot_root(self, pointer):
+        """``(alloca, byte offset)`` when ``pointer`` is a static alloca
+        of this function or an ``elemptr``/``fieldptr``/pointer bitcast
+        chain on one; the offset is None when it is not a compile-time
+        constant.  None for every other pointer."""
+        offset = 0
+        while not isinstance(pointer, ir.Alloca):
+            if isinstance(pointer, ir.ElemPtr):
+                index = pointer.index
+                if offset is not None and isinstance(index, Constant):
+                    offset += int(index.value) * pointer.element_type.size()
+                else:
+                    offset = None
+                pointer = pointer.base
+            elif isinstance(pointer, ir.FieldPtr):
+                if offset is not None:
+                    offset += pointer.byte_offset
+                pointer = pointer.base
+            elif (
+                isinstance(pointer, ir.Cast)
+                and pointer.kind == "bitcast"
+                and pointer.value.ctype.is_pointer()
+            ):
+                pointer = pointer.value
+            else:
+                return None
+        if not pointer.is_static() or id(pointer) not in self.names:
+            return None
+        return pointer, offset
+
+    def _plan_slots(self) -> None:
+        """Give every pointer into a stack slot of this frame an offset
+        local ``o<N>`` (``v<N> - _SB``), computed where ``v<N>`` is
+        defined, and decide per access how it is used.
+
+        A slot lies in ``[frame_base, frame_top)`` (or its unclean-stack
+        slice), which ``_push_frame`` has already passed to
+        ``touch_stack``: inside the stack buffer and above the
+        high-water mark, so an access that stays inside its alloca
+        needs no segment test and no high-water update.  A pointer at a
+        constant offset is checked here, per access width; one at a
+        run-time offset gets one guard at its definition against the
+        widest access through it, and ``o<N> = -1`` when the guard
+        fails sends each access to the stack window (:meth:`_emit_access`)."""
+        uses: Dict[int, Tuple[Value, List[int]]] = {}
+        for block in self.function.blocks:
+            for inst in block.instructions:
+                if isinstance(inst, ir.Load):
+                    ctype = inst.ctype
+                elif isinstance(inst, ir.Store):
+                    ctype = inst.value.ctype
+                else:
+                    continue
+                if not (ctype.is_integer() or ctype.is_pointer() or ctype.is_float()):
+                    continue
+                size = 8 if ctype.is_pointer() else ctype.size()
+                uses.setdefault(id(inst.pointer), (inst.pointer, []))[1].append(size)
+        for key, (pointer, widths) in uses.items():
+            root = self._slot_root(pointer)
+            if root is None:
+                continue
+            alloca, offset = root
+            slot_size = alloca.static_size()
+            name = self.names[key]
+            local = "o" + name[1:]
+            if offset is not None:
+                fits = [w for w in widths if 0 <= offset <= slot_size - w]
+                if not fits:
+                    continue
+                self._slot_defs[key] = f"{local} = {name} - _SB"
+                for width in fits:
+                    self._slot_access[(key, width)] = (local, False)
+                continue
+            limit = slot_size - max(widths)
+            if limit < 0:
+                continue
+            self._slot_defs[key] = (
+                f"{local} = {name} - _SB "
+                f"if 0 <= {name} - {self.names[id(alloca)]} <= {limit} else -1"
+            )
+            for width in widths:
+                self._slot_access[(key, width)] = (local, True)
 
     def _validate_block(self, block, entry: bool) -> None:
         instructions = block.instructions
@@ -562,6 +689,9 @@ class _FunctionCompiler:
         if emit is None:
             raise _CompileUnsupported("unknown-instruction")
         emit(self, inst)
+        slot_def = self._slot_defs.get(id(inst))
+        if slot_def is not None:
+            self._line(16, slot_def)
 
     # -- per-instruction emitters ----------------------------------------------------
 
@@ -588,74 +718,114 @@ class _FunctionCompiler:
 
     def _emit_load(self, inst: ir.Load) -> None:
         name = self.names[id(inst)]
-        pointer = self._expr(inst.pointer)
         ctype = inst.ctype
         if ctype.is_float():
-            self._line(16, f"{name} = _RF({pointer}, {ctype.size()})")
-            return
-        if ctype.is_pointer():
-            size, signed = 8, False
-        elif ctype.is_integer():
-            size, signed = ctype.size(), getattr(ctype, "signed", True)
+            size, signed = ctype.size(), None
+            slow = f"{name} = _RF(_t, {size})"
         else:
-            raise _CompileUnsupported("unsupported-type")
-        self._line(16, f"_t = {pointer}")
-        self._line(16, "if _t >= _SB:")
-        self._line(20, f"if _t + {size} <= _SE:")
-        self._line(
-            24,
-            f"{name} = _FB(_SD[_t - _SB:_t + {size} - _SB], "
-            f"'little', signed={signed})",
+            size, signed = self._int_format(ctype)
+            slow = f"{name} = _RD(_t, {size}, {signed})"
+        unpack = self._const_cell(_UNPACK[size, signed])
+        self._emit_access(
+            inst.pointer, size,
+            lambda buf, off, src: f"{name} = {unpack}({buf}, {off})[0]",
+            slow,
         )
-        self._line(20, "else:")
-        self._line(24, f"{name} = _RD(_t, {size}, {signed})")
-        self._line(16, f"elif {DATA_BASE} <= _t < {HEAP_BASE} and _t + {size} <= _DAE:")
-        self._line(
-            20,
-            f"{name} = _FB(_DD[_t - {DATA_BASE}:_t + {size} - {DATA_BASE}], "
-            f"'little', signed={signed})",
-        )
-        self._line(16, "else:")
-        self._line(20, f"{name} = _RD(_t, {size}, {signed})")
 
     def _emit_store(self, inst: ir.Store) -> None:
-        pointer = self._expr(inst.pointer)
-        value = self._expr(inst.value)
-        ctype = inst.value.ctype
+        stored = inst.value
+        ctype = stored.ctype
+        value = self._expr(stored)
         if ctype.is_float():
-            self._line(
-                16, f"_WF({pointer}, float({value}), {ctype.size()})"
-            )
-            return
-        if ctype.is_pointer():
-            size = 8
-            value = f"({value}) & {_U64}"
-        elif ctype.is_integer():
-            size = ctype.size()
+            size, signed = ctype.size(), None
+            value = f"float({value})"
+            if size == 4:
+                value = f"_F32({value})"
+            slow = f"_WF(_t, _u, {size})"
         else:
-            raise _CompileUnsupported("unsupported-type")
-        mask = (1 << (size * 8)) - 1
-        self._line(16, f"_t = {pointer}")
-        self._line(16, f"_u = {value}")
-        self._line(16, "if _t >= _SB:")
-        self._line(20, f"if _t + {size} <= _SE:")
-        self._line(
-            24,
-            f"_SD[_t - _SB:_t + {size} - _SB] = "
-            f"(_u & {mask}).to_bytes({size}, 'little')",
+            size, signed = self._int_format(ctype)
+            mask = (1 << (size * 8)) - 1
+            if isinstance(stored, Constant):
+                value = repr(int(stored.value) & mask)
+            else:
+                value = f"({value}) & {mask}"
+            signed = False  # stored masked, as unsigned
+            slow = f"_WR(_t, _u, {size})"
+        pack = self._const_cell(_PACK[size, signed])
+        self._emit_access(
+            inst.pointer, size,
+            lambda buf, off, src: f"{pack}({buf}, {off}, {src})",
+            slow, value, isinstance(stored, Constant),
         )
-        self._line(24, "if _t < _MEM._stack_hwm_low:")
-        self._line(28, "_MEM._stack_hwm_low = _t")
-        self._line(20, "else:")
-        self._line(24, f"_WR(_t, _u, {size})")
-        self._line(16, f"elif {DATA_BASE} <= _t < {HEAP_BASE} and _t + {size} <= _DAE:")
+
+    @staticmethod
+    def _int_format(ctype) -> Tuple[int, bool]:
+        """(width, signed) of an integer or pointer access."""
+        if ctype.is_pointer():
+            return 8, False
+        if ctype.is_integer() and (ctype.size(), ctype.signed) in _UNPACK:
+            return ctype.size(), ctype.signed
+        raise _CompileUnsupported("unsupported-type")
+
+    def _emit_access(
+        self, pointer, size, op, slow, stored=None, constant=False
+    ) -> None:
+        """One load (``stored`` None) or store of ``size`` bytes.
+
+        ``op(buffer, offset, value)`` is the statement on a segment
+        buffer, ``slow`` the statement on ``_t`` (address) and ``_u``
+        (stored value) that ``Memory`` runs for everything outside the
+        inline windows; ``constant`` says the stored value is a
+        constant.  A stack slot of this frame is accessed at its
+        precomputed offset: unconditionally when it is known to fit
+        (:meth:`_plan_slots`), else behind the ``o >= 0`` guard its
+        definition computed.  A failed guard takes the stack window
+        inline (overflow loops stay on the stack); only an address
+        megabytes away from its slot reaches ``slow``."""
+        indent = 16
+        slot = self._slot_access.get((id(pointer), size))
+        if slot is not None and not slot[1]:
+            offset = slot[0]
+            if stored is None or constant:
+                self._line(indent, op("_SD", offset, stored))
+            else:
+                # The pointer is read before the value, as the reference
+                # loop reads them (it decides which undefined-value
+                # diagnostic non-dominating IR gets).
+                self._line(indent, f"_t = {offset}")
+                self._line(indent, op("_SD", "_t", stored))
+            return
+        if slot is not None:
+            self._line(indent, f"if {slot[0]} >= 0:")
+            self._line(indent + 4, op("_SD", slot[0], stored))
+            self._line(indent, "else:")
+            indent += 4
+        self._line(indent, f"_t = {self._expr(pointer)}")
+        if stored is not None:
+            self._line(indent, f"_u = {stored}")
+            stored = "_u"
+        if slot is not None:
+            self._line(indent, f"if _SB <= _t and _t + {size} <= _SE:")
+        else:
+            self._line(indent, "if _t >= _SB:")
+            indent += 4
+            self._line(indent, f"if _t + {size} <= _SE:")
+        self._line(indent + 4, op("_SD", "_t - _SB", stored))
+        if stored is not None:
+            self._line(indent + 4, "if _t < _MEM._stack_hwm_low:")
+            self._line(indent + 8, "_MEM._stack_hwm_low = _t")
+        self._line(indent, "else:")
+        self._line(indent + 4, slow)
+        if slot is not None:
+            return
+        indent -= 4
         self._line(
-            20,
-            f"_DD[_t - {DATA_BASE}:_t + {size} - {DATA_BASE}] = "
-            f"(_u & {mask}).to_bytes({size}, 'little')",
+            indent,
+            f"elif {DATA_BASE} <= _t < {HEAP_BASE} and _t + {size} <= _DAE:",
         )
-        self._line(16, "else:")
-        self._line(20, f"_WR(_t, _u, {size})")
+        self._line(indent + 4, op("_DD", f"_t - {DATA_BASE}", stored))
+        self._line(indent, "else:")
+        self._line(indent + 4, slow)
 
     def _emit_elemptr(self, inst: ir.ElemPtr) -> None:
         name = self.names[id(inst)]
@@ -865,7 +1035,19 @@ class _FunctionCompiler:
 
     # -- assembly -------------------------------------------------------------------
 
-    def _assemble(self) -> _CompiledFunction:
+    def _slot_restores(self) -> List[str]:
+        """Loop-header entry: recompute the offset local of every
+        pointer ``frame.env`` holds.  A guarded pointer re-runs its
+        guard; its root alloca is in ``frame.env`` too, because the
+        interpreter computed the pointer from it and never drops a
+        value."""
+        index = {name: i for i, name in enumerate(self.value_by_name)}
+        return [
+            f"            if _V[{index[self.names[key]]}] in _env: {statement}"
+            for key, statement in self._slot_defs.items()
+        ]
+
+    def _assemble(self) -> Tuple[str, int]:
         function = self.function
         # Param loads may mint new const cells — build them before the
         # bind-name list so every referenced cell gets a NS line.
@@ -892,29 +1074,15 @@ class _FunctionCompiler:
                 f"            if _V[{i}] in _env: {name} = _env[_V[{i}]]"
                 for i, name in enumerate(self.value_by_name)
             )
+            header.extend(self._slot_restores())
             header.append("        else:")
             header.extend(f"            {line}" for line in param_lines)
             header.append("            pass")
         else:
             header.extend(f"        {line}" for line in param_lines)
         header.append("        while 1:")
-        offset = len(header)
         source_lines = header + self.lines + ["    return _body"]
-        source = "\n".join(source_lines) + "\n"
-        filename = (
-            f"<jit {getattr(self.machine.module, 'name', 'module')}"
-            f".{function.name}>"
-        )
-        module_code = compile(source, filename, "exec")
-        linemap = {
-            offset + rel: over for rel, over in self.linemap_rel.items()
-        }
-        meta = _FunctionMeta(
-            function, self.value_by_name, tuple(self.leading), linemap
-        )
-        return _CompiledFunction(
-            module_code, tuple(self.bindings), meta, len(function.blocks)
-        )
+        return "\n".join(source_lines) + "\n", len(header)
 
 
 _EMITTERS = {
@@ -958,7 +1126,6 @@ class JitEngine:
             "_DEOM": self._deopt_sync_mid,
             "_CALL": self._call,
             "_POP": machine._pop_frame,
-            "_FB": int.from_bytes,
             "_F32": round_f32,
             "_RD": memory.read_int,
             "_WR": memory.write_int,
@@ -1157,6 +1324,8 @@ class JitEngine:
         name = getattr(exc, "name", None)
         if name is None:
             return None
+        if name.startswith("o"):
+            name = "v" + name[1:]  # a slot offset stands for its pointer
         tb = exc.__traceback__
         meta = None
         while tb is not None:

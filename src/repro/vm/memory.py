@@ -40,6 +40,7 @@ import sys
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import VMError, VMFault
+from repro.vm.floatmath import round_f32
 
 # Segment bases (chosen far apart so segments can grow in tests).
 CODE_BASE = 0x0001_0000
@@ -49,6 +50,9 @@ HEAP_BASE = 0x0040_0000
 STACK_TOP = 0x0080_0000
 DEFAULT_STACK_LIMIT = 0x20_0000  # 2 MiB
 POINTER_BYTES = 8
+
+#: float width -> its little-endian IEEE-754 format
+FLOAT_STRUCTS = {4: struct.Struct("<f"), 8: struct.Struct("<d")}
 
 #: ``MADV_DONTNEED`` on a private anonymous mapping makes the next read
 #: of each page a fresh zero page on Linux; elsewhere the advice may
@@ -175,21 +179,22 @@ class Memory:
     def set_write_observer(self, observer) -> None:
         """Install ``observer(address, size)``, called after every write.
 
-        Implemented by shadowing :meth:`write_bytes` and
-        :meth:`write_int` with instance attributes, so an unobserved
-        ``Memory`` pays nothing — the class methods run untouched and no
-        per-write ``if`` exists anywhere.  :meth:`write_float` routes
-        through ``self.write_bytes`` (the instance attribute), so float
-        stores produce exactly one event.  ``observer=None`` removes the
+        Implemented by shadowing :meth:`write_bytes`, :meth:`write_int`
+        and :meth:`write_float` with instance attributes, so an
+        unobserved ``Memory`` pays nothing — the class methods run
+        untouched and no per-write ``if`` exists anywhere.  Each guest
+        store produces exactly one event.  ``observer=None`` removes the
         wrappers.  Loader writes via :meth:`install` bypass these paths
         by design (they are not guest stores).
         """
         if observer is None:
             self.__dict__.pop("write_bytes", None)
             self.__dict__.pop("write_int", None)
+            self.__dict__.pop("write_float", None)
             return
         base_write_bytes = Memory.write_bytes
         base_write_int = Memory.write_int
+        base_write_float = Memory.write_float
 
         def write_bytes(address: int, data: bytes) -> None:
             base_write_bytes(self, address, data)
@@ -200,8 +205,13 @@ class Memory:
             base_write_int(self, address, value, size)
             observer(address, size)
 
+        def write_float(address: int, value: float, size: int) -> None:
+            base_write_float(self, address, value, size)
+            observer(address, size)
+
         self.write_bytes = write_bytes
         self.write_int = write_int
+        self.write_float = write_float
 
     # -- raw byte access ---------------------------------------------------------------
 
@@ -309,13 +319,24 @@ class Memory:
             self._stack_hwm_low = address
 
     def read_float(self, address: int, size: int) -> float:
+        # The same stack/heap/data fast paths as read_int.
+        unpack_from = FLOAT_STRUCTS[size].unpack_from
+        if address >= self._stack_base:
+            stack = self.stack.data
+            if address + size <= self._stack_base + len(stack):
+                return unpack_from(stack, address - self._stack_base)[0]
+        elif address >= HEAP_BASE:
+            heap = self.heap.data
+            if address + size <= HEAP_BASE + len(heap):
+                return unpack_from(heap, address - HEAP_BASE)[0]
+        elif address >= DATA_BASE:
+            data = self.data.data
+            if address + size <= DATA_BASE + len(data):
+                return unpack_from(data, address - DATA_BASE)[0]
         segment = self.segment_for(address, size)
         if not segment.readable:
             raise VMFault("read-protected", address)
-        offset = address - segment.base
-        return struct.unpack(
-            "<f" if size == 4 else "<d", segment.data[offset : offset + size]
-        )[0]
+        return unpack_from(segment.data, address - segment.base)[0]
 
     def write_float(self, address: int, value: float, size: int) -> None:
         if size == 4:
@@ -323,11 +344,32 @@ class Memory:
             # at the operation level (repro.vm.floatmath), so this is
             # normally a no-op — but it keeps an out-of-range double from
             # raising a host OverflowError out of struct.pack.
-            from repro.vm.floatmath import round_f32
-
-            self.write_bytes(address, struct.pack("<f", round_f32(value)))
-            return
-        self.write_bytes(address, struct.pack("<d", value))
+            value = round_f32(value)
+        pack_into = FLOAT_STRUCTS[size].pack_into
+        # The same stack/heap/data fast paths as write_int.
+        if address >= self._stack_base:
+            stack = self.stack.data
+            if address + size <= self._stack_base + len(stack):
+                pack_into(stack, address - self._stack_base, value)
+                if address < self._stack_hwm_low:
+                    self._stack_hwm_low = address
+                return
+        elif address >= HEAP_BASE:
+            heap = self.heap.data
+            if address + size <= HEAP_BASE + len(heap):
+                pack_into(heap, address - HEAP_BASE, value)
+                return
+        elif address >= DATA_BASE:
+            data = self.data.data
+            if address + size <= DATA_BASE + len(data):
+                pack_into(data, address - DATA_BASE, value)
+                return
+        segment = self.segment_for(address, size)
+        if self._protect and not segment.writable:
+            raise VMFault("write-to-readonly", address)
+        pack_into(segment.data, address - segment.base, value)
+        if segment is self.stack and address < self._stack_hwm_low:
+            self._stack_hwm_low = address
 
     def read_cstring(self, address: int, limit: int = 1 << 20) -> bytes:
         """Read a NUL-terminated byte string (faults propagate)."""

@@ -11,6 +11,7 @@ producing identical runs and event streams.
 """
 
 import contextlib
+import re
 
 import pytest
 
@@ -644,3 +645,275 @@ class TestTiering:
             machine = Machine(compile_source(self.LOOPS, opt_level=opt_level))
         assert_identical(machine.run(), run(10**9), "full run")
         assert self.compiled_names(machine) == {"main", "sq"}
+
+
+def jit_source(module, function_name, **machine_kwargs):
+    """The source the JIT generates for one function of ``module``."""
+    from repro.vm.jit import _FunctionCompiler
+
+    machine = Machine(module, engine="jit-eager", **machine_kwargs)
+    return _FunctionCompiler(machine, module.functions[function_name]).generate()[0]
+
+
+def hardened_runs(source_text, engines=("jit-eager", "jit", "slow"), **kwargs):
+    """One Smokestack-hardened run per engine, at one permutation seed."""
+    from repro.core.pipeline import harden_source
+    from repro.rng.entropy import DeterministicEntropy
+    from repro.rng.sources import make_source
+
+    results = []
+    for engine in engines:
+        module = harden_source(source_text).module
+        results.append(
+            Machine(
+                module,
+                rng_source=make_source("aes-10", DeterministicEntropy(3)),
+                engine=engine,
+                **kwargs,
+            ).run()
+        )
+    return results
+
+
+class TestSlotAccess:
+    """Loads and stores through a stack slot of the running frame skip
+    the segment range tests: a static alloca, or a constant offset into
+    one, is accessed at its precomputed offset ``o<N>``; a run-time
+    offset (arrays, Smokestack's P-BOX slot pointers) is guarded once
+    where it is defined, and every access falls back to the stack
+    window (or ``Memory``) when the guard failed."""
+
+    SCALARS = (
+        "struct P { int x; long y; };"
+        " int f(int a) { int b; long c; struct P p; b = a + 1; c = b * 2;"
+        " p.x = b; p.y = c; return p.x + (int)p.y; }"
+        " int main() { print_int(f(4)); return 0; }"
+    )
+
+    def test_direct_slots_have_no_window_test(self):
+        source = jit_source(compile_source(self.SCALARS), "f")
+        assert re.search(r"K\d+\(_SD, o\d+", source)
+        assert "_t - _SB" not in source  # no window access
+        assert "_t >= _SB" not in source and "_SE" not in source.split("def _body")[1]
+        assert "_stack_hwm_low" not in source
+        assert_all_agree(self.SCALARS, label="direct slots")
+
+    def test_load_wider_than_its_alloca_takes_the_windows(self):
+        from repro.ir import Constant, Function, IRBuilder, Module
+        from repro.minic import types as ct
+
+        def build():
+            module = Module("wide")
+            function = Function("main", ct.INT, [], [])
+            builder = IRBuilder(function, function.new_block("entry"))
+            low = builder.alloca(ct.INT)
+            high = builder.alloca(ct.INT)
+            builder.store(Constant(ct.INT, 7), low)
+            builder.store(Constant(ct.INT, 9), high)
+            wide = builder.load(builder.convert(low, ct.PointerType(ct.LONG)))
+            narrow = builder.load(low)
+            mixed = builder.xor(wide, builder.convert(narrow, ct.LONG))
+            builder.ret(builder.convert(builder.shr(mixed, Constant(ct.LONG, 29)), ct.INT))
+            module.add_function(function)
+            return module
+
+        source = jit_source(build(), "main")
+        assert "_t >= _SB" in source  # the 8-byte load of a 4-byte slot
+        assert re.search(r"K\d+\(_SD, o\d+", source)  # 4-byte accesses stay direct
+        results = {
+            engine: Machine(build(), engine=engine).run()
+            for engine in ("jit-eager", "fast", "slow")
+        }
+        assert results["slow"].exit_code not in (0, None)
+        assert_identical(results["jit-eager"], results["slow"], "wide load")
+        assert_identical(results["fast"], results["slow"], "wide load (fast)")
+
+    OVERFLOW = (
+        "int fill(int n) { int guard; int b[4]; int i; guard = 5;"
+        " for (i = 0; i < n; i = i + 1) { b[i] = i * 3; }"
+        " return guard + b[1]; }"
+        " int main() { int s; s = fill(4); print_int(s);"
+        " print_int(fill(%d)); return 0; }"
+    )
+
+    #: writes below the frame, into stack no frame has touched yet: the
+    #: fallback must lower the high-water mark (``max_rss``)
+    UNDERFLOW = (
+        "int fill(int n) { int b[4]; int i; b[0] = 1;"
+        " for (i = 0; i < n; i = i + 1) { b[0 - i] = i; }"
+        " return b[0]; }"
+        " int main() { print_int(fill(2)); print_int(fill(%d)); return 0; }"
+    )
+
+    @pytest.mark.parametrize(
+        "program, count",
+        [
+            (OVERFLOW, 5), (OVERFLOW, 9), (OVERFLOW, 40), (OVERFLOW, 300000),
+            (UNDERFLOW, 3000),
+        ],
+    )
+    def test_overflow_loop_fails_the_guard_like_slow(self, program, count):
+        source_text = program % count
+        assert "if o" in jit_source(compile_source(source_text), "fill")
+        jit = assert_all_agree(source_text, label=f"overflow {count}")
+        if count == 300000:
+            assert jit.outcome == "fault"
+        jit, tiered, reference = hardened_runs(source_text)
+        assert_identical(jit, reference, f"hardened overflow {count}")
+        assert_identical(tiered, reference, f"hardened overflow {count} tiered")
+        with hot_thresholds(1, 1):
+            (low,) = hardened_runs(source_text, engines=("jit",))
+        assert_identical(low, reference, f"hardened overflow {count} low")
+
+    LOOP = (
+        "int main() { int a[8]; long s; int i; int k; s = 0;"
+        " for (k = 0; k < 6; k = k + 1) {"
+        "   for (i = 0; i < 8; i = i + 1) { a[i] = a[(i + k) % 8] + i * k; }"
+        "   s = s + a[k]; }"
+        " print_int((int)s); return 0; }"
+    )
+
+    def test_tier_up_at_loop_header_restores_offsets(self):
+        from repro.vm import jit as jit_module
+
+        source = jit_source(compile_source(self.LOOP), "main")
+        restore = source.split("        if _b:\n")[1].split("        else:\n")[0]
+        assert " - _SB\n" in restore  # direct slots
+        assert " else -1\n" in restore  # guarded array pointers
+        calls = []
+        original = jit_module.JitEngine._tier_up
+
+        def spy(engine, frame, at_loop_header):
+            calls.append(at_loop_header)
+            return original(engine, frame, at_loop_header)
+
+        jit_module.JitEngine._tier_up = spy
+        try:
+            assert_all_agree(self.LOOP, label="tier-up loop")
+            jit, tiered, reference = hardened_runs(self.LOOP)
+            assert_identical(tiered, reference, "hardened tier-up")
+            for thresholds in LOW_THRESHOLDS:
+                with hot_thresholds(*thresholds):
+                    (low,) = hardened_runs(self.LOOP, engines=("jit",))
+                assert_identical(low, reference, f"hardened tier-up {thresholds}")
+        finally:
+            jit_module.JitEngine._tier_up = original
+        assert True in calls  # some frame resumed compiled at a loop header
+
+    def test_cleanstack_unclean_slots_match_slow(self):
+        from repro.analysis.partition import machine_partition, partition_module
+
+        source_text = (
+            "int serve(int n) { char req[16]; int t0; int i; t0 = 3;"
+            " for (i = 0; i < n; i = i + 1) { req[i] = (char)(65 + i); }"
+            " input_read(req, 16); return t0 + req[0] + req[n - 1]; }"
+            " int main() { int s; int k; s = 0;"
+            " for (k = 1; k < 40; k = k + 1) { s = s + serve(k % 16 + 1); }"
+            " print_int(s); print_int(serve(60)); return 0; }"
+        )
+        module = compile_source(source_text, "clean")
+        unclean = machine_partition(partition_module(module))
+        assert unclean.get("serve")
+        results = {}
+        for engine in ("jit-eager", "jit", "slow"):
+            with hot_thresholds(2, 3):
+                machine = Machine(
+                    compile_source(source_text, "clean"),
+                    inputs=[b"xy"] * 41,
+                    clean_partition=unclean,
+                    unsafe_stack_offset=4096,
+                    engine=engine,
+                )
+            results[engine] = machine.run()
+        assert results["slow"].int_outputs
+        for engine in ("jit-eager", "jit"):
+            assert_identical(results[engine], results["slow"], f"cleanstack {engine}")
+
+
+class TestFloatWindows:
+    """Float loads and stores use the same stack/data windows as integer
+    ones (``struct`` ``unpack_from``/``pack_into``), and everything else
+    goes through ``Memory.read_float``/``write_float``: values, f32
+    rounding and faults match the interpreters."""
+
+    PROGRAM = (
+        "float g_f[4]; double g_d[4];"
+        " int main() { float f; double d; float *hf; double *hd; int i;"
+        "  f = (float)1 / (float)3; d = (double)2 / (double)3;"
+        "  hf = (float *)malloc(16); hd = (double *)malloc(32);"
+        "  for (i = 0; i < 4; i = i + 1) {"
+        "    g_f[i] = f * (float)i; g_d[i] = d * (double)i;"
+        "    hf[i] = g_f[i] + f; hd[i] = g_d[i] + d; }"
+        "  d = (double)1; for (i = 0; i < 200; i = i + 1) { d = d * (double)1000; }"
+        "  f = (float)d; hf[3] = f; g_f[2] = hf[1] * (float)7;"
+        "  print_int((int)(hf[1] * (float)3000000) + (int)(hd[2] * (double)3000000));"
+        "  print_int((int)(g_f[3] * (float)3000000) + (int)(g_d[3] * (double)3000000));"
+        "  if (hf[3] > (float)1000000) { print_int(1); }"
+        "  print_int((int)(g_f[2] * (float)7)); %s return 0; }"
+    )
+
+    def test_stack_data_and_heap_floats(self):
+        source_text = self.PROGRAM % ""
+        jit = assert_all_agree(source_text, label="floats")
+        assert jit.outcome == "exit" and len(jit.int_outputs) == 4
+        body = jit_source(compile_source(source_text), "main")
+        # direct slots (a store reads its offset into _t first)
+        assert re.search(r"= K\d+\(_SD, o\d+\)\[0\]", body)
+        assert "(_SD, _t, _F32(float(" in body and "(_SD, _t, float(" in body
+        assert "(_DD, _t - " in body  # data window
+        jit, tiered, reference = hardened_runs(source_text)
+        assert_identical(jit, reference, "hardened floats")
+        assert_identical(tiered, reference, "hardened floats tiered")
+
+    @pytest.mark.parametrize(
+        "access",
+        [
+            "f = *((float *)3145728);",  # past the data segment: unmapped
+            "*((double *)3145728) = d;",
+            "*((double *)0) = d;",  # null page
+            "d = *((double *)16);",
+            "*((float *)\"abcdefgh\") = f;",  # rodata is read-only
+            "f = *((float *)\"abcdefgh\"); print_int((int)f);",
+            "*((double *)8388604) = d;",  # straddles the stack top
+        ],
+    )
+    def test_float_faults_match(self, access):
+        jit = assert_all_agree(self.PROGRAM % access, label=access)
+        if "abcdefgh\"); print_int" not in access:
+            assert jit.outcome == "fault"
+
+
+class TestEveryFunctionCompiles:
+    """``compiled_for`` turns a codegen exception into an interpreted
+    function, so a broken emitter would leave every equivalence test
+    green.  Every function of every workload, baseline and
+    Smokestack-hardened, must compile."""
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_no_compile_errors(self, name):
+        from repro.core.pipeline import harden_source
+        from repro.rng.entropy import DeterministicEntropy
+        from repro.rng.sources import make_source
+        from repro.vm.jit import _CompiledFunction, _FunctionCompiler, compiled_for
+
+        workload = get_workload(name)
+        builds = (
+            ("baseline", compile_source(workload.source, name), {}),
+            (
+                "hardened",
+                harden_source(workload.source, None, name).module,
+                {"rng_source": make_source("aes-10", DeterministicEntropy(0))},
+            ),
+        )
+        for label, module, kwargs in builds:
+            machine = Machine(module, engine="jit-eager", **kwargs)
+            for function in module.functions.values():
+                if not function.blocks:
+                    continue
+                entry = compiled_for(machine, function)
+                if not isinstance(entry, _CompiledFunction):
+                    # re-raise the swallowed codegen error, if any
+                    _FunctionCompiler(machine, function).compile()
+                assert isinstance(entry, _CompiledFunction), (
+                    f"{label} {name}.{function.name}: {entry.reason}"
+                )

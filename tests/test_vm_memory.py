@@ -97,6 +97,65 @@ class TestTypedAccess:
         value = memory.read_float(DATA_BASE, 4)
         assert value != 1.1 and abs(value - 1.1) < 1e-6
 
+    def test_float32_overflow_saturates(self, memory):
+        memory.write_float(DATA_BASE, 1e300, 4)
+        assert memory.read_float(DATA_BASE, 4) == float("inf")
+
+    @pytest.mark.parametrize("where", ["stack", "heap", "data"])
+    def test_float_fast_paths_match_the_byte_paths(self, memory, where):
+        import struct
+
+        address = {
+            "stack": STACK_TOP - 64,
+            "heap": memory.heap_grow(64),
+            "data": DATA_BASE + 8,
+        }[where]
+        for size, fmt, value in ((8, "<d", -2.75), (4, "<f", 1.1)):
+            memory.write_float(address, value, size)
+            expected = struct.pack(fmt, value)
+            assert memory.read_bytes(address, size) == expected
+            memory.write_bytes(address, expected[::-1])
+            assert memory.read_float(address, size) == struct.unpack(
+                fmt, expected[::-1]
+            )[0]
+        if where == "stack":
+            assert memory._stack_hwm_low == address
+
+    @pytest.mark.parametrize(
+        "address, kind",
+        [
+            (0x10, "null-deref"),
+            (DATA_BASE + 60, "unmapped"),  # straddles the data end
+            (STACK_TOP - 4, "unmapped"),  # straddles the stack top
+        ],
+    )
+    def test_float_faults(self, memory, address, kind):
+        with pytest.raises(VMFault) as read:
+            memory.read_float(address, 8)
+        with pytest.raises(VMFault) as write:
+            memory.write_float(address, 1.0, 8)
+        assert read.value.kind == write.value.kind == kind
+
+    def test_float_rodata_reads_but_never_writes(self, memory):
+        assert memory.read_float(RODATA_BASE, 4) == memory.read_float(
+            RODATA_BASE, 4
+        )
+        with pytest.raises(VMFault) as excinfo:
+            memory.write_float(RODATA_BASE, 1.0, 4)
+        assert excinfo.value.kind == "write-to-readonly"
+
+    def test_observer_sees_each_float_store_once(self, memory):
+        events = []
+        memory.set_write_observer(lambda address, size: events.append((address, size)))
+        memory.write_float(STACK_TOP - 32, 1.0, 8)
+        memory.write_float(DATA_BASE, 2.0, 4)
+        with pytest.raises(VMFault):
+            memory.write_float(RODATA_BASE, 1.0, 4)
+        assert events == [(STACK_TOP - 32, 8), (DATA_BASE, 4)]
+        memory.set_write_observer(None)
+        memory.write_float(DATA_BASE, 3.0, 4)
+        assert len(events) == 2
+
     def test_cstring(self, memory):
         memory.write_bytes(DATA_BASE, b"abc\x00def")
         assert memory.read_cstring(DATA_BASE) == b"abc"
