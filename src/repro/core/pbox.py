@@ -21,6 +21,7 @@ columns.
 
 from __future__ import annotations
 
+import zlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.allocations import StackAllocation
@@ -203,7 +204,10 @@ class PBox:
             StackAllocation(f"slot{i}", size, align, index=i)
             for i, (size, align) in enumerate(combo)
         ]
-        seed = self.config.compile_seed ^ (hash(unique_tag) & 0xFFFF)
+        # crc32, not hash(): str hashes are salted per process, and a
+        # config must harden to the same P-BOX bytes in every process.
+        tag = zlib.crc32(unique_tag.encode()) & 0xFFFF
+        seed = self.config.compile_seed ^ tag
         permutations = generate_table(
             allocations, max_rows=self.config.max_table_rows, seed=seed
         )

@@ -15,8 +15,10 @@ oracles cross-check the builds:
     including steps, cycles and max_rss — across compiled bodies,
     per-function interpreter fallbacks, and step-limit deopts: eagerly
     compiled and tiered, and on the Smokestack-hardened build (whose
-    slot pointers take the JIT's guarded offset path) eagerly compiled
-    against that build's own fast-dispatch run.
+    slot pointers take the JIT's guarded offset path) and the O2 build
+    (phis and loop-carried values, whose edge coercions the JIT's range
+    pass elides) eagerly compiled against each build's own
+    fast-dispatch run.
 ``opt``
     O0 vs. optimized (O2) builds must agree on every *observable* field
     (outcome, exit code, fault kind, printed output).  Step counts
@@ -231,6 +233,9 @@ def check_program(
     hardened = None
     if "jit" in program_oracles or "harden" in program_oracles:
         hardened = harden_module(build(), SmokestackConfig(scheme="pseudo"))
+    optimized_module = None
+    if "jit" in program_oracles or "opt" in program_oracles:
+        optimized_module = build(opt_level=2)
 
     if "jit" in program_oracles:
         for engine in ("jit-eager", "jit"):
@@ -256,9 +261,19 @@ def check_program(
             verdict.findings.append(
                 OracleFinding("jit", f"hardened fast vs jit-eager: {line}")
             )
+        optimized_runs = [
+            _run_machine(
+                Machine(optimized_module, max_steps=max_steps, engine=engine)
+            )
+            for engine in ("fast", "jit-eager")
+        ]
+        for line in _diff(*optimized_runs, RESULT_FIELDS):
+            verdict.findings.append(
+                OracleFinding("jit", f"O2 fast vs jit-eager: {line}")
+            )
 
     if "opt" in program_oracles:
-        optimized = _run_machine(Machine(build(opt_level=2), max_steps=max_steps))
+        optimized = _run_machine(Machine(optimized_module, max_steps=max_steps))
         if _limited(reference) or _limited(optimized):
             verdict.inconclusive.append(
                 "opt: a leg hit the step limit; observable comparison skipped"

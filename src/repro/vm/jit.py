@@ -19,12 +19,20 @@ cells:
   and cycle units are bumped **once per block** with precomputed
   totals (the same integer units the other two engines charge, so
   totals stay bit-identical);
-* blocks dispatch through a small ``while 1: if _b == N:`` loop;
-  branch edges carry their phi parallel copies as tuple assignments;
+* blocks are the arms of one ``while 1:`` loop, nested in a binary
+  search on the block index ``_b``; branch edges carry their phi
+  parallel copies as tuple assignments, and a compare that only feeds
+  its block's branch becomes the branch test
+  (:meth:`_FunctionCompiler._plan_branches`);
+* integer arithmetic and casts wrap like the decoder's closures, but
+  every SSA value carries ``(lo, hi)`` bounds, and a wrap or mask that
+  is the identity on them is left out; a remaining signed wrap tests
+  for the in-range case first (:meth:`_FunctionCompiler._wrap_src`);
 * a load or store is one ``struct`` ``unpack_from``/``pack_into`` call
-  on the stack or data buffer; through a stack slot of the running
-  frame it needs no segment test at all, at an offset computed once
-  where the slot pointer is defined (:meth:`_FunctionCompiler._plan_slots`);
+  on the stack, data or (loads through a read-only global) rodata
+  buffer; through a stack slot of the running frame it needs no
+  segment test at all, at an offset computed once where the slot
+  pointer is defined (:meth:`_FunctionCompiler._plan_slots`);
 * guest calls recurse into the callee's compiled body through
   :meth:`JitEngine._call` (Python-to-Python recursion is heap-frame
   cheap on CPython 3.11+), keeping ``Machine._push_frame`` /
@@ -72,6 +80,7 @@ module share one compile.
 
 from __future__ import annotations
 
+import re
 import struct
 import sys
 import threading
@@ -85,9 +94,13 @@ from repro.ir.values import Constant, GlobalVariable, Value
 from repro.vm.costs import DYNAMIC_ALLOCA_UNITS
 from repro.vm.decode import _binop_impl, _cast_impl, _int_wrap
 from repro.vm.floatmath import round_f32
-from repro.vm.memory import DATA_BASE, FLOAT_STRUCTS, HEAP_BASE
+from repro.vm.memory import DATA_BASE, FLOAT_STRUCTS, HEAP_BASE, RODATA_BASE
 
 _U64 = (1 << 64) - 1
+
+#: a dispatch leaf tests up to this many blocks in turn; a longer run of
+#: block indices is split in half on ``_b`` first (see ``_dispatch``)
+_DISPATCH_LEAF = 4
 
 #: Python recursion headroom for jitted guest calls: the VM caps guest
 #: call depth at 4096 and each guest call costs two Python frames
@@ -366,6 +379,8 @@ _STD_CELLS = (
     "_SD",   # stack mmap (fixed length; sliced and slice-assigned)
     "_DD",   # data bytearray
     "_DAE",  # data window end
+    "_RDD",  # rodata bytearray
+    "_RE",   # rodata window end
     "_UNR",  # _unreachable
     "_NEG",  # _negative_alloca
     "_META", # this function's _FunctionMeta
@@ -386,6 +401,66 @@ _UNPACK = {key: fmt.unpack_from for key, fmt in _STRUCTS.items()}
 _PACK = {key: fmt.pack_into for key, fmt in _STRUCTS.items()}
 
 
+# -- integer value ranges ------------------------------------------------------------
+#
+# A range is a ``(lo, hi)`` pair bounding every value an SSA local can
+# hold, or None when nothing is known.  ``_FunctionCompiler`` records one
+# per value as it emits the code that guarantees it (see "Integer
+# ranges" in DESIGN.md), and drops any wrap or mask that would be the
+# identity on its operand's range.
+
+
+def _type_range(ctype):
+    """The values a coerced integer or pointer of ``ctype`` holds."""
+    if ctype.is_pointer():
+        return (0, _U64)
+    if ctype.is_integer():
+        return (ctype.min_value(), ctype.max_value())
+    return None
+
+
+def _fits(rng, bounds) -> bool:
+    return rng is not None and bounds[0] <= rng[0] and rng[1] <= bounds[1]
+
+
+def _arith_range(op: str, a, b):
+    """Bounds of the unwrapped ``a op b`` (add/sub/mul/and/or/xor)."""
+    if a is None or b is None:
+        return None
+    if op == "add":
+        return (a[0] + b[0], a[1] + b[1])
+    if op == "sub":
+        return (a[0] - b[1], a[1] - b[0])
+    if op == "mul":
+        products = [x * y for x in a for y in b]
+        return (min(products), max(products))
+    if a[0] >= 0 and b[0] >= 0:
+        if op == "and":
+            return (0, min(a[1], b[1]))
+        return (0, (1 << max(a[1], b[1]).bit_length()) - 1)
+    if op == "and" and (a[0] >= 0 or b[0] >= 0):
+        return (0, a[1] if a[0] >= 0 else b[1])
+    # Both operands are (bits + 1)-bit two's complement numbers, and so
+    # is any bitwise combination of them.
+    bits = max((x if x >= 0 else ~x).bit_length() for x in a + b)
+    return (-(1 << bits), (1 << bits) - 1)
+
+
+def _shift_range(op: str, a, shift: Optional[int], bits: int):
+    """Bounds of an unwrapped shift of ``a`` (for ``lshr`` already
+    masked to ``bits``) by a constant ``shift``, or any in-range one."""
+    if a is None:
+        return None
+    if shift is not None:
+        if op == "shl":
+            return (a[0] << shift, a[1] << shift)
+        return (a[0] >> shift, a[1] >> shift)
+    if op == "shl":
+        return None
+    # Right shifts by 0..bits-1 move every value towards 0 or -1.
+    return (min(a[0], 0), max(a[1], 0))
+
+
 class _FunctionCompiler:
     """Generates the ``_bind``/``_body`` source for one function."""
 
@@ -399,8 +474,12 @@ class _FunctionCompiler:
         self._const_cells: Dict[int, str] = {}
         self._global_cells: Dict[str, str] = {}
         self._builtin_cells: Dict[str, str] = {}
-        self.lines: List[str] = []               # body lines, relative
+        #: the current block's body lines and their line map, both
+        #: relative to the block; ``_assemble`` places them
+        self.lines: List[str] = []
         self.linemap_rel: Dict[int, Tuple[int, int]] = {}
+        #: per block: (label, body lines, relative line map)
+        self._arms: List[Tuple[str, List[str], Dict[int, Tuple[int, int]]]] = []
         self.block_index: Dict[int, int] = {}
         self.leading: List[int] = []
         #: an edge goes to a block at or before its source (a loop):
@@ -419,6 +498,13 @@ class _FunctionCompiler:
         self._slot_defs: Dict[int, str] = {}
         #: (id(pointer), access width) -> (offset local, guarded)
         self._slot_access: Dict[Tuple[int, int], Tuple[str, bool]] = {}
+        #: id(value) -> (lo, hi) bounds of its local, recorded when the
+        #: code guaranteeing them is emitted (phis: up front)
+        self.ranges: Dict[int, Tuple[int, int]] = {}
+        #: id(compare) -> None while planned, then (test source, the
+        #: (steps, units) over-charge where its operands are read) for
+        #: a compare that becomes its block's branch condition
+        self._fused: Dict[int, Optional[Tuple[str, Tuple[int, int]]]] = {}
 
     # -- cells and operand expressions ---------------------------------------------
 
@@ -461,23 +547,55 @@ class _FunctionCompiler:
             raise _CompileUnsupported("foreign-operand")
         return name
 
-    def _wrap_src(self, expr: str, ctype) -> str:
-        bits = ctype.size() * 8
-        mask = (1 << bits) - 1
-        if getattr(ctype, "signed", False):
-            sign = 1 << (bits - 1)
-            return f"(((({expr}) + {sign}) & {mask}) - {sign})"
-        return f"(({expr}) & {mask})"
+    def _range(self, value):
+        """The (lo, hi) bounds of ``value``'s local, or None."""
+        if isinstance(value, Constant):
+            raw = value.value
+            return None if isinstance(raw, float) else (int(raw), int(raw))
+        return self.ranges.get(id(value))
 
-    def _coerce_src(self, expr: str, ctype) -> str:
+    def _wrap_src(self, expr: str, rng, ctype):
+        """``expr`` (bounded by ``rng``) wrapped to integer ``ctype``, and
+        the bounds of the result.  No wrap when ``rng`` already fits; a
+        signed wrap tests for the in-range case first, on the sides
+        ``rng`` does not rule out."""
+        bounds = _type_range(ctype)
+        if _fits(rng, bounds):
+            return expr, rng
+        lo, hi = bounds
+        if not ctype.signed:
+            return f"(({expr}) & {hi})", bounds
+        if rng is not None and rng[0] >= lo:
+            test = f"(_w := {expr}) <= {hi}"
+        elif rng is not None and rng[1] <= hi:
+            test = f"(_w := {expr}) >= {lo}"
+        else:
+            test = f"{lo} <= (_w := {expr}) <= {hi}"
+        sign = hi + 1
+        return f"(_w if {test} else ((_w + {sign}) & {2 * hi + 1}) - {sign})", bounds
+
+    def _mask_src(self, expr: str, rng, mask: int):
+        """``expr & mask`` unless ``rng`` lies in ``[0, mask]``, and the
+        bounds of the result."""
+        if _fits(rng, (0, mask)):
+            return expr, rng
+        return f"(({expr}) & {mask})", (0, mask)
+
+    def _coerce_src(self, expr: str, rng, ctype) -> str:
         """Source form of ``Machine._coerce`` (operand known non-None)."""
         if ctype.is_float():
             return f"float({expr})"
         if ctype.is_pointer():
-            return f"(({expr}) & {_U64})"
+            return self._mask_src(expr, rng, _U64)[0]
         if ctype.is_integer():
-            return self._wrap_src(expr, ctype)
+            return self._wrap_src(expr, rng, ctype)[0]
         return expr
+
+    def _define(self, inst, src: str, rng=None) -> None:
+        """``v<N> = src`` for ``inst``, whose value ``rng`` bounds."""
+        self._line(0, f"{self.names[id(inst)]} = {src}")
+        if rng is not None:
+            self.ranges[id(inst)] = rng
 
     # -- line emission --------------------------------------------------------------
 
@@ -488,16 +606,13 @@ class _FunctionCompiler:
     # -- compilation ----------------------------------------------------------------
 
     def compile(self) -> _CompiledFunction:
-        source, offset = self.generate()
+        source, linemap = self.generate()
         function = self.function
         filename = (
             f"<jit {getattr(self.machine.module, 'name', 'module')}"
             f".{function.name}>"
         )
         module_code = compile(source, filename, "exec")
-        linemap = {
-            offset + rel: over for rel, over in self.linemap_rel.items()
-        }
         meta = _FunctionMeta(
             function, self.value_by_name, tuple(self.leading), linemap
         )
@@ -505,9 +620,9 @@ class _FunctionCompiler:
             module_code, tuple(self.bindings), meta, len(function.blocks)
         )
 
-    def generate(self) -> Tuple[str, int]:
-        """The ``_bind``/``_body`` source and the line count of its
-        header (body line ``n`` is source line ``n + offset``)."""
+    def generate(self) -> Tuple[str, Dict[int, Tuple[int, int]]]:
+        """The ``_bind``/``_body`` source and its line map (source line
+        -> (steps, cycle units) over-charged there)."""
         function = self.function
         if not function.blocks:
             raise _CompileUnsupported("no-blocks")
@@ -515,15 +630,21 @@ class _FunctionCompiler:
             self.block_index[id(block)] = index
             self._validate_block(block, entry=index == 0)
 
-        # Pre-assign local names: params first, then every result.
+        # Pre-assign local names: params first, then every result.  A
+        # phi's every edge coerces it, so its type bounds it up front.
         for param in function.params:
             self._name_value(param)
         for block in function.blocks:
             for inst in block.instructions:
                 if inst.has_result():
                     self._name_value(inst)
+                    if isinstance(inst, ir.Phi):
+                        rng = _type_range(inst.ctype)
+                        if rng is not None:
+                            self.ranges[id(inst)] = rng
 
         self._plan_slots()
+        self._plan_branches()
         for index, block in enumerate(function.blocks):
             self._emit_block(index, block)
 
@@ -535,13 +656,14 @@ class _FunctionCompiler:
         self.value_by_name[name] = value
         return name
 
-    def _slot_root(self, pointer):
-        """``(alloca, byte offset)`` when ``pointer`` is a static alloca
-        of this function or an ``elemptr``/``fieldptr``/pointer bitcast
-        chain on one; the offset is None when it is not a compile-time
-        constant.  None for every other pointer."""
+    @staticmethod
+    def _pointer_root(pointer):
+        """``(root, byte offset)``: the value an ``elemptr``/``fieldptr``/
+        pointer bitcast chain starts at (``pointer`` itself for no
+        chain), and the chain's offset from it, None when that is not a
+        compile-time constant."""
         offset = 0
-        while not isinstance(pointer, ir.Alloca):
+        while True:
             if isinstance(pointer, ir.ElemPtr):
                 index = pointer.index
                 if offset is not None and isinstance(index, Constant):
@@ -560,10 +682,59 @@ class _FunctionCompiler:
             ):
                 pointer = pointer.value
             else:
-                return None
-        if not pointer.is_static() or id(pointer) not in self.names:
+                return pointer, offset
+
+    def _slot_root(self, pointer):
+        """``(alloca, byte offset)`` when ``pointer`` is a static alloca
+        of this function or a chain on one (see :meth:`_pointer_root`).
+        None for every other pointer."""
+        root, offset = self._pointer_root(pointer)
+        if (
+            not isinstance(root, ir.Alloca)
+            or not root.is_static()
+            or id(root) not in self.names
+        ):
             return None
-        return pointer, offset
+        return root, offset
+
+    def _plan_branches(self) -> None:
+        """Pick the compares that become their block's branch test.
+
+        A compare right before its block's ``condbr``, used by nothing
+        else, is never materialized: the branch tests it directly.  So
+        is one feeding such a compare ``ne c, 0`` / ``eq c, 0`` right
+        before it.  Nothing runs between them and the branch, so no
+        mid-block deopt or fault can need their values, and an
+        undefined operand is charged where the compare stood (see
+        :meth:`_emit_condbr`)."""
+        uses: Dict[int, int] = {}
+        for block in self.function.blocks:
+            for inst in block.instructions:
+                for operand in inst.operands:
+                    uses[id(operand)] = uses.get(id(operand), 0) + 1
+        for block in self.function.blocks:
+            instructions = block.instructions
+            branch = instructions[-1]
+            if not isinstance(branch, ir.CondBr):
+                continue
+            cond = branch.cond
+            position = len(instructions) - 2
+            while (
+                isinstance(cond, ir.Cmp)
+                and position >= 0
+                and instructions[position] is cond
+                and uses.get(id(cond)) == 1
+            ):
+                self._fused[id(cond)] = None
+                if not (
+                    cond.op in ("ne", "eq")
+                    and isinstance(cond.lhs, ir.Cmp)
+                    and isinstance(cond.rhs, Constant)
+                    and cond.rhs.value == 0
+                ):
+                    break
+                cond = cond.lhs
+                position -= 1
 
     def _plan_slots(self) -> None:
         """Give every pointer into a stack slot of this frame an offset
@@ -660,14 +831,14 @@ class _FunctionCompiler:
         total_steps = len(body)
         total_units = sum(units)
 
-        keyword = "if" if index == 0 else "elif"
-        self._line(12, f"{keyword} _b == {index}:  # {block.label}")
-        self._line(16, f"_s = _M._steps + {total_steps}")
-        self._line(16, "if _s > _maxs:")
-        self._line(20, f"_DEO(_META, frame, {index}, locals())")
-        self._line(16, "_M._steps = _s")
+        self.lines = []
+        self.linemap_rel = {}
+        self._line(0, f"_s = _M._steps + {total_steps}")
+        self._line(0, "if _s > _maxs:")
+        self._line(4, f"_DEO(_META, frame, {index}, locals())")
+        self._line(0, "_M._steps = _s")
         if total_units:
-            self._line(16, f"_C.cycle_units += {total_units}")
+            self._line(0, f"_C.cycle_units += {total_units}")
 
         executed_steps = 0
         executed_units = 0
@@ -683,6 +854,7 @@ class _FunctionCompiler:
             if over != (0, 0):
                 for rel in range(before + 1, len(self.lines) + 1):
                     self.linemap_rel[rel] = over
+        self._arms.append((block.label, self.lines, self.linemap_rel))
 
     def _emit_instruction(self, inst) -> None:
         emit = _EMITTERS.get(type(inst))
@@ -691,30 +863,30 @@ class _FunctionCompiler:
         emit(self, inst)
         slot_def = self._slot_defs.get(id(inst))
         if slot_def is not None:
-            self._line(16, slot_def)
+            self._line(0, slot_def)
 
     # -- per-instruction emitters ----------------------------------------------------
 
     def _emit_alloca(self, inst: ir.Alloca) -> None:
         name = self.names[id(inst)]
         if inst.is_static():
-            self._line(16, f"{name} = _aa[{self._const_cell(inst)}]")
+            self._line(0, f"{name} = _aa[{self._const_cell(inst)}]")
             return
         element = inst.allocated_type
-        self._line(16, f"_t = {self._expr(inst.count)}")
-        self._line(16, "if _t < 0:")
-        self._line(20, "_NEG(frame, _t)")
+        self._line(0, f"_t = {self._expr(inst.count)}")
+        self._line(0, "if _t < 0:")
+        self._line(4, "_NEG(frame, _t)")
         if element.is_complete():
             element_size = element.size()
             size_src = "_t" if element_size == 1 else f"_t * {element_size}"
         else:
             size_src = "_t"
-        self._line(16, f"_t = frame.sp - ({size_src})")
-        self._line(16, f"_t -= _t % {inst.align}")
-        self._line(16, "_TS(_t)")
-        self._line(16, "frame.sp = _t")
-        self._line(16, "_M._sp = _t")
-        self._line(16, f"{name} = _t")
+        self._line(0, f"_t = frame.sp - ({size_src})")
+        self._line(0, f"_t -= _t % {inst.align}")
+        self._line(0, "_TS(_t)")
+        self._line(0, "frame.sp = _t")
+        self._line(0, "_M._sp = _t")
+        self._line(0, f"{name} = _t")
 
     def _emit_load(self, inst: ir.Load) -> None:
         name = self.names[id(inst)]
@@ -725,6 +897,8 @@ class _FunctionCompiler:
         else:
             size, signed = self._int_format(ctype)
             slow = f"{name} = _RD(_t, {size}, {signed})"
+            # the format's range: unpack and read_int both decode it
+            self.ranges[id(inst)] = _type_range(ctype)
         unpack = self._const_cell(_UNPACK[size, signed])
         self._emit_access(
             inst.pointer, size,
@@ -743,19 +917,29 @@ class _FunctionCompiler:
                 value = f"_F32({value})"
             slow = f"_WF(_t, _u, {size})"
         else:
+            # An integer is stored masked, through the unsigned format,
+            # unless it already lies in the unsigned or the signed range
+            # of the width: both formats then write its masked bytes
+            # (and so does ``write_int``).
             size, signed = self._int_format(ctype)
             mask = (1 << (size * 8)) - 1
+            rng = self._range(stored)
             if isinstance(stored, Constant):
                 value = repr(int(stored.value) & mask)
-            else:
+                signed = False
+            elif _fits(rng, (0, mask)):
+                signed = False
+            elif not _fits(rng, (-(mask + 1) // 2, mask // 2)):
                 value = f"({value}) & {mask}"
-            signed = False  # stored masked, as unsigned
+                signed = False
+            else:
+                signed = True
             slow = f"_WR(_t, _u, {size})"
         pack = self._const_cell(_PACK[size, signed])
         self._emit_access(
             inst.pointer, size,
             lambda buf, off, src: f"{pack}({buf}, {off}, {src})",
-            slow, value, isinstance(stored, Constant),
+            slow, value,
         )
 
     @staticmethod
@@ -767,33 +951,29 @@ class _FunctionCompiler:
             return ctype.size(), ctype.signed
         raise _CompileUnsupported("unsupported-type")
 
-    def _emit_access(
-        self, pointer, size, op, slow, stored=None, constant=False
-    ) -> None:
+    def _emit_access(self, pointer, size, op, slow, stored=None) -> None:
         """One load (``stored`` None) or store of ``size`` bytes.
 
         ``op(buffer, offset, value)`` is the statement on a segment
         buffer, ``slow`` the statement on ``_t`` (address) and ``_u``
         (stored value) that ``Memory`` runs for everything outside the
-        inline windows; ``constant`` says the stored value is a
-        constant.  A stack slot of this frame is accessed at its
+        inline windows.  A stack slot of this frame is accessed at its
         precomputed offset: unconditionally when it is known to fit
         (:meth:`_plan_slots`), else behind the ``o >= 0`` guard its
         definition computed.  A failed guard takes the stack window
         inline (overflow loops stay on the stack); only an address
-        megabytes away from its slot reaches ``slow``."""
-        indent = 16
+        megabytes away from its slot reaches ``slow``.  A load through
+        a read-only global (string literals, Smokestack's P-BOX) tests
+        only the rodata window; a store through one keeps the stack and
+        data windows, so it reaches ``Memory`` and its
+        write-protection fault."""
+        indent = 0
         slot = self._slot_access.get((id(pointer), size))
         if slot is not None and not slot[1]:
-            offset = slot[0]
-            if stored is None or constant:
-                self._line(indent, op("_SD", offset, stored))
-            else:
-                # The pointer is read before the value, as the reference
-                # loop reads them (it decides which undefined-value
-                # diagnostic non-dominating IR gets).
-                self._line(indent, f"_t = {offset}")
-                self._line(indent, op("_SD", "_t", stored))
+            # The call reads the offset before the value, as the
+            # reference loop reads the pointer first (it decides which
+            # undefined-value diagnostic non-dominating IR gets).
+            self._line(indent, op("_SD", slot[0], stored))
             return
         if slot is not None:
             self._line(indent, f"if {slot[0]} >= 0:")
@@ -801,6 +981,14 @@ class _FunctionCompiler:
             self._line(indent, "else:")
             indent += 4
         self._line(indent, f"_t = {self._expr(pointer)}")
+        if stored is None and slot is None:
+            root = self._pointer_root(pointer)[0]
+            if isinstance(root, GlobalVariable) and root.readonly:
+                self._line(indent, f"if {RODATA_BASE} <= _t and _t + {size} <= _RE:")
+                self._line(indent + 4, op("_RDD", f"_t - {RODATA_BASE}", None))
+                self._line(indent, "else:")
+                self._line(indent + 4, slow)
+                return
         if stored is not None:
             self._line(indent, f"_u = {stored}")
             stored = "_u"
@@ -828,60 +1016,77 @@ class _FunctionCompiler:
         self._line(indent + 4, slow)
 
     def _emit_elemptr(self, inst: ir.ElemPtr) -> None:
-        name = self.names[id(inst)]
         base = self._expr(inst.base)
         index = self._expr(inst.index)
         element_size = inst.element_type.size()
         scaled = f"({index})" if element_size == 1 else f"({index}) * {element_size}"
-        self._line(16, f"{name} = (({base}) + {scaled}) & {_U64}")
+        self._define(inst, f"(({base}) + {scaled}) & {_U64}", (0, _U64))
 
     def _emit_fieldptr(self, inst: ir.FieldPtr) -> None:
-        name = self.names[id(inst)]
         base = self._expr(inst.base)
-        self._line(16, f"{name} = (({base}) + {inst.byte_offset}) & {_U64}")
+        self._define(inst, f"(({base}) + {inst.byte_offset}) & {_U64}", (0, _U64))
 
     _FLOAT_OPS = {"fadd": "+", "fsub": "-", "fmul": "*"}
     _INT_OPS = {"add": "+", "sub": "-", "mul": "*", "and": "&", "or": "|", "xor": "^"}
 
     def _emit_binop(self, inst: ir.BinOp) -> None:
-        name = self.names[id(inst)]
         op = inst.op
         result_type = inst.ctype
         a = self._expr(inst.lhs)
         b = self._expr(inst.rhs)
         symbol = self._INT_OPS.get(op)
         if symbol is not None:
-            self._line(
-                16,
-                f"{name} = {self._wrap_src(f'({a}) {symbol} ({b})', result_type)}",
-            )
+            rng = _arith_range(op, self._range(inst.lhs), self._range(inst.rhs))
+            self._define(inst, *self._wrap_src(f"({a}) {symbol} ({b})", rng, result_type))
             return
         if op in ("shl", "lshr", "ashr"):
             bits = result_type.size() * 8
-            mask = (1 << bits) - 1
-            shift = f"(({b}) & {bits - 1})"
-            if op == "shl":
-                raw = f"({a}) << {shift}"
-            elif op == "lshr":
-                raw = f"((({a}) & {mask}) >> {shift})"
+            rng = self._range(inst.lhs)
+            if isinstance(inst.rhs, Constant):
+                shift = int(inst.rhs.value) & (bits - 1)
+                shift_src = str(shift)
             else:
-                raw = f"({a}) >> {shift}"
-            self._line(16, f"{name} = {self._wrap_src(raw, result_type)}")
+                shift = None
+                shift_src = f"(({b}) & {bits - 1})"
+            if op == "shl":
+                raw = f"({a}) << {shift_src}"
+            elif op == "lshr":
+                a, rng = self._mask_src(a, rng, (1 << bits) - 1)
+                raw = f"(({a}) >> {shift_src})"
+            else:
+                raw = f"({a}) >> {shift_src}"
+            rng = _shift_range(op, rng, shift, bits)
+            self._define(inst, *self._wrap_src(raw, rng, result_type))
             return
         symbol = self._FLOAT_OPS.get(op)
         if symbol is not None:
             raw = f"({a}) {symbol} ({b})"
             if result_type.size() == 4:
                 raw = f"_F32({raw})"
-            self._line(16, f"{name} = {raw}")
+            self._define(inst, raw)
             return
         # sdiv/srem/udiv/urem (trap on zero) and fdiv (inf semantics)
-        # share the decoder's specialised impls exactly.
+        # share the decoder's specialised impls exactly; an integer
+        # impl wraps its result.
         impl = self._const_cell(_binop_impl(op, result_type))
-        self._line(16, f"{name} = {impl}({a}, {b})")
+        self._define(inst, f"{impl}({a}, {b})", _type_range(result_type))
 
     def _emit_cmp(self, inst: ir.Cmp) -> None:
-        name = self.names[id(inst)]
+        test = self._cmp_test(inst)
+        if id(inst) in self._fused:
+            # The branch tests it; an undefined operand is charged here.
+            inner = self._fused.get(id(inst.lhs))
+            over = inner[1] if inner is not None else self._current_over
+            self._fused[id(inst)] = (test, over)
+            return
+        self._define(inst, f"1 if {test} else 0", (0, 1))
+
+    def _cmp_test(self, inst: ir.Cmp) -> str:
+        """The Python test of a compare (``ne``/``eq`` of a fused compare
+        and 0: that compare's test, or its negation)."""
+        inner = self._fused.get(id(inst.lhs))
+        if inner is not None:
+            return inner[0] if inst.op == "ne" else f"not ({inner[0]})"
         op = inst.op
         a = self._expr(inst.lhs)
         b = self._expr(inst.rhs)
@@ -898,35 +1103,42 @@ class _FunctionCompiler:
                     mask = (1 << (operand_type.size() * 8)) - 1
                 else:
                     mask = _U64
-                a = f"(({a}) & {mask})"
-                b = f"(({b}) & {mask})"
-        self._line(16, f"{name} = 1 if ({a}) {symbol} ({b}) else 0")
+                a = self._mask_src(a, self._range(inst.lhs), mask)[0]
+                b = self._mask_src(b, self._range(inst.rhs), mask)[0]
+        return f"({a}) {symbol} ({b})"
 
     def _emit_cast(self, inst: ir.Cast) -> None:
-        name = self.names[id(inst)]
         value = self._expr(inst.value)
         kind = inst.kind
         to_type = inst.ctype
         if kind in ("trunc", "zext", "sext", "bitcast", "ptrtoint", "inttoptr"):
+            if inst.value.ctype.is_float():
+                # No front end emits one; the decoder's int() conversion
+                # has no inline form here, so interpret it.
+                raise _CompileUnsupported("float-bit-cast")
+            rng = self._range(inst.value)
+            inner = f"({value})"
             if kind == "zext":
                 from_mask = (1 << (inst.value.ctype.size() * 8)) - 1
-                inner = f"(({value}) & {from_mask})"
-            else:
-                inner = f"({value})"
+                inner, rng = self._mask_src(inner, rng, from_mask)
             if to_type.is_pointer():
-                self._line(16, f"{name} = {inner} & {_U64}")
+                self._define(inst, *self._mask_src(inner, rng, _U64))
             elif to_type.is_integer():
-                self._line(16, f"{name} = {self._wrap_src(inner, to_type)}")
+                self._define(inst, *self._wrap_src(inner, rng, to_type))
             else:
-                self._line(16, f"{name} = {inner}")
+                self._define(inst, inner)
             return
+        # fptosi/fptoui wrap their result to the integer type
         impl = self._const_cell(_cast_impl(kind, inst.value.ctype, to_type))
-        self._line(16, f"{name} = {impl}({value})")
+        self._define(inst, f"{impl}({value})", _type_range(to_type))
 
     def _emit_select(self, inst: ir.Select) -> None:
-        name = self.names[id(inst)]
         cond, a, b = (self._expr(op) for op in inst.operands)
-        self._line(16, f"{name} = ({a}) if ({cond}) else ({b})")
+        arms = [self._range(value) for value in inst.operands[1:]]
+        rng = None
+        if None not in arms:
+            rng = (min(arms[0][0], arms[1][0]), max(arms[0][1], arms[1][1]))
+        self._define(inst, f"({a}) if ({cond}) else ({b})", rng)
 
     def _emit_call(self, inst: ir.Call) -> None:
         args = ", ".join(self._expr(arg) for arg in inst.args)
@@ -946,32 +1158,33 @@ class _FunctionCompiler:
             # in-flight over-charge to _call, which parks it.
             over_steps, over_units = self._current_over
             self._line(
-                16,
+                0,
                 f"_CALL({self._const_cell(target)}, ({args}), {call_site}, "
                 f"{over_steps}, {over_units})",
             )
             # The callee may have consumed steps: the rest of this
             # block's pre-charge is only valid if the limit still holds.
-            self._line(16, "if _M._steps > _maxs:")
+            self._line(0, "if _M._steps > _maxs:")
             self._line(
-                20,
+                4,
                 f"_DEOM(_META, frame, {self._current_block_index}, "
                 f"{self._current_offset}, {over_steps}, {over_units}, "
                 f"locals())",
             )
             if inst.has_result():
-                name = self.names[id(inst)]
-                self._line(16, f"{name} = _env[{call_site}]")
+                # _pop_frame coerced the result into _env
+                self._define(inst, f"_env[{call_site}]", _type_range(inst.ctype))
             return
         if callee not in self.machine._builtins:
             raise _CompileUnsupported("unknown-builtin")
         handler = self._builtin_cell(callee)
         if inst.has_result():
-            name = self.names[id(inst)]
             coerce = self._const_cell(_make_coercer(inst.ctype))
-            self._line(16, f"{name} = {coerce}({handler}(({args})))")
+            self._define(
+                inst, f"{coerce}({handler}(({args})))", _type_range(inst.ctype)
+            )
         else:
-            self._line(16, f"{handler}(({args}))")
+            self._line(0, f"{handler}(({args}))")
 
     def _emit_phi(self, inst: ir.Phi) -> None:
         # Leading phis are consumed by branch edges; a phi reaching the
@@ -992,7 +1205,11 @@ class _FunctionCompiler:
                 except IRError:
                     raise _CompileUnsupported("phi-edge-error") from None
                 targets.append(self.names[id(phi)])
-                sources.append(self._coerce_src(self._expr(incoming), phi.ctype))
+                sources.append(
+                    self._coerce_src(
+                        self._expr(incoming), self._range(incoming), phi.ctype
+                    )
+                )
             statements.append(f"{', '.join(targets)} = {', '.join(sources)}")
         index = self.block_index.get(id(target_block))
         if index is None:
@@ -1004,34 +1221,39 @@ class _FunctionCompiler:
 
     def _emit_br(self, inst: ir.Br) -> None:
         for statement in self._edge_lines(inst.block, inst.target):
-            self._line(16, statement)
-        self._line(16, "continue")
+            self._line(0, statement)
+        self._line(0, "continue")
 
     def _emit_condbr(self, inst: ir.CondBr) -> None:
         cond = inst.cond
         if isinstance(cond, Constant):
             target = inst.true_target if cond.value else inst.false_target
             for statement in self._edge_lines(inst.block, target):
-                self._line(16, statement)
-            self._line(16, "continue")
+                self._line(0, statement)
+            self._line(0, "continue")
             return
-        self._line(16, f"if {self._expr(cond)}:")
+        fused = self._fused.get(id(cond))
+        if fused is None:
+            self._line(0, f"if {self._expr(cond)}:")
+        else:
+            # The fused compares' operands are read on this line.
+            self.linemap_rel[self._line(0, f"if {fused[0]}:")] = fused[1]
         for statement in self._edge_lines(inst.block, inst.true_target):
-            self._line(20, statement)
-        self._line(16, "else:")
+            self._line(4, statement)
+        self._line(0, "else:")
         for statement in self._edge_lines(inst.block, inst.false_target):
-            self._line(20, statement)
-        self._line(16, "continue")
+            self._line(4, statement)
+        self._line(0, "continue")
 
     def _emit_ret(self, inst: ir.Ret) -> None:
         if inst.value is None:
-            self._line(16, "_POP(None)")
+            self._line(0, "_POP(None)")
         else:
-            self._line(16, f"_POP({self._expr(inst.value)})")
-        self._line(16, "return")
+            self._line(0, f"_POP({self._expr(inst.value)})")
+        self._line(0, "return")
 
     def _emit_unreachable(self, inst: ir.Unreachable) -> None:
-        self._line(16, "_UNR(frame)")
+        self._line(0, "_UNR(frame)")
 
     # -- assembly -------------------------------------------------------------------
 
@@ -1047,7 +1269,7 @@ class _FunctionCompiler:
             for key, statement in self._slot_defs.items()
         ]
 
-    def _assemble(self) -> Tuple[str, int]:
+    def _assemble(self) -> Tuple[str, Dict[int, Tuple[int, int]]]:
         function = self.function
         # Param loads may mint new const cells — build them before the
         # bind-name list so every referenced cell gets a NS line.
@@ -1081,8 +1303,44 @@ class _FunctionCompiler:
         else:
             header.extend(f"        {line}" for line in param_lines)
         header.append("        while 1:")
-        source_lines = header + self.lines + ["    return _body"]
-        return "\n".join(source_lines) + "\n", len(header)
+        linemap: Dict[int, Tuple[int, int]] = {}
+        source_lines = header
+        self._dispatch(0, len(self._arms), 12, source_lines, linemap)
+        source_lines.append("    return _body")
+        return "\n".join(source_lines) + "\n", linemap
+
+    def _dispatch(self, lo: int, hi: int, indent: int, out, linemap) -> None:
+        """Append the arms of blocks ``lo..hi-1`` at ``indent``: split in
+        half on ``_b`` until at most :data:`_DISPATCH_LEAF` are left,
+        which are tested in turn; the last arm of a leaf is its ``else``
+        (``_b`` always names a block).  Each arm's line map moves with
+        its lines."""
+        pad = " " * indent
+        if hi - lo > _DISPATCH_LEAF:
+            mid = (lo + hi) // 2
+            out.append(f"{pad}if _b < {mid}:")
+            self._dispatch(lo, mid, indent + 4, out, linemap)
+            out.append(f"{pad}else:")
+            self._dispatch(mid, hi, indent + 4, out, linemap)
+            return
+        for index in range(lo, hi):
+            label, lines, arm_linemap = self._arms[index]
+            if hi - lo == 1:
+                out.append(f"{pad}# {index}: {label}")
+                body_pad = pad
+            else:
+                if index == hi - 1:
+                    test = "else"
+                else:
+                    keyword = "if" if index == lo else "elif"
+                    test = f"{keyword} _b == {index}"
+                out.append(f"{pad}{test}:  # {index}: {label}")
+                body_pad = pad + "    "
+            # arm line ``rel`` (1-based) becomes source line len(out) + rel
+            first = len(out)
+            for rel, over in arm_linemap.items():
+                linemap[first + rel] = over
+            out.extend(body_pad + line for line in lines)
 
 
 _EMITTERS = {
@@ -1119,6 +1377,7 @@ class JitEngine:
         stack_base = memory._stack_base
         stack_data = memory.stack.data
         data_data = memory.data.data
+        rodata = memory.rodata
         self._base_ns = {
             "_M": machine,
             "_C": machine.cost,
@@ -1138,6 +1397,8 @@ class JitEngine:
             "_SD": stack_data,
             "_DD": data_data,
             "_DAE": DATA_BASE + len(data_data),
+            "_RDD": rodata.data,
+            "_RE": min(rodata.end, DATA_BASE),
             "_UNR": _unreachable,
             "_NEG": _negative_alloca,
         }
@@ -1321,9 +1582,13 @@ class JitEngine:
     def _translate_unbound(self, exc: UnboundLocalError):
         """Map an UnboundLocalError in compiled code to the reference
         loop's undefined-value VMError (non-dominating IR)."""
+        # CPython before 3.12 leaves ``name`` unset: the message quotes it.
         name = getattr(exc, "name", None)
         if name is None:
-            return None
+            match = re.search(r"'(\w+)'", str(exc))
+            if match is None:
+                return None
+            name = match.group(1)
         if name.startswith("o"):
             name = "v" + name[1:]  # a slot offset stands for its pointer
         tb = exc.__traceback__

@@ -91,6 +91,29 @@ class TestOracles:
         assert verdict.compile_error is None
         assert verdict.ok, [str(f) for f in verdict.findings]
 
+    def test_jit_oracle_covers_the_optimized_build(self, monkeypatch):
+        # Only the -O2 build has phis: a JIT that drops their edge
+        # copies is caught by the jit oracle's O2 leg alone.
+        from repro.vm.jit import _FunctionCompiler
+
+        source = (
+            "int main() { long s = 0; int i;"
+            " for (i = 0; i < 5; i = i + 1) { s = s + i; }"
+            " print_int(s); return 0; }"
+        )
+        assert check_program(source, oracles=("jit",)).ok
+        edge_lines = _FunctionCompiler._edge_lines
+        monkeypatch.setattr(
+            _FunctionCompiler, "_edge_lines",
+            lambda self, source, target: edge_lines(self, source, target)[-1:],
+        )
+        verdict = check_program(source, oracles=("jit",))
+        assert verdict.findings
+        assert all(
+            str(finding).startswith("[jit] O2 fast vs jit-eager")
+            for finding in verdict.findings
+        ), [str(f) for f in verdict.findings]
+
     def test_compile_error_reported_not_raised(self):
         verdict = check_program("int main( {")
         assert verdict.compile_error is not None

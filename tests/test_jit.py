@@ -34,7 +34,7 @@ def assert_identical(jit, reference, label):
         )
 
 
-def run_engines(source_text, inputs=(), max_steps=None, **kwargs):
+def run_engines(source_text, inputs=(), max_steps=None, opt_level=0, **kwargs):
     """(eager jit, fast, slow) results for one program."""
     results = []
     for engine in ("jit-eager", "fast", "slow"):
@@ -42,7 +42,7 @@ def run_engines(source_text, inputs=(), max_steps=None, **kwargs):
         if max_steps is not None:
             machine_kwargs["max_steps"] = max_steps
         machine = Machine(
-            compile_source(source_text),
+            compile_source(source_text, opt_level=opt_level),
             inputs=list(inputs),
             **machine_kwargs,
         )
@@ -66,21 +66,28 @@ def hot_thresholds(calls, trips):
         interpreter.HOT_THRESHOLDS = saved
 
 
-def run_tiered(source_text, thresholds, inputs=(), max_steps=None, **kwargs):
+def run_tiered(
+    source_text, thresholds, inputs=(), max_steps=None, opt_level=0, **kwargs
+):
     """One run on the default (tiered) engine at low thresholds."""
     if max_steps is not None:
         kwargs["max_steps"] = max_steps
     with hot_thresholds(*thresholds):
         machine = Machine(
-            compile_source(source_text), inputs=list(inputs), **kwargs
+            compile_source(source_text, opt_level=opt_level),
+            inputs=list(inputs),
+            **kwargs,
         )
     assert machine._hot == thresholds
     return machine.run()
 
 
-def assert_all_agree(source_text, inputs=(), max_steps=None, label="", **kwargs):
+def assert_all_agree(
+    source_text, inputs=(), max_steps=None, label="", opt_level=0, **kwargs
+):
     jit, fast, slow = run_engines(
-        source_text, inputs=inputs, max_steps=max_steps, **kwargs
+        source_text, inputs=inputs, max_steps=max_steps, opt_level=opt_level,
+        **kwargs,
     )
     assert_identical(jit, fast, f"{label} (vs fast)")
     assert_identical(jit, slow, f"{label} (vs slow)")
@@ -88,7 +95,7 @@ def assert_all_agree(source_text, inputs=(), max_steps=None, label="", **kwargs)
     for thresholds in (interpreter.HOT_THRESHOLDS,) + LOW_THRESHOLDS:
         tiered = run_tiered(
             source_text, thresholds, inputs=inputs, max_steps=max_steps,
-            **kwargs,
+            opt_level=opt_level, **kwargs,
         )
         assert_identical(tiered, fast, f"{label} (tiered {thresholds})")
     return jit
@@ -647,12 +654,19 @@ class TestTiering:
         assert self.compiled_names(machine) == {"main", "sq"}
 
 
-def jit_source(module, function_name, **machine_kwargs):
-    """The source the JIT generates for one function of ``module``."""
+def compile_function(module, function_name, **machine_kwargs):
+    """(compiler, source) of one function: the compiler maps IR values
+    to their locals (``names``) and cells (``bindings``)."""
     from repro.vm.jit import _FunctionCompiler
 
     machine = Machine(module, engine="jit-eager", **machine_kwargs)
-    return _FunctionCompiler(machine, module.functions[function_name]).generate()[0]
+    compiler = _FunctionCompiler(machine, module.functions[function_name])
+    return compiler, compiler.generate()[0]
+
+
+def jit_source(module, function_name, **machine_kwargs):
+    """The source the JIT generates for one function of ``module``."""
+    return compile_function(module, function_name, **machine_kwargs)[1]
 
 
 def hardened_runs(source_text, engines=("jit-eager", "jit", "slow"), **kwargs):
@@ -830,6 +844,276 @@ class TestSlotAccess:
             assert_identical(results[engine], results["slow"], f"cleanstack {engine}")
 
 
+class TestIntegerRanges:
+    """The JIT drops a wrap or mask that is the identity on its
+    operand's value range and guards every other signed wrap with an
+    in-range test.  Values at and across every integer type's limits
+    must still come out exactly as the interpreters compute them."""
+
+    PROGRAMS = {
+        "int-limits": (
+            "int add(int a, int b) { return a + b; }"
+            " int main() { int big = 2147483647; int small = -2147483647 - 1;"
+            " long l = big; long m = 9223372036854775807;"
+            " print_int(big + 1); print_int(small - 1); print_int(big * 2);"
+            " print_int(small * -1); print_int(add(big, 1)); print_int(add(small, -1));"
+            " l = l + 1; print_int(l); print_int(m + 1); return 0; }",
+            [-2147483648, 2147483647, -2, -2147483648, -2147483648, 2147483647,
+             2147483648, -9223372036854775808],
+        ),
+        "narrow-wraps": (
+            "int main() { char c = 127; char d = -128; unsigned char uc = 255;"
+            " unsigned char uz = 0; short s = 32767; unsigned short us = 0;"
+            " unsigned int u = 0; unsigned int v = 4294967295;"
+            " c = c + 1; d = d - 1; uc = uc + 1; uz = uz - 1; s = s + 1;"
+            " us = us - 1; u = u - 1; v = v + 1;"
+            " print_int(c); print_int(d); print_int(uc); print_int(uz);"
+            " print_int(s); print_int(us); print_int(u); print_int(v); return 0; }",
+            [-128, 127, 0, 255, -32768, 65535, 4294967295, 0],
+        ),
+        "casts": (
+            "int main() { int i = -1; unsigned int u = 4294967295;"
+            " long big = 4294967296 + 5; unsigned long ul = (unsigned long)(-1);"
+            " long l = i; long lu = u; int t = (int)big;"
+            " print_int(l); print_int(lu); print_int(t); print_int((char)300);"
+            " print_int((unsigned char)(-1)); print_int((short)65535);"
+            " print_int((int)(unsigned char)200); print_int((long)(char)200);"
+            " print_int(ul); print_int((int)(ul >> 33));"
+            " print_int((unsigned short)(char)(-3)); return 0; }",
+            [-1, 4294967295, 5, 44, 255, -1, 200, -56, -1, 2147483647, 65533],
+        ),
+        "negative-stores": (
+            "int main() { char cs[4]; unsigned char cu[4]; short ss[2];"
+            " unsigned short su[2]; unsigned int ui[2]; long ls[2]; int k;"
+            " for (k = 0; k < 4; k = k + 1) { cs[k] = k - 2; cu[k] = k - 2; }"
+            " ss[0] = -1; su[0] = -1; ui[0] = -5; ls[0] = -7;"
+            " ss[1] = 40000; su[1] = 70000; ui[1] = -2147483647 - 1; ls[1] = 4294967295;"
+            " for (k = 0; k < 4; k = k + 1) { print_int(cs[k]); print_int(cu[k]); }"
+            " print_int(ss[0]); print_int(su[0]); print_int(ui[0]); print_int(ls[0]);"
+            " print_int(ss[1]); print_int(su[1]); print_int(ui[1]); print_int(ls[1]);"
+            " return 0; }",
+            [-2, 254, -1, 255, 0, 0, 1, 1, -1, 65535, 4294967291, -7, -25536, 4464,
+             2147483648, 4294967295],
+        ),
+        "compare-chains": (
+            "int classify(int x, unsigned int u) { int r = 0;"
+            " if (x < 0) { r = r + 1; } if (x >= 2147483647) { r = r + 2; }"
+            " if (!(x == -2147483647 - 1)) { r = r + 4; }"
+            " if (u > 2147483647) { r = r + 8; }"
+            " if (x < 10 && u != 0) { r = r + 16; }"
+            " if (x > 5 || u < 3) { r = r + 32; } return r; }"
+            " int main() { int xs[5]; unsigned int us[5]; int k; long a = 0;"
+            " xs[0] = -2147483647 - 1; xs[1] = -1; xs[2] = 0; xs[3] = 7; xs[4] = 2147483647;"
+            " us[0] = 0; us[1] = 4294967295; us[2] = 2147483648; us[3] = 1; us[4] = 3;"
+            " for (k = 0; k < 5; k = k + 1) { print_int(classify(xs[k], us[k])); }"
+            " while (a < 3000000000) { a = a + 1000000000; } print_int(a); return 0; }",
+            [33, 29, 28, 52, 38, 3000000000],
+        ),
+        "shifts-and-bits": (
+            "int main() { int h = 5381; int i; unsigned int uh = 2166136261; char c = -1;"
+            " for (i = 0; i < 50; i = i + 1) { h = (h << 5) + h + i; h = h ^ (h >> 7); }"
+            " print_int(h);"
+            " for (i = 0; i < 50; i = i + 1) { uh = (uh ^ i) * 16777619;"
+            " uh = uh >> 1 | uh << 31; }"
+            " print_int(uh); print_int(c & 255); print_int(c | 256); print_int(c ^ 127);"
+            " return 0; }",
+            [1128489249, 2991498891, 255, -1, -128],
+        ),
+    }
+
+    @pytest.mark.parametrize("opt_level", [0, 2])
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    def test_limits_match_slow(self, name, opt_level):
+        source_text, expected = self.PROGRAMS[name]
+        jit = assert_all_agree(source_text, label=name, opt_level=opt_level)
+        assert jit.int_outputs == expected
+
+    def test_sext_of_an_int_load_is_not_wrapped(self):
+        from repro.ir import instructions as ir
+
+        module = compile_source(
+            "int main() { int a = -5; long b = a; print_int(b); return 0; }"
+        )
+        compiler, source = compile_function(module, "main")
+        (sext,) = [
+            inst for block in module.functions["main"].blocks
+            for inst in block.instructions
+            if isinstance(inst, ir.Cast) and inst.kind == "sext"
+        ]
+        load = compiler.names[id(sext.value)]
+        assert f"{compiler.names[id(sext)]} = ({load})\n" in source
+        assert "_w" not in source
+
+    def test_int_store_packs_signed(self):
+        from repro.vm.jit import _PACK
+
+        source_text = (
+            "int main() { int a = 7; int b; b = a - 9; print_int(b); return 0; }"
+        )
+        compiler, source = compile_function(compile_source(source_text), "main")
+        cells = {name: payload for name, _, payload in compiler.bindings}
+        # b = a - 9 is a wrapped int: stored as it is, through "<i"
+        stores = re.findall(r"(K\d+)\(_SD, o\d+, v\d+\)", source)
+        assert stores
+        for cell in stores:
+            assert cells[cell] == _PACK[4, True]
+        assert_all_agree(source_text, label="signed store")
+
+
+class TestFusedBranches:
+    """A compare whose only use is its block's branch (directly or
+    through ``ne c, 0``) becomes the branch test.  Step-limit deopts,
+    faults and undefined operands in such a block still match the
+    interpreters exactly."""
+
+    LOOP = (
+        "int main() { int b[4]; int i; int s; s = 0;"
+        " for (i = 0; i < 30; i = i + 1) { if (s > 40) { s = s - 7; }"
+        " else { s = s + i; } }"
+        " print_int(s); return 0; }"
+    )
+
+    #: the fused compare's block loads through an index that leaves the
+    #: stack on the second trip
+    FAULT = (
+        "int main() { int b[4]; int i; int s; s = 0; b[0] = 5;"
+        " for (i = 0; i < 10; i = i + 1) { if (b[i * 300000] > 3) { s = s + 1; } }"
+        " print_int(s); return 0; }"
+    )
+
+    def test_branch_compares_are_not_materialized(self):
+        for opt_level in (0, 2):
+            source = jit_source(compile_source(self.LOOP, opt_level=opt_level), "main")
+            assert "1 if" not in source
+            assert re.search(r"if \(v\d+\) < \(30\):", source)
+
+    def test_every_limit_bit_identical(self):
+        full = Machine(compile_source(self.LOOP)).run().steps
+        for limit in list(range(1, 80)) + list(range(full - 5, full + 2)):
+            assert_all_agree(self.LOOP, max_steps=limit, label=f"fused limit {limit}")
+
+    def test_fault_in_fused_block(self):
+        full = Machine(compile_source(self.FAULT)).run().steps
+        for limit in (None,) + tuple(range(full - 8, full + 2)):
+            jit = assert_all_agree(self.FAULT, max_steps=limit, label=f"limit {limit}")
+        assert jit.outcome == "fault"
+
+    def test_undefined_operand_charged_at_the_compare(self):
+        from repro.ir import Constant, Function, IRBuilder, Module
+        from repro.minic import types as ct
+
+        def build():
+            module = Module("undefined")
+            function = Function("main", ct.INT, [], [])
+            entry = function.new_block("entry")
+            late = function.new_block("late")
+            test = function.new_block("test")
+            yes = function.new_block("yes")
+            no = function.new_block("no")
+            builder = IRBuilder(function, entry)
+            builder.cond_br(Constant(ct.INT, 0), late, test)
+            builder.position_at_end(late)
+            value = builder.add(Constant(ct.INT, 1), Constant(ct.INT, 2))
+            builder.br(test)
+            builder.position_at_end(test)
+            builder.cond_br(builder.cmp("slt", value, Constant(ct.INT, 5)), yes, no)
+            builder.position_at_end(yes)
+            builder.ret(Constant(ct.INT, 1))
+            builder.position_at_end(no)
+            builder.ret(Constant(ct.INT, 2))
+            module.add_function(function)
+            return module
+
+        assert "1 if" not in jit_source(build(), "main")
+        # The run ends in a host VMError; the counters it leaves behind
+        # show where each engine charged the failing instruction.
+        seen = {}
+        for engine in ("jit-eager", "fast", "slow"):
+            machine = Machine(build(), engine=engine)
+            with pytest.raises(VMError, match="undefined value") as caught:
+                machine.run()
+            seen[engine] = (str(caught.value), machine._steps, machine.cost.cycle_units)
+        assert seen["jit-eager"] == seen["slow"] == seen["fast"]
+
+
+class TestBlockDispatch:
+    """Blocks dispatch through a binary search on ``_b``: reaching any
+    block costs a number of tests logarithmic in the block count."""
+
+    @staticmethod
+    def dispatch_tests(source, block_count):
+        """For each block index, how many ``_b`` tests select its arm."""
+        import ast
+
+        body = ast.parse(source).body[0].body[-2].body  # _bind -> _body
+        (loop,) = [node for node in body if isinstance(node, ast.While)]
+        counts = []
+        for index in range(block_count):
+            statements, tests = loop.body, 0
+            while len(statements) == 1 and isinstance(statements[0], ast.If):
+                node = statements[0]
+                tests += 1
+                taken = eval(
+                    compile(ast.Expression(node.test), "<test>", "eval"),
+                    {"_b": index},
+                )
+                statements = node.body if taken else node.orelse
+            counts.append(tests)
+        return counts
+
+    def test_dispatch_depth_is_logarithmic(self):
+        import math
+
+        branches = " ".join(
+            f"if (x == {k}) {{ s = s + {k}; }}" for k in range(40)
+        )
+        source_text = (
+            f"int f(int x) {{ int s; s = 0; {branches} return s; }}"
+            " int main() { int k; long t; t = 0;"
+            " for (k = 0; k < 45; k = k + 1) { t = t + f(k); }"
+            " print_int(t); return 0; }"
+        )
+        module = compile_source(source_text)
+        blocks = len(module.functions["f"].blocks)
+        assert blocks > 64
+        counts = self.dispatch_tests(jit_source(module, "f"), blocks)
+        assert max(counts) <= math.ceil(math.log2(blocks)) + 3
+        assert_all_agree(source_text, label="many blocks")
+
+
+class TestRodataWindow:
+    """Loads through a read-only global (string literals, the P-BOX)
+    read the rodata buffer inline; stores through one still reach
+    ``Memory`` and fault exactly."""
+
+    PROGRAM = (
+        "int main() { char *s = \"hello\"; int i; long t = 0;"
+        " for (i = 0; i < 6; i = i + 1) { t = t * 31 + s[i]; }"
+        " print_int(t); print_int(s[%s]); s[0] = 106; return 0; }"
+    )
+
+    @pytest.mark.parametrize("index", ["2", "5", "4000", "1048576", "0 - 4096"])
+    def test_literal_loads_and_store_match(self, index):
+        source_text = self.PROGRAM % index
+        assert "_RDD" in jit_source(compile_source(source_text, opt_level=2), "main")
+        for opt_level in (0, 2):
+            jit = assert_all_agree(source_text, label=index, opt_level=opt_level)
+            assert jit.outcome == "fault"
+
+    def test_pbox_loads_use_the_window(self):
+        from repro.core.pipeline import harden_source
+        from repro.rng.entropy import DeterministicEntropy
+        from repro.rng.sources import make_source
+
+        module = harden_source(get_workload("hmmer").source, None, "hmmer").module
+        source = jit_source(
+            module, "viterbi_row",
+            rng_source=make_source("aes-10", DeterministicEntropy(0)),
+        )
+        assert "(_RDD, _t - " in source
+        assert "_RD(_t, 4, False)" in source  # the fallback stays
+
+
 class TestFloatWindows:
     """Float loads and stores use the same stack/data windows as integer
     ones (``struct`` ``unpack_from``/``pack_into``), and everything else
@@ -857,9 +1141,10 @@ class TestFloatWindows:
         jit = assert_all_agree(source_text, label="floats")
         assert jit.outcome == "exit" and len(jit.int_outputs) == 4
         body = jit_source(compile_source(source_text), "main")
-        # direct slots (a store reads its offset into _t first)
+        # direct slots (a store's call reads its offset before its value)
         assert re.search(r"= K\d+\(_SD, o\d+\)\[0\]", body)
-        assert "(_SD, _t, _F32(float(" in body and "(_SD, _t, float(" in body
+        assert re.search(r"\(_SD, o\d+, _F32\(float\(", body)
+        assert re.search(r"\(_SD, o\d+, float\(", body)
         assert "(_DD, _t - " in body  # data window
         jit, tiered, reference = hardened_runs(source_text)
         assert_identical(jit, reference, "hardened floats")

@@ -1,7 +1,12 @@
 """P-BOX tests: canonicalization, sharing optimizations, serialization."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.core.allocations import StackAllocation
 from repro.core.config import SmokestackConfig
 from repro.core.pbox import PBox, canonicalize
@@ -81,6 +86,31 @@ class TestSharing:
         entry1 = pbox.add_function("f1", allocs((4, 4), (8, 8)))
         entry2 = pbox.add_function("f2", allocs((8, 8), (4, 4)))
         assert entry1.table is not entry2.table
+
+    def test_private_table_bytes_do_not_depend_on_hash_seed(self):
+        # A private table's seed comes from the function name; str
+        # hashes are salted per process, so it must not use hash().
+        script = (
+            "from repro.core.allocations import StackAllocation\n"
+            "from repro.core.config import SmokestackConfig\n"
+            "from repro.core.pbox import PBox\n"
+            "pbox = PBox(SmokestackConfig(share_tables=False))\n"
+            "entry = pbox.add_function('parse_header', [\n"
+            "    StackAllocation(f'v{i}', size, size, index=i)\n"
+            "    for i, size in enumerate((8, 4, 2, 1, 16))])\n"
+            "print(entry.table.serialize().hex())\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        tables = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            tables.append(
+                subprocess.run(
+                    [sys.executable, "-c", script],
+                    env=env, capture_output=True, text=True, check=True,
+                ).stdout
+            )
+        assert tables[0] and tables[0] == tables[1]
 
     def test_sharing_reduces_bytes(self):
         shared = PBox(SmokestackConfig())
