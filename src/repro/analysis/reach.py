@@ -5,10 +5,10 @@ attacker asks first: *which sibling slots does a linear overflow from
 this buffer corrupt?* — under the baseline layout and under each
 registered defense's family of layouts.
 
-The frame model mirrors :meth:`repro.vm.interpreter.Machine._push_frame`
-byte for byte, in frame-top-relative coordinates (frame top = 0, slots
-at negative offsets, the return cookie at ``[-8, 0)``, the optional
-canary directly below it).  An overflow writes *toward higher
+Slots are placed by the VM's own rule, :func:`repro.vm.frame.frame_shape`,
+in frame-top-relative coordinates (frame top = 0, slots at negative
+offsets, the return cookie at ``[-8, 0)``, the optional canary directly
+below it).  An overflow writes *toward higher
 addresses*: ``length`` bytes from the buffer's base corrupt every slot
 overlapping ``[buffer.lo, buffer.lo + length)``, then the cookie, then
 the caller's frame.
@@ -65,6 +65,7 @@ from repro.core.allocations import FrameDescriptor, StackAllocation
 from repro.core.config import SmokestackConfig
 from repro.core.instrument import FNID_SLOT_NAME
 from repro.core.permutation import generate_table
+from repro.vm.frame import CANARY_LO, COOKIE_LO, frame_shape, region_height
 
 if TYPE_CHECKING:  # the fact bundle is built over this module's geometry
     from repro.analysis.partition import FramePartition
@@ -73,10 +74,6 @@ if TYPE_CHECKING:  # the fact bundle is built over this module's geometry
 COOKIE = "<return-cookie>"
 CANARY = "<canary>"
 CALLER = "<caller-frame>"
-
-
-def _align_down(value: int, alignment: int) -> int:
-    return value & ~(alignment - 1)
 
 
 class Slot(NamedTuple):
@@ -163,37 +160,20 @@ def allocation_slots(
     canary: bool,
     names: Optional[Dict[int, str]] = None,
 ) -> Tuple[Slot, ...]:
-    """Lay ``allocations`` out in the given order, exactly as the VM does.
-
-    The cursor starts below the 8-byte return cookie (and the canary, if
-    present) and moves down: ``cursor -= size; align_down(cursor, align)``.
-    Frame-top-relative offsets equal absolute ones for alignments up to
-    the 16-byte frame-top alignment, so the model is exact.  ``names``
-    (from :func:`unique_slot_names`, usually over the declaration order)
+    """Lay ``allocations`` out in the given order by the VM's rule
+    (:func:`repro.vm.frame.frame_shape`).  ``names`` (from
+    :func:`unique_slot_names`, usually over the declaration order)
     overrides the per-slot display names.
     """
     if names is None:
         names = unique_slot_names(allocations)
+    offsets, _, _ = frame_shape(
+        [allocation.shape() for allocation in allocations], canary=canary
+    )
     return tuple(
         Slot(names[id(allocation)], lo, allocation.size)
-        for allocation, lo in zip(
-            allocations, slot_offsets(allocations, canary=canary)
-        )
+        for allocation, lo in zip(allocations, offsets)
     )
-
-
-def slot_offsets(
-    allocations: Sequence[StackAllocation], *, canary: bool
-) -> List[int]:
-    """The ``lo`` of each of ``allocations`` laid out in the given order
-    (the arithmetic of :func:`allocation_slots`, without the slots).
-    Offsets strictly decrease, so the last is the frame's lowest."""
-    cursor = -16 if canary else -8
-    out: List[int] = []
-    for allocation in allocations:
-        cursor = (cursor - allocation.size) & -allocation.align
-        out.append(cursor)
-    return out
 
 
 class LayoutColumns(NamedTuple):
@@ -235,10 +215,10 @@ def overflow_reach(
         and slot.lo < end
         and slot.hi > base.lo
     )
-    canary_hit = layout.has_canary and end > -16
+    canary_hit = layout.has_canary and end > CANARY_LO
     return ReachSet(
         corrupted=corrupted,
-        cookie=end > -8,
+        cookie=end > COOKIE_LO,
         canary=canary_hit,
         escapes=end > 0,
     )
@@ -252,16 +232,10 @@ def intra_frame_reach(layout: FrameLayout, buffer: str) -> ReachSet:
 
 def frame_height(layout: FrameLayout) -> int:
     """Bytes from the frame base (16-aligned) to the frame top."""
-    return height_below(
-        min((slot.lo for slot in layout.slots), default=0),
-        canary=layout.has_canary,
+    lowest = min((slot.lo for slot in layout.slots), default=0)
+    return region_height(
+        min(lowest, CANARY_LO if layout.has_canary else COOKIE_LO)
     )
-
-
-def height_below(lowest: int, *, canary: bool) -> int:
-    """:func:`frame_height` of a frame whose lowest slot starts at
-    ``lowest`` (0 for a frame without slots)."""
-    return -_align_down(min(lowest, -16 if canary else -8), 16)
 
 
 def stacked_layout(
@@ -299,41 +273,25 @@ def cleanstack_region_slots(
 ) -> Tuple[Tuple[Slot, ...], Tuple[Slot, ...]]:
     """The two halves of a cleanstack frame, each in its own coordinates.
 
-    Clean slots are laid out exactly as the VM's main-stack cursor does
-    (frame top = 0, first slot below the return cookie, unclean indices
-    skipped); unclean slots are laid out by the unclean-stack cursor
-    relative to *its* region top (= 0, no cookie/canary band — metadata
-    never moves to the unclean stack).  ``partition`` is the analyses'
-    :attr:`FunctionFacts.partition`, or a deployed build's.
+    Clean slots sit where the VM's main stack puts them (frame top = 0,
+    first slot below the return cookie, unclean indices skipped);
+    unclean slots relative to the unclean region's top (= 0, no
+    cookie/canary band — metadata never moves to the unclean stack).
+    ``partition`` is the analyses' :attr:`FunctionFacts.partition`, or a
+    deployed build's.
     """
-    statics = facts.function.static_allocas()
-    unclean_allocas = {
-        statics[index]
-        for index in partition.unclean_indices
-        if index < len(statics)
-    }
+    allocations = facts.descriptor.allocations
+    unclean = partition.unclean_indices
+    offsets, _, _ = frame_shape(
+        facts.descriptor.shapes(), canary=False, unclean=unclean
+    )
     names = facts.allocation_names
     main_slots: List[Slot] = []
     unsafe_slots: List[Slot] = []
-    cursor = -8
-    u_cursor = 0
-    for allocation in facts.descriptor.allocations:
-        relocated = (
-            allocation.alloca is not None
-            and allocation.alloca in unclean_allocas
+    for index, (allocation, lo) in enumerate(zip(allocations, offsets)):
+        (unsafe_slots if index in unclean else main_slots).append(
+            Slot(names[id(allocation)], lo, allocation.size)
         )
-        if relocated:
-            u_cursor -= allocation.size
-            u_cursor = _align_down(u_cursor, allocation.align)
-            unsafe_slots.append(
-                Slot(names[id(allocation)], u_cursor, allocation.size)
-            )
-        else:
-            cursor -= allocation.size
-            cursor = _align_down(cursor, allocation.align)
-            main_slots.append(
-                Slot(names[id(allocation)], cursor, allocation.size)
-            )
     return tuple(main_slots), tuple(unsafe_slots)
 
 
@@ -397,7 +355,7 @@ def smokestack_layouts(
     """
     if not facts.descriptor.allocations:
         return [facts.layout()]
-    allocations, names, rows, frame_lo = _smokestack_rows(
+    allocations, names, rows, frame_lo, _ = _smokestack_rows(
         facts.descriptor, samples, seed
     )
     return [
@@ -419,7 +377,7 @@ def smokestack_columns(
     """:func:`smokestack_layouts` by column, read off the table rows."""
     if not facts.descriptor.allocations:
         return layout_columns([facts.layout()])
-    allocations, names, rows, frame_lo = _smokestack_rows(
+    allocations, names, rows, frame_lo, height = _smokestack_rows(
         facts.descriptor, samples, seed
     )
     return LayoutColumns(
@@ -427,15 +385,15 @@ def smokestack_columns(
             names[id(allocation)]: tuple(frame_lo + row[index] for row in rows)
             for index, allocation in enumerate(allocations)
         },
-        tuple(
-            height_below(frame_lo + min(row), canary=False) for row in rows
-        ),
+        (height,) * len(rows),
     )
 
 
 def _smokestack_rows(descriptor: FrameDescriptor, samples: int, seed: int):
     """(allocations incl. the fnid slot, slot names, table rows, the
-    unified frame's lo) of a frame with at least one allocation."""
+    unified frame's lo and the frame's height) of a frame with at least
+    one allocation.  Every row places some slot at offset 0, so each
+    row's lowest slot is the unified frame's lo."""
     allocations = list(descriptor.allocations)
     config = SmokestackConfig()
     if config.fnid_checks:
@@ -445,8 +403,10 @@ def _smokestack_rows(descriptor: FrameDescriptor, samples: int, seed: int):
     names = unique_slot_names(allocations)
     table = generate_table(allocations, max_rows=samples, seed=seed)
     # The unified frame: one 16-aligned char array below the cookie.
-    frame_lo = _align_down(-8 - table.total_size, 16)
-    return allocations, names, table.rows, frame_lo
+    (frame_lo,), height, _ = frame_shape(
+        [(table.total_size, 16)], canary=False
+    )
+    return allocations, names, table.rows, frame_lo, height
 
 
 def reach_under_defense(

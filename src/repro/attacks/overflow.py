@@ -1,10 +1,10 @@
 """Overflow payload construction.
 
 A stack buffer overflow writes from the buffer's base towards *higher*
-addresses.  With a frame layout expressed as offsets below the frame top
-(the convention of ``Machine.baseline_frame_layout`` and the defenses'
-layout oracles), the byte of variable ``v`` lands at payload index
-``offset(buffer) - offset(v)``.
+addresses.  With a frame layout expressed as positive offsets below the
+frame top (what :func:`repro.vm.interpreter.baseline_frame_layout`
+returns, and so every build's reference layouts), the byte of variable
+``v`` lands at payload index ``offset(buffer) - offset(v)``.
 
 :func:`overflow_payload` encodes exactly that arithmetic, which is the
 "relative distance is all a DOP attack needs" observation the paper

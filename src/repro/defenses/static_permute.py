@@ -17,9 +17,7 @@ from repro.analysis.reach import (
     FrameLayout,
     LayoutColumns,
     allocation_slots,
-    height_below,
     layout_columns,
-    slot_offsets,
 )
 from repro.core.permutation import generate_table
 from repro.core.pipeline import compile_source
@@ -27,6 +25,7 @@ from repro.defenses.base import Defense, ProgramBuild, reference_layouts_of
 from repro.ir.instructions import Alloca, Instruction
 from repro.ir.module import Function, Module
 from repro.synth.facts import FunctionFacts
+from repro.vm.frame import frame_shape
 
 
 def permute_function_allocas(function: Function, rng: random.Random) -> List[str]:
@@ -112,15 +111,16 @@ class StaticPermutation(Defense):
         allocations = list(facts.descriptor.allocations)
         if len(allocations) < 2:
             return layout_columns([facts.layout()])
+        shapes = facts.descriptor.shapes()
         columns: List[List[int]] = [[] for _ in allocations]
         heights = []
         for placed in _placements(allocations, samples, seed):
-            los = slot_offsets(
-                [allocations[i] for i in placed], canary=False
+            los, height, _ = frame_shape(
+                [shapes[i] for i in placed], canary=False
             )
             for index, lo in zip(placed, los):
                 columns[index].append(lo)
-            heights.append(height_below(los[-1], canary=False))
+            heights.append(height)
         names = facts.allocation_names
         return LayoutColumns(
             {

@@ -36,6 +36,7 @@ import threading
 import time
 from concurrent import futures
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -105,8 +106,10 @@ class ReproServer:
     def start_pool(self) -> None:
         """Create and pre-spawn the worker pool (idempotent).
 
-        Pre-spawning from the caller's thread keeps worker ``fork()``
-        out of the serving thread and makes the first request fast.
+        At startup this runs on the caller's thread, so the first
+        request is fast.  A rebuild after a worker death runs on the
+        serving thread: it forks and warms the new workers there and
+        blocks the event loop until they are ready.
         """
         if self._pool is None:
             self._pool = ProcessPoolExecutor(
@@ -287,13 +290,16 @@ class ReproServer:
         # Hold the concurrent future directly: cancellation semantics
         # ("only if not yet started") live there, not on the asyncio
         # wrapper wait_for cancels.
-        pool_future = self._pool.submit(handle_job, job)
+        pool = self._pool
         try:
-            out = await asyncio.wait_for(
-                asyncio.wrap_future(pool_future), timeout=timeout
-            )
+            try:
+                pool_future = pool.submit(handle_job, job)
+                out = await asyncio.wait_for(
+                    asyncio.wrap_future(pool_future), timeout=timeout
+                )
+            finally:
+                self._inflight -= 1
         except asyncio.TimeoutError:
-            self._inflight -= 1
             self.stats.timeouts_total += 1
             registry.counter("serve_timeouts_total", op=op).inc()
             # Cancel if not yet started; a job already running on a
@@ -320,7 +326,14 @@ class ReproServer:
             await writer.drain()
             return
         except Exception as exc:  # noqa: BLE001 - pool/broken-process errors
-            self._inflight -= 1
+            if isinstance(exc, BrokenProcessPool) and self._pool is pool:
+                # A dead worker breaks the executor for good: the first
+                # request to see it replaces the pool.  The new workers
+                # fork and warm up on this thread, so every connection,
+                # ``stats`` included, waits until they are ready.
+                pool.shutdown(wait=False, cancel_futures=True)
+                self._pool = None
+                self.start_pool()
             self._count_error("internal")
             writer.write(
                 protocol.encode(
@@ -331,7 +344,6 @@ class ReproServer:
             )
             await writer.drain()
             return
-        self._inflight -= 1
         self.stats.worker_jobs_completed += 1
         delta = out.get("metrics")
         if delta:

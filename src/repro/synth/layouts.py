@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
 from repro.analysis import reach
+from repro.vm.frame import COOKIE_LO, region_height
 
 if TYPE_CHECKING:  # facts imports the geometry this module builds on
     from repro.synth.facts import FunctionFacts
@@ -44,7 +45,7 @@ class GapModel(NamedTuple):
 
     @property
     def cookie_gap(self) -> int:
-        return -8 - self.buffer_lo
+        return COOKIE_LO - self.buffer_lo
 
     def victim_slots_between(self, lo: int, hi: int) -> List[Tuple[str, int, int]]:
         """Named victim slots overlapping payload range [lo, hi)."""
@@ -106,8 +107,7 @@ def cleanstack_gap_model(
         if buffer_unsafe:
             # Unclean slices carry no cookie/canary band; the region
             # height is just the slots' 16-aligned extent.
-            lows = [slot.lo for slot in c_slots]
-            height = -reach._align_down(min(lows), 16) if lows else 0
+            height = region_height(min((s.lo for s in c_slots), default=0))
         else:
             height = reach.frame_height(caller_layout)
     return GapModel(

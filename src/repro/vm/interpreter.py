@@ -47,6 +47,7 @@ from repro.minic import types as ct
 from repro.vm.costs import CostModel
 from repro.vm.decode import Decoder, FellOffBlock, HotCall, HotLoop
 from repro.vm.floatmath import float_to_int_operand, round_f32
+from repro.vm.frame import CANARY_LO, COOKIE_LO, frame_shape
 from repro.vm.jit import (
     HOT_THRESHOLDS,
     JitEngine,
@@ -238,24 +239,19 @@ def baseline_frame_layout(
     this returns an empty mapping — which is precisely what the
     attacker's static analysis would find.
     """
-    offsets: Dict[str, int] = {}
-    cursor = 8  # return cookie
-    if stack_protector:
-        cursor += 8
-    for alloca in function.static_allocas():
-        if not alloca.is_static():
-            continue
-        size = alloca.static_size()
-        cursor += size
-        remainder = cursor % alloca.align
-        if remainder:
-            cursor += alloca.align - remainder
+    allocas = function.static_allocas()
+    offsets, _, _ = frame_shape(
+        [(alloca.static_size(), alloca.align) for alloca in allocas],
+        canary=stack_protector,
+    )
+    layout: Dict[str, int] = {}
+    for alloca, offset in zip(allocas, offsets):
         # Pass-internal slots (the Smokestack unified frame, padding
         # defenses' dummies) are not source variables: static analysis
         # sees an opaque allocation, not a named layout.
         if alloca.var_name and not alloca.var_name.startswith("__"):
-            offsets[alloca.var_name] = cursor
-    return offsets
+            layout[alloca.var_name] = -offset
+    return layout
 
 
 class Machine:
@@ -367,12 +363,14 @@ class Machine:
             "engine": engine,
             "tracer": tracer,
         }
-        # Per-function alloca layouts and decoded code are valid for one
+        # Per-function frame shapes and decoded code are valid for one
         # module *version*: in-place transforms (optimize,
         # instrument_module) bump ``Module.version`` and
         # ``_sync_module_version`` drops the caches, so a reused machine
-        # can never serve a stale decode or frame layout.
-        self._static_allocas: Dict[Function, List[ir.Alloca]] = {}
+        # can never serve a stale decode or frame layout.  The stack
+        # protector and the partition are fixed per machine (``_shape``),
+        # so the function alone keys a shape.
+        self._frame_shapes: Dict[Function, tuple] = {}
         self._module_version = getattr(self.module, "version", 0)
         self._tracer = tracer
         self._builtins = self._build_builtin_table()
@@ -500,7 +498,7 @@ class Machine:
     def _sync_module_version(self) -> None:
         """Invalidate per-module caches if the module was transformed.
 
-        The alloca layout cache and the decoder's block cache key on
+        The frame-shape cache and the decoder's block cache key on
         object identity, which an in-place pass does not change — only
         the version token does.  Mirrors the PR 2 ``Alloca.count``
         stale-cache fix, one level up.
@@ -516,7 +514,7 @@ class Machine:
             if version == self._module_version:
                 return
             self._module_version = version
-            self._static_allocas.clear()
+            self._frame_shapes.clear()
             if self._decoder is not None:
                 self._decoder = Decoder(self)
             # Compiled JIT bodies bind the old version's step lists and
@@ -635,49 +633,27 @@ class Machine:
         self.universal_call_counter += 1
         frame = Frame(function)
         frame.call_site = call_site
-        frame.frame_top = _align_down(self._sp, 16)
-        frame.ret_slot = frame.frame_top - 8
+        shape = self._frame_shapes.get(function)
+        if shape is None:
+            shape = self._frame_shape(function)
+        slots, height, unclean_height = shape
+        top = frame.frame_top = _align_down(self._sp, 16)
+        frame.ret_slot = top + COOKIE_LO
         frame.cookie = self._make_cookie(function)
-        cursor = frame.ret_slot
         if self.stack_protector:
-            cursor -= 8
-            frame.canary_addr = cursor
-        static_allocas = self._static_allocas.get(function)
-        if static_allocas is None:
-            static_allocas = function.static_allocas()
-            self._static_allocas[function] = static_allocas
-        partition = (
-            self.clean_partition.get(function.name)
-            if self.clean_partition is not None
-            else None
-        )
-        if partition:
+            frame.canary_addr = top + CANARY_LO
+        u_top = top
+        if unclean_height is not None:
             # Dual-stack frame: unclean slots descend on the unclean
             # stack, everything else stays in place on the main stack.
             frame.saved_usp = self._usp
-            u_top = _align_down(self._usp, 16)
-            frame.unsafe_top = u_top
-            u_cursor = u_top
-            for index, alloca in enumerate(static_allocas):
-                size = alloca.static_size()
-                if index in partition:
-                    u_cursor -= size
-                    u_cursor = _align_down(u_cursor, alloca.align)
-                    frame.alloca_addresses[alloca] = u_cursor
-                else:
-                    cursor -= size
-                    cursor = _align_down(cursor, alloca.align)
-                    frame.alloca_addresses[alloca] = cursor
-            u_base = _align_down(u_cursor, 16)
-            self.memory.touch_stack(u_base)
-            self._usp = u_base
-        else:
-            for alloca in static_allocas:
-                size = alloca.static_size()
-                cursor -= size
-                cursor = _align_down(cursor, alloca.align)
-                frame.alloca_addresses[alloca] = cursor
-        frame.frame_base = _align_down(cursor, 16)
+            u_top = frame.unsafe_top = _align_down(self._usp, 16)
+            self._usp = u_top - unclean_height
+            self.memory.touch_stack(self._usp)
+        addresses = frame.alloca_addresses
+        for alloca, offset, unclean in slots:
+            addresses[alloca] = (u_top if unclean else top) + offset
+        frame.frame_base = top - height
         frame.sp = frame.frame_base
         self.memory.touch_stack(frame.frame_base)
         self.memory.write_int(frame.ret_slot, frame.cookie, 8)
@@ -691,6 +667,27 @@ class Machine:
         self._sp = frame.frame_base
         if self._tracer is not None:
             self._tracer.on_call(self, frame)
+
+    def _frame_shape(self, function: Function) -> tuple:
+        """Cache ``function``'s shape on this machine: ``(alloca, offset,
+        unclean)`` per static alloca, the height, and the unclean height
+        (None for a frame the partition does not split)."""
+        allocas = function.static_allocas()
+        unclean = (self.clean_partition or {}).get(function.name) or ()
+        offsets, height, unclean_height = frame_shape(
+            [(alloca.static_size(), alloca.align) for alloca in allocas],
+            canary=self.stack_protector,
+            unclean=unclean,
+        )
+        shape = self._frame_shapes[function] = (
+            tuple(
+                (alloca, offset, index in unclean)
+                for index, (alloca, offset) in enumerate(zip(allocas, offsets))
+            ),
+            height,
+            unclean_height if unclean else None,
+        )
+        return shape
 
     def _pop_frame(self, return_value: Optional[object]) -> None:
         frame = self.frames.pop()

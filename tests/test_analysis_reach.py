@@ -1,6 +1,7 @@
 """Overflow-reach model, VM cross-check, lint and driver tests."""
 
 import json
+import os
 
 import pytest
 
@@ -19,7 +20,14 @@ from repro.core import compile_source
 from repro.core.allocations import discover_function
 from repro.defenses.registry import SCHEMES, defense_class
 from repro.synth.facts import FunctionFacts, ProgramFacts
+from repro.vm.frame import region_height
 from repro.vm.interpreter import Machine
+
+EXAMPLES_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "examples",
+    "minic",
+)
 
 VICTIM = """
 int main() {
@@ -61,20 +69,91 @@ class TestLayoutModel:
         assert not first.cookie
 
     def test_model_matches_vm_frame(self):
-        module = compile_source(VICTIM)
-        fn = module.get_function("main")
-        layout = FunctionFacts(fn).layout()
-        machine = Machine(module)
-        frame = machine.push_probe_frame("main")
-        try:
-            allocations = discover_function(fn).allocations
-            names = unique_slot_names(allocations)
-            for allocation in allocations:
-                address = frame.alloca_addresses[allocation.alloca]
-                slot = layout.slot(names[id(allocation)])
-                assert slot.lo == address - frame.frame_top
-        finally:
-            machine.pop_probe_frame()
+        """Every function of the benchsuite workloads, the canned victims
+        and the examples: the model's slot offsets and frame height are
+        where ``push_probe_frame`` puts the slots and the frame base, with
+        and without the stack protector, and under a deployed cleanstack
+        build's partition for both halves of a split frame."""
+        from repro.analysis.partition import partition_module
+        from repro.analysis.reach import (
+            FrameLayout,
+            cleanstack_region_slots,
+            frame_height,
+        )
+        from repro.benchsuite.programs import WORKLOADS
+        from repro.synth.campaign import canned_cases, example_cases
+
+        sources = [(name, w.source) for name, w in WORKLOADS.items()]
+        sources += [
+            (case.name, case.source)
+            for case in canned_cases() + example_cases(EXAMPLES_DIR)
+        ]
+        assert len(sources) == 16 + 4 + 2
+        split = 0
+        for label, source in sources:
+            for canary in (False, True):
+                module = compile_source(source)
+                program = ProgramFacts(source, module=module)
+                machine = Machine(module, stack_protector=canary)
+                for function in program.functions():
+                    facts = program.of(function)
+                    layout = facts.layout(canary)
+                    frame = machine.push_probe_frame(function.name)
+                    try:
+                        where = f"{label}:{function.name} canary={canary}"
+                        for allocation in facts.descriptor.allocations:
+                            slot = layout.slot(
+                                facts.allocation_names[id(allocation)]
+                            )
+                            address = frame.alloca_addresses[allocation.alloca]
+                            assert address == frame.frame_top + slot.lo, where
+                        assert frame.frame_base == (
+                            frame.frame_top - frame_height(layout)
+                        ), where
+                    finally:
+                        machine.pop_probe_frame()
+            build = defense_class("cleanstack")().build(source)
+            partitions = partition_module(build.module)
+            program = ProgramFacts(source, module=build.module)
+            machine = build.make_machine()
+            for function in program.functions():
+                facts = program.of(function)
+                main, unclean = cleanstack_region_slots(
+                    facts, partitions[function.name]
+                )
+                height = frame_height(
+                    FrameLayout(function.name, main, has_canary=False)
+                )
+                frame = machine.push_probe_frame(function.name)
+                try:
+                    where = f"{label}:{function.name} cleanstack"
+                    addresses = {
+                        facts.allocation_names[id(allocation)]:
+                            frame.alloca_addresses[allocation.alloca]
+                        for allocation in facts.descriptor.allocations
+                    }
+                    for slot in main:
+                        assert addresses[slot.name] == (
+                            frame.frame_top + slot.lo
+                        ), where
+                    for slot in unclean:
+                        assert addresses[slot.name] == (
+                            frame.unsafe_top + slot.lo
+                        ), where
+                    assert frame.frame_base == (
+                        frame.frame_top - height
+                    ), where
+                    if unclean:
+                        # The unclean region's base is where the unclean
+                        # stack pointer now stands.
+                        lowest = min(slot.lo for slot in unclean)
+                        assert machine._usp == (
+                            frame.unsafe_top - region_height(lowest)
+                        ), where
+                        split += 1
+                finally:
+                    machine.pop_probe_frame()
+        assert split  # some deployed partition relocates slots
 
     def test_duplicate_scoped_names_get_unique_slots(self):
         source = """

@@ -187,7 +187,7 @@ class TestDecoderStaleness:
     """Re-transforming a module invalidates a reused machine's caches.
 
     The bug this pins down: ``Decoder._cache`` and
-    ``Machine._static_allocas`` key on object identity of blocks and
+    ``Machine._frame_shapes`` hold the identities of blocks and
     instructions.  ``optimize()`` and ``instrument_module()`` rewrite
     instruction lists in place, so a machine built *before* the rewrite
     would happily keep serving predecoded closures for detached blocks —
@@ -274,7 +274,7 @@ class TestDecoderStaleness:
 
         instrument_module(module)
         machine.rng_source = make_source("pseudo", DeterministicEntropy(7))
-        # _static_allocas held layouts keyed on the dead Alloca objects;
+        # _frame_shapes held shapes keyed on the dead Alloca objects;
         # without the resync the hardened prologue would mis-handle them.
         assert machine.run().exit_code == 0
 

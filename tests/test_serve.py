@@ -22,6 +22,8 @@ The load-bearing properties:
 
 import hashlib
 import json
+import os
+import signal
 import socket
 import threading
 import time
@@ -595,6 +597,30 @@ class TestServeLimits:
             # rejected clients can retry successfully once drained
             retried = spare.request_raw({"op": "sleep", "seconds": 0.05})
             assert retried["ok"] is True
+
+
+class TestServeWorkerDeath:
+    """A worker killed under a live server costs requests, not the pool."""
+
+    def test_dead_worker_replaced_and_no_slot_leaks(self):
+        config = ServeConfig(workers=2, max_inflight=4)
+        with ServerThread(config) as thread, connect(*thread.address) as c:
+            assert c.request("compile", source=ADD_SRC)["ok"] is True
+            victim = next(iter(thread.server._pool._processes))
+            os.kill(victim, signal.SIGKILL)
+            codes = []
+            for index in range(config.max_inflight + 4):
+                envelope = c.request_raw(
+                    {"op": "compile", "source": f"{ADD_SRC} /* {index} */"}
+                )
+                codes.append(
+                    "ok" if envelope["ok"] else envelope["error"]["code"]
+                )
+            assert set(codes) <= {"ok", "internal"}, codes
+            assert "ok" in codes, codes
+            after = c.request("compile", source=f"{ADD_SRC} /* after */")
+            assert after["ok"] is True
+            assert c.stats()["inflight"] == 0
 
 
 #: Recurses until the VM's 4096-deep guest call cap stops it.
