@@ -50,7 +50,7 @@ from repro.analysis.crosscheck import CrosscheckResult, crosscheck_module
 from repro.analysis.exploit import EXPLOITABLE, ExploitProver, default_goals
 from repro.analysis.exposure import ExposureScore, score_function
 from repro.analysis.lint import Diagnostic, lint_function
-from repro.analysis.reach import BufferReach, reach_under_defense
+from repro.analysis.reach import BufferReach, reach_rows
 from repro.analysis.safety import PROVEN_SAFE, UNSAFE, proven_reach_conflicts
 from repro.analysis.taintflow import SinkHit, TaintFlowAnalysis
 from repro.core.pipeline import compile_source
@@ -293,7 +293,10 @@ def analyze_program(
     worker's per-process module cache) skip the front end; analysis
     never mutates the module, so a cached one is safe to share.  Every
     pass, the exploit prover included, reads one :class:`ProgramFacts`
-    built over that module.
+    built over that module.  The reach rows (one per buffer and
+    defense) are derived by column: each defense's layout family is
+    built once per function and every buffer's row read off it
+    (:func:`~repro.analysis.reach.reach_rows`).
     """
     if module is None:
         module = compile_source(source, opt_level=opt_level)
@@ -336,16 +339,14 @@ def analyze_program(
                 )
             )
             report._diagnostics[finding_id] = diag
-        for buffer in function_facts.buffers:
-            per_defense = [
-                reach_under_defense(
-                    function_facts,
-                    buffer,
-                    defense_class(defense),
-                    samples=samples,
-                )
-                for defense in defenses
-            ]
+        buffers = function_facts.buffers
+        by_defense = [
+            reach_rows(
+                function_facts, buffers, defense_class(defense), samples=samples
+            )
+            for defense in defenses
+        ]
+        for buffer, per_defense in zip(buffers, zip(*by_defense)):
             report.reach.extend(per_defense)
             baseline = next(
                 (r for r in per_defense if r.defense == "none"), None

@@ -44,6 +44,9 @@ single-shot DOP exploit can rely on); ``possible`` facts hold in at
 least one (what a brute-forcing attacker can eventually hit).  The
 paper's claim, restated in these terms: Smokestack shrinks ``certain``
 to (near) nothing while prior schemes leave it intact.
+:func:`reach_rows` reads both off the family by column
+(:class:`LayoutColumns`), one family per function and defense for all
+of its buffers.
 """
 
 from __future__ import annotations
@@ -409,6 +412,94 @@ def _smokestack_rows(descriptor: FrameDescriptor, samples: int, seed: int):
     return allocations, names, table.rows, frame_lo, height
 
 
+def named_slot_sizes(facts: FunctionFacts) -> Dict[str, int]:
+    """Slot name -> size of every non-synthetic slot of the frame, in
+    declaration order — the slots a reach set can name."""
+    names = facts.allocation_names
+    sizes = {}
+    for allocation in facts.descriptor.allocations:
+        name = names[id(allocation)]
+        if not name.startswith("__"):
+            sizes[name] = allocation.size
+    return sizes
+
+
+def column_reach(
+    columns: LayoutColumns,
+    sizes: Dict[str, int],
+    buffer: str,
+    length: Optional[int] = None,
+) -> Tuple[FrozenSet[str], FrozenSet[str]]:
+    """(certain, possible): the slots of ``sizes`` that a linear overflow
+    from ``buffer`` corrupts in every / in at least one member of the
+    family ``columns`` reads.
+
+    The overflow is :func:`overflow_reach`'s, replayed per member: it
+    writes ``min(length, -lo)`` bytes from the buffer's ``lo`` (to the
+    frame top when ``length`` is None, i.e. :func:`intra_frame_reach`),
+    and hits every other slot overlapping that span.  A slot absent from
+    the columns is skipped.
+    """
+    base = columns.los[buffer]
+    if length is None:
+        ends: Sequence[int] = (0,) * len(base)
+    else:
+        ends = tuple(lo + min(length, -lo) for lo in base)
+    certain = []
+    possible = []
+    for name, size in sizes.items():
+        los = columns.los.get(name)
+        if los is None or name == buffer:
+            continue
+        hits = sum(
+            lo < end and lo + size > b for lo, end, b in zip(los, ends, base)
+        )
+        if hits:
+            possible.append(name)
+        if hits == len(base):
+            certain.append(name)
+    return frozenset(certain), frozenset(possible)
+
+
+def reach_rows(
+    facts: FunctionFacts,
+    buffers: Sequence[str],
+    defense,
+    *,
+    samples: int = 64,
+    seed: int = 0,
+) -> List[BufferReach]:
+    """certain/possible intra-frame reach of each of ``buffers`` under
+    ``defense``, a registered :class:`~repro.defenses.base.Defense` (its
+    ``name`` and ``columns`` are all this reads).
+
+    The defense's layout family is built once, by column, and every
+    buffer's row is read off it with :func:`column_reach`: a slot is
+    ``certain`` if the overflow hits it in every member, ``possible`` if
+    in any.  The overflow runs to the frame top, so it always reaches
+    the return cookie at ``[-8, 0)``.  No buffers, no family.
+    """
+    if not buffers:
+        return []
+    columns = defense.columns(facts, samples=samples, seed=seed)
+    sizes = named_slot_sizes(facts)
+    rows = []
+    for buffer in buffers:
+        certain, possible = column_reach(columns, sizes, buffer)
+        rows.append(
+            BufferReach(
+                function=facts.function.name,
+                buffer=buffer,
+                defense=defense.name,
+                certain=certain,
+                possible=possible,
+                cookie_certain=True,
+                layouts=len(columns.heights),
+            )
+        )
+    return rows
+
+
 def reach_under_defense(
     facts: FunctionFacts,
     buffer: str,
@@ -417,26 +508,8 @@ def reach_under_defense(
     samples: int = 64,
     seed: int = 0,
 ) -> BufferReach:
-    """certain/possible intra-frame reach of ``buffer`` under ``defense``,
-    a registered :class:`~repro.defenses.base.Defense` (its ``name`` and
-    ``layouts`` are all this reads)."""
-    layouts = defense.layouts(facts, samples=samples, seed=seed)
-    certain: Optional[FrozenSet[str]] = None
-    possible: FrozenSet[str] = frozenset()
-    cookie_certain = True
-    for layout in layouts:
-        reach = intra_frame_reach(layout, buffer)
-        certain = (
-            reach.corrupted if certain is None else certain & reach.corrupted
-        )
-        possible = possible | reach.corrupted
-        cookie_certain = cookie_certain and reach.cookie
-    return BufferReach(
-        function=facts.function.name,
-        buffer=buffer,
-        defense=defense.name,
-        certain=certain or frozenset(),
-        possible=possible,
-        cookie_certain=cookie_certain,
-        layouts=len(layouts),
-    )
+    """certain/possible intra-frame reach of ``buffer`` under
+    ``defense``: :func:`reach_rows` of one buffer, so the family is read
+    by column for this buffer alone (``analyze`` reads it once per
+    function for all of its buffers)."""
+    return reach_rows(facts, [buffer], defense, samples=samples, seed=seed)[0]

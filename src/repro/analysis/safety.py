@@ -62,7 +62,7 @@ from repro.analysis.intervals import (
     builtin_write_extent,
     resolve_pointer,
 )
-from repro.analysis.reach import overflow_reach
+from repro.analysis.reach import column_reach, named_slot_sizes
 from repro.analysis.taintflow import UNKNOWN_MEMORY, mem, pointer_root
 from repro.defenses.registry import SCHEMES
 from repro.ir.instructions import Alloca, Call, Cast, Instruction, Store
@@ -656,30 +656,33 @@ def proven_reach_conflicts(
     for name, safety in report.functions.items():
         facts = program.of(program.function(name))
         proven = {s.slot for s in safety.slots if s.verdict == PROVEN_SAFE}
-        for slot in safety.slots:
-            if slot.write_bound is not None and slot.write_bound <= slot.size:
-                continue
-            for scheme in SCHEMES:
-                for layout in scheme.layouts(facts, samples=samples):
-                    try:
-                        base = layout.slot(slot.slot)
-                    except Exception:
-                        continue
-                    length = (
-                        slot.write_bound
-                        if slot.write_bound is not None
-                        else -base.lo
+        breaches = [
+            slot
+            for slot in safety.slots
+            if slot.write_bound is None or slot.write_bound > slot.size
+        ]
+        if not breaches:
+            continue
+        sizes = {
+            slot: size
+            for slot, size in named_slot_sizes(facts).items()
+            if slot in proven
+        }
+        for scheme in SCHEMES:
+            columns = scheme.columns(facts, samples=samples)
+            for slot in breaches:
+                if slot.slot not in columns.los:
+                    continue
+                _, hit = column_reach(
+                    columns, sizes, slot.slot, slot.write_bound
+                )
+                for victim in hit:
+                    conflicts.append(
+                        f"{name}: PROVEN_SAFE slot '{victim}' inside "
+                        f"possible reach of '{slot.slot}' under "
+                        f"'{scheme.name}'"
                     )
-                    reach = overflow_reach(
-                        layout, slot.slot, min(length, -base.lo)
-                    )
-                    hit = set(reach.corrupted) & proven
-                    for victim in sorted(hit):
-                        conflicts.append(
-                            f"{name}: PROVEN_SAFE slot '{victim}' inside "
-                            f"possible reach of '{slot.slot}' under "
-                            f"'{scheme.name}'"
-                        )
+        for slot in breaches:
             if slot.write_bound is None:
                 for caller in report.transitive_callers.get(
                     name, frozenset()

@@ -15,10 +15,22 @@ from repro.analysis import (
     reports_to_json,
 )
 from repro.analysis.crosscheck import failing, probe_lengths
-from repro.analysis.reach import intra_frame_reach, unique_slot_names
+from repro.analysis.reach import (
+    BufferReach,
+    intra_frame_reach,
+    reach_rows,
+    unique_slot_names,
+)
+from repro.analysis.safety import (
+    PROVEN_SAFE,
+    UNSAFE,
+    SafetyReport,
+    proven_reach_conflicts,
+)
 from repro.core import compile_source
 from repro.core.allocations import discover_function
-from repro.defenses.registry import SCHEMES, defense_class
+from repro.core.instrument import FNID_SLOT_NAME
+from repro.defenses.registry import DEFENSE_ORDER, SCHEMES, defense_class
 from repro.synth.facts import FunctionFacts, ProgramFacts
 from repro.vm.frame import region_height
 from repro.vm.interpreter import Machine
@@ -202,6 +214,237 @@ class TestDefenseLayouts:
     def test_unknown_defense_rejected(self):
         with pytest.raises(ValueError):
             defense_class("no-such-defense")
+
+
+def _layout_reach(facts, buffer, defense, *, samples, seed=0):
+    """The per-layout definition of a reach row: :func:`intra_frame_reach`
+    in every member of ``defense.layouts``."""
+    layouts = defense.layouts(facts, samples=samples, seed=seed)
+    reaches = [intra_frame_reach(layout, buffer) for layout in layouts]
+    return BufferReach(
+        function=facts.function.name,
+        buffer=buffer,
+        defense=defense.name,
+        certain=frozenset.intersection(*(r.corrupted for r in reaches)),
+        possible=frozenset().union(*(r.corrupted for r in reaches)),
+        cookie_certain=all(r.cookie for r in reaches),
+        layouts=len(layouts),
+    )
+
+
+def _layout_conflicts(program, *, samples=16):
+    """The per-layout definition of ``proven_reach_conflicts``: every
+    breach replayed with :func:`overflow_reach` in every member."""
+    report = program.safety
+    conflicts = []
+    for name, safety in report.functions.items():
+        facts = program.of(program.function(name))
+        proven = {s.slot for s in safety.slots if s.verdict == PROVEN_SAFE}
+        for slot in safety.slots:
+            if slot.write_bound is not None and slot.write_bound <= slot.size:
+                continue
+            for scheme in SCHEMES:
+                for layout in scheme.layouts(facts, samples=samples):
+                    try:
+                        base = layout.slot(slot.slot)
+                    except KeyError:
+                        continue
+                    length = (
+                        slot.write_bound
+                        if slot.write_bound is not None
+                        else -base.lo
+                    )
+                    reach = overflow_reach(
+                        layout, slot.slot, min(length, -base.lo)
+                    )
+                    for victim in sorted(reach.corrupted & proven):
+                        conflicts.append(
+                            f"{name}: PROVEN_SAFE slot '{victim}' inside "
+                            f"possible reach of '{slot.slot}' under "
+                            f"'{scheme.name}'"
+                        )
+            if slot.write_bound is None:
+                for caller in report.transitive_callers.get(
+                    name, frozenset()
+                ):
+                    caller_safety = report.functions.get(caller)
+                    if caller_safety is None:
+                        continue
+                    for victim in caller_safety.slots:
+                        if victim.verdict == PROVEN_SAFE:
+                            conflicts.append(
+                                f"{caller}: PROVEN_SAFE slot "
+                                f"'{victim.slot}' in a transitive caller "
+                                f"of '{name}' (unbounded breach)"
+                            )
+    return sorted(set(conflicts))
+
+
+def _all_programs():
+    from repro.benchsuite.programs import WORKLOADS
+    from repro.synth.campaign import canned_cases, example_cases, fuzz_cases
+
+    sources = [(name, w.source) for name, w in WORKLOADS.items()]
+    sources += [
+        (case.name, case.source)
+        for case in canned_cases()
+        + example_cases(EXAMPLES_DIR)
+        + fuzz_cases(48)
+    ]
+    assert len(sources) == 16 + 4 + 2 + 48
+    return [ProgramFacts(source, name) for name, source in sources]
+
+
+@pytest.fixture(scope="module")
+def programs():
+    return _all_programs()
+
+
+def _doctored(program):
+    """``program`` with a safety report that proves every slot but the
+    buffers, whose writes cycle through unbounded, 9 bytes past their
+    end, and exactly up to the second slot above them in the declaration
+    layout (an overflow that ends where a slot starts must not hit it) —
+    so every defense's breach replay has proven victims."""
+    report = program.safety
+    functions = {}
+
+    def bound(index, slot, layout):
+        if index % 3 == 0:
+            return None
+        lo = layout.slot(slot.slot).lo
+        above = sorted(s.lo - lo for s in layout.slots if s.lo > lo)
+        if index % 3 == 1 or len(above) < 2:
+            return slot.size + 9
+        return above[1]
+
+    for name, safety in report.functions.items():
+        facts = program.of(program.function(name))
+        buffers = set(facts.buffers)
+        slots = tuple(
+            slot._replace(
+                verdict=UNSAFE, write_bound=bound(index, slot, facts.layout())
+            )
+            if slot.slot in buffers
+            else slot._replace(verdict=PROVEN_SAFE)
+            for index, slot in enumerate(safety.slots)
+        )
+        functions[name] = safety._replace(slots=slots)
+    doctored = ProgramFacts(program.source, module=program.module)
+    doctored.safety = SafetyReport(
+        functions, report.escape_verdicts, report.transitive_callers
+    )
+    return doctored
+
+
+class TestColumnReach:
+    """Reach rows read off a family's columns equal the per-layout
+    definition, row for row."""
+
+    @pytest.mark.parametrize("defense", DEFENSE_ORDER)
+    def test_rows_match_layouts(self, programs, defense):
+        scheme = defense_class(defense)
+        rows = 0
+        for program in programs:
+            for function in program.functions():
+                facts = program.of(function)
+                for samples in (16, 64):
+                    for buffer in facts.buffers:
+                        expected = _layout_reach(
+                            facts, buffer, scheme, samples=samples
+                        )
+                        assert reach_under_defense(
+                            facts, buffer, scheme, samples=samples
+                        ) == expected, (program.module.name, function.name, buffer)
+                        rows += 1
+        assert rows > 300
+
+    def test_reach_rows_is_one_family_for_every_buffer(self, programs):
+        scheme = defense_class("smokestack")
+        for program in programs[:16]:
+            for function in program.functions():
+                facts = program.of(function)
+                assert reach_rows(facts, facts.buffers, scheme) == [
+                    reach_under_defense(facts, buffer, scheme)
+                    for buffer in facts.buffers
+                ]
+
+    def test_conflicts_match_layouts(self, programs):
+        found = 0
+        for program in programs:
+            assert proven_reach_conflicts(program) == _layout_conflicts(
+                program
+            ), program.module.name
+            doctored = _doctored(program)
+            expected = _layout_conflicts(doctored)
+            assert proven_reach_conflicts(doctored) == expected, program.module.name
+            found += len(expected)
+        assert found > 100
+
+    def test_fnid_slot_above_the_buffer_is_not_reported(self):
+        facts = FunctionFacts(compile_source(VICTIM).get_function("main"))
+        scheme = defense_class("smokestack")
+        columns = scheme.columns(facts, samples=64)
+        assert any(
+            fnid > line
+            for fnid, line in zip(
+                columns.los[FNID_SLOT_NAME], columns.los["line"]
+            )
+        )
+        row = reach_under_defense(facts, "line", scheme, samples=64)
+        assert row == _layout_reach(facts, "line", scheme, samples=64)
+        assert FNID_SLOT_NAME not in row.possible
+        assert row.possible == {"quota", "level", "i"}
+
+    def test_cleanstack_frame_with_unclean_slots(self):
+        source = """
+        int main() {
+            long quota;
+            char head[16];
+            long level;
+            char line[32];
+            quota = 1;
+            level = 2;
+            input_read(head, 16);
+            input_read(line, 32);
+            return (int)(quota + level + head[0] + line[0]);
+        }
+        """
+        facts = FunctionFacts(compile_source(source).get_function("main"))
+        assert facts.partition.unclean_indices == {1, 3}
+        scheme = defense_class("cleanstack")
+        for buffer in ("head", "line"):
+            for samples in (1, 16, 64):
+                row = reach_under_defense(
+                    facts, buffer, scheme, samples=samples
+                )
+                assert row == _layout_reach(
+                    facts, buffer, scheme, samples=samples
+                ), (buffer, samples)
+        # The unclean region moves as a block: 'head' sits above 'line'
+        # in every member.
+        assert "head" in reach_under_defense(facts, "line", scheme).certain
+
+    @pytest.mark.parametrize("defense", DEFENSE_ORDER)
+    def test_source_slot_named_like_a_synthetic_one(self, defense):
+        # '__spare' sits above 'buf' in the declaration layout; reach
+        # sets name no '__' slot, whichever declared it.
+        source = """
+        int main() {
+            long __spare;
+            char buf[16];
+            long n;
+            __spare = 1;
+            n = 2;
+            input_read(buf, 16);
+            return (int)(__spare + n + buf[0]);
+        }
+        """
+        facts = FunctionFacts(compile_source(source).get_function("main"))
+        scheme = defense_class(defense)
+        row = reach_under_defense(facts, "buf", scheme, samples=16)
+        assert row == _layout_reach(facts, "buf", scheme, samples=16)
+        assert "__spare" not in row.possible
 
 
 class TestCrosscheck:
